@@ -57,9 +57,7 @@ from .fock import (
     OracleConfig,
     TruncationError,
     annihilation,
-    coherent_state,
     compare_with_gaussian,
-    covariance_from_fock,
     fock_beam_splitter,
     fock_log_negativity,
     fock_partial_transpose,

@@ -10,7 +10,9 @@ critical      print or sweep the critical thermal occupation
 oracle-check  compare the Gaussian formulas against the Fock-space engine
 
 Exit codes: 0 success, 1 verification failure, 2 invalid input,
-3 I/O failure.  Identical invocations produce byte-identical files:
+3 I/O failure, 4 internal error (an unexpected exception, reported on
+one stderr line so that a crash never reads as a verification failure).
+Identical invocations produce byte-identical files:
 numbers are serialized with 12 significant digits, grids are walked in
 row-major order over the axes as declared, and an infinite threshold is
 written as the literal token "inf" next to its flag column.
@@ -42,6 +44,7 @@ EXIT_OK = 0
 EXIT_VERIFICATION = 1
 EXIT_INVALID = 2
 EXIT_IO = 3
+EXIT_INTERNAL = 4
 
 PARAM_NAMES = ("tau", "u", "nbar", "theta", "phi", "phi_b")
 ANGLE_NAMES = ("theta", "phi", "phi_b")
@@ -504,6 +507,9 @@ def main(argv=None) -> int:
     except _IOFailure as err:
         print(f"I/O error: {err}", file=sys.stderr)
         return EXIT_IO
+    except Exception as err:  # any other exception is a defect, not a verdict
+        print(f"internal error: {type(err).__name__}: {err}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 def entry() -> None:

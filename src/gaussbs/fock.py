@@ -6,6 +6,16 @@ negativity as the log trace norm of the partially transposed output.  No
 covariance-level shortcut is used anywhere, so agreement with the Gaussian
 formulas is a genuine cross-check.
 
+The arithmetic follows the phases.  At ``phi = phi_b = 0`` the squeezer
+generator and every beam-splitter sector are exactly real, so the states,
+the two-mode output, its partial transpose and the eigensolve all stay in
+float64.  A non-zero ``phi`` or ``phi_b`` makes the same functions run in
+complex128, so the oracle still tests phase independence rather than
+assuming it.  The two-mode stage works in place where it can and holds
+about ``_LIVE_COPIES`` matrices of ``W^4`` entries at its peak; a point
+whose window would not fit in the memory still available is skipped with
+the note "memory" instead of being allocated.
+
 Truncation is handled honestly: every builder measures the probability
 mass lost at the cutoff and raises ``TruncationError`` when it exceeds the
 configured budget instead of silently renormalizing.  The comparison
@@ -24,9 +34,13 @@ import numpy as np
 from scipy.linalg import expm
 
 from .entanglement import ScenarioParams, negativity_closed_form
-from .states import BeamSplitter, CovMat1, DomainError, GaussianSpec
+from .states import BeamSplitter, DomainError, GaussianSpec
 
 _HERMITICITY_TOL = 1e-10
+# Square tiles of this many rows bound the temporaries of the in-place
+# Hermitian averaging; tiles this small stay in cache, which measured about
+# three times faster than 512.
+_TILE = 128
 _MAX_ESCALATION_DIM = 120
 _ESCALATION_STEP = 20
 # Single-mode states are synthesized on an enlarged working space before
@@ -43,6 +57,17 @@ _COMPARE_GUARDS = (0, 8, 16, 24)
 # Window leakage this far below the comparison tolerance keeps the
 # amplified tail error out of the reported negativity difference.
 _GUARD_SAFETY = 300.0
+# Two-mode matrices of the working dtype alive at once in one oracle point,
+# rounded up.  The conjugation holds two (the kron, reused for the output,
+# and its sector-ordered copy); the eigensolve holds the output, its partial
+# transpose and a quarter-size parity block plus the eigensolver's copy of
+# it.  Peak RSS growth measured 2.6 (real) to 2.8 (complex) matrices.
+_LIVE_COPIES = 3
+# Memory cgroup (limit, usage) files, v2 then v1 layout.
+_CGROUP_MEMORY_FILES = (
+    ("/sys/fs/cgroup/memory.max", "/sys/fs/cgroup/memory.current"),
+    ("/sys/fs/cgroup/memory/memory.limit_in_bytes", "/sys/fs/cgroup/memory/memory.usage_in_bytes"),
+)
 
 
 class TruncationError(RuntimeError):
@@ -79,20 +104,21 @@ class FockDensityMatrix:
 
     The trace may fall short of 1 by the truncation leakage, which is
     reported through ``leakage`` rather than hidden by renormalization.
+    Real input is stored as float64 and complex input as complex128; the
+    stored matrix is the Hermitian part of a copy of the input, which must
+    be Hermitian to within ``_HERMITICITY_TOL``.
     """
 
     data: np.ndarray
     n_modes: int
 
     def __post_init__(self):
-        data = np.array(self.data, dtype=complex)
+        data = np.array(self.data, dtype=complex if np.iscomplexobj(self.data) else float)
         if self.n_modes not in (1, 2):
             raise DomainError("n_modes must be 1 or 2")
         if data.ndim != 2 or data.shape[0] != data.shape[1]:
             raise DomainError("density matrix must be square")
-        scale = max(float(np.abs(data).max()), 1.0)
-        if np.abs(data - data.conj().T).max() > _HERMITICITY_TOL * scale:
-            raise DomainError("density matrix must be Hermitian")
+        _hermitize(data)
         if self.n_modes == 2:
             dim = math.isqrt(data.shape[0])
             if dim * dim != data.shape[0]:
@@ -112,23 +138,41 @@ class FockDensityMatrix:
     def leakage(self) -> float:
         return abs(1.0 - self.trace)
 
-    def min_eigenvalue(self) -> float:
-        return float(np.linalg.eigvalsh(self.data).min())
+
+def _hermitize(a: np.ndarray) -> None:
+    """Replace square ``a`` by (a + a^)/2 in place, after checking it was Hermitian.
+
+    Works tile by tile, so no temporary of the full size is allocated.  The
+    result is exactly Hermitian: mirrored entries are computed from the
+    same two operands.
+    """
+    n = a.shape[0]
+    defect = peak = 0.0
+    for i in range(0, n, _TILE):
+        for j in range(i, n, _TILE):
+            upper = a[i : i + _TILE, j : j + _TILE]
+            lower = a[j : j + _TILE, i : i + _TILE]
+            lower_h = lower.conj().T
+            defect = max(defect, float(np.abs(upper - lower_h).max(initial=0.0)))
+            mean = upper + lower_h
+            mean *= 0.5
+            peak = max(peak, float(np.abs(mean).max(initial=0.0)))
+            upper[...] = mean
+            lower[...] = mean.conj().T
+    if defect > _HERMITICITY_TOL * max(peak, 1.0):
+        raise DomainError("density matrix must be Hermitian")
+
+
+def _phase(angle: float):
+    """e^{i angle}; the float 1.0 when the angle is zero.
+
+    A real factor keeps everything built from it in float64.
+    """
+    return 1.0 if angle == 0.0 else complex(math.cos(angle), math.sin(angle))
 
 
 def annihilation(dim: int) -> np.ndarray:
     return np.diag(np.sqrt(np.arange(1.0, dim)), k=1)
-
-
-def coherent_state(alpha: complex, dim: int) -> np.ndarray:
-    """Normalized coherent-state amplitudes up to the cutoff."""
-    if alpha == 0:
-        amps = np.zeros(dim, dtype=complex)
-        amps[0] = 1.0
-        return amps
-    n = np.arange(dim)
-    log_fact = np.cumsum(np.concatenate(([0.0], np.log(np.arange(1.0, dim)))))
-    return np.exp(-0.5 * abs(alpha) ** 2 + n * np.log(complex(alpha)) - 0.5 * log_fact)
 
 
 def _thermal_weights(nbar: float, dim: int) -> np.ndarray:
@@ -148,7 +192,7 @@ def fock_thermal(nbar: float, cfg: OracleConfig) -> FockDensityMatrix:
     leakage = abs(1.0 - weights.sum())
     if leakage > cfg.tol_trace:
         raise TruncationError(leakage, cfg.dim, cfg.tol_trace)
-    return FockDensityMatrix(np.diag(weights.astype(complex)), n_modes=1)
+    return FockDensityMatrix(np.diag(weights), n_modes=1)
 
 
 def fock_squeezed_thermal(spec: GaussianSpec, cfg: OracleConfig) -> FockDensityMatrix:
@@ -160,13 +204,13 @@ def fock_squeezed_thermal(spec: GaussianSpec, cfg: OracleConfig) -> FockDensityM
     reproduce ``covariance_from_spec`` exactly in the untruncated limit.
     Synthesized on a working space ``dim + _WORK_MARGIN`` wide and then
     compressed, so the delivered matrix agrees with the exact state up to
-    the reported tail leakage.
+    the reported tail leakage.  Real when ``phi_b == 0``.
     """
     nbar_seed = (1.0 - spec.u) / (2.0 * spec.u)
     r = -0.5 * math.log(spec.u * (1.0 - 2.0 * spec.tau))
-    xi = r * complex(math.cos(spec.phi_b), math.sin(spec.phi_b))
+    xi = r * _phase(spec.phi_b)
     work = cfg.dim + _WORK_MARGIN
-    seed = np.diag(_thermal_weights(nbar_seed, work).astype(complex))
+    seed = np.diag(_thermal_weights(nbar_seed, work))
     a = annihilation(work)
     generator = 0.5 * (xi.conjugate() * (a @ a) - xi * (a.T @ a.T))
     squeezer = expm(generator)
@@ -186,42 +230,54 @@ def _beam_splitter_sectors(theta: float, phi: float, dim: int):
     sector by sector; the assembled operator equals the exponential of the
     truncated generator, is exactly unitary on the truncated space, and
     satisfies U^ a_i U = (M_B a)_i exactly within complete sectors (total
-    number <= dim - 1).  Returns (flat indices, block) pairs.
+    number <= dim - 1).  Returns ``(order, blocks)``: ``order`` lists the
+    flat two-mode indices sector by sector, and each ``(lo, hi, block)``
+    acts on positions ``lo:hi`` of that order.  The blocks are real when
+    ``phi == 0``.  The arrays are shared by every caller and read-only.
     """
-    e = complex(math.cos(phi), math.sin(phi))
-    sectors = []
+    e = _phase(phi)
+    order = []
+    blocks = []
+    lo = 0
     for total in range(2 * dim - 1):
-        n1_lo = max(0, total - dim + 1)
-        n1_hi = min(total, dim - 1)
-        n1 = np.arange(n1_lo, n1_hi + 1)
+        n1 = np.arange(max(0, total - dim + 1), min(total, dim - 1) + 1)
         size = n1.size
-        gen = np.zeros((size, size), dtype=complex)
         # a1^ a2 sends (n1, n2) -> (n1 + 1, n2 - 1) within the sector.
         hop = theta * e * np.sqrt((n1[:-1] + 1.0) * (total - n1[:-1]))
+        gen = np.zeros((size, size), dtype=hop.dtype)
         gen[np.arange(1, size), np.arange(size - 1)] = hop
         gen[np.arange(size - 1), np.arange(1, size)] = -hop.conj()
-        flat = n1 * dim + (total - n1)
         block = expm(gen)
-        sectors.append((flat, block, block.conj().T))
-    return tuple(sectors)
-
-
-def _beam_splitter_unitary(theta: float, phi: float, dim: int) -> np.ndarray:
-    """Dense form of the sector-blocked beam-splitter unitary."""
-    u = np.zeros((dim * dim, dim * dim), dtype=complex)
-    for flat, block, _ in _beam_splitter_sectors(theta, phi, dim):
-        u[np.ix_(flat, flat)] = block
-    return u
+        block.setflags(write=False)
+        order.append(n1 * dim + (total - n1))
+        blocks.append((lo, lo + size, block))
+        lo += size
+    order = np.concatenate(order)
+    order.setflags(write=False)
+    return order, tuple(blocks)
 
 
 def _sector_conjugate(rho: np.ndarray, sectors) -> np.ndarray:
-    """U rho U^ using the block structure of U (far cheaper than dense)."""
-    tmp = np.empty_like(rho)
-    for flat, block, _ in sectors:
-        tmp[flat, :] = block @ rho[flat, :]
-    out = np.empty_like(rho)
-    for flat, _, block_ct in sectors:
-        out[:, flat] = tmp[:, flat] @ block_ct
+    """U rho U^ using the block structure of U, reusing ``rho`` for the result.
+
+    ``rho`` is permuted once into sector order, where each block acts on a
+    contiguous slab of rows and then of columns, and the product is mapped
+    back once.  The result overwrites ``rho`` when that already has the
+    result dtype ``np.result_type(rho, block)``; otherwise it goes to a new
+    array.  Either way the caller must use the returned array.
+    """
+    order, blocks = sectors
+    work = np.empty(rho.shape, np.result_type(rho, blocks[0][2]))
+    for lo, hi, _ in blocks:
+        work[lo:hi] = rho[order[lo:hi]][:, order]
+    for lo, hi, block in blocks:
+        work[lo:hi] = block @ work[lo:hi]
+    for lo, hi, block in blocks:
+        work[:, lo:hi] = work[:, lo:hi] @ block.conj().T
+    out = rho if rho.dtype == work.dtype else np.empty_like(work)
+    inverse = np.argsort(order)
+    for lo, hi, _ in blocks:
+        out[order[lo:hi]] = work[lo:hi][:, inverse]
     return out
 
 
@@ -247,11 +303,12 @@ def fock_beam_splitter(
         raise DomainError(f"input cutoffs differ: {rho1.dim} != {rho2.dim}")
     sectors = _beam_splitter_sectors(bs.theta, bs.phi, rho1.dim)
     rho = _sector_conjugate(np.kron(rho1.data, rho2.data), sectors)
-    rho = 0.5 * (rho + rho.conj().T)
+    _hermitize(rho)
     leakage = abs(1.0 - np.trace(rho).real)
     if leakage > cfg.tol_trace:
         raise TruncationError(leakage, rho1.dim, cfg.tol_trace)
-    return FockDensityMatrix(rho, n_modes=2)
+    # _hermitize has run the constructor's checks; the result is our own.
+    return _wrap_hermitian_two_mode(rho)
 
 
 def fock_partial_transpose(rho: FockDensityMatrix) -> FockDensityMatrix:
@@ -278,15 +335,21 @@ def _abs_eigenvalue_sum(matrix: np.ndarray, dim: int) -> float:
     The scenario states only carry coherences between Fock numbers of equal
     parity, so the partially transposed matrix splits into two blocks over
     the parity of n1 + n2; when that structure holds (checked, not assumed)
-    the two blocks are diagonalized separately.
+    the two blocks are diagonalized separately.  The check reads the matrix
+    a slab of rows at a time, so only the parity block being diagonalized
+    is copied.
     """
     n1, n2 = np.divmod(np.arange(dim * dim), dim)
-    even = (n1 + n2) % 2 == 0
-    cross = matrix[np.ix_(even, ~even)]
-    if np.abs(cross).max() > 1e-12 * max(float(np.abs(matrix).max()), 1.0):
+    odd = (n1 + n2) % 2 == 1
+    cross = peak = 0.0
+    for lo in range(0, dim * dim, dim):
+        slab = matrix[lo : lo + dim]
+        peak = max(peak, float(np.abs(slab).max()))
+        cross = max(cross, float(np.abs(slab[~odd[lo : lo + dim]][:, odd]).max(initial=0.0)))
+    if cross > 1e-12 * max(peak, 1.0):
         return float(np.abs(np.linalg.eigvalsh(matrix)).sum())
     total = 0.0
-    for mask in (even, ~even):
+    for mask in (~odd, odd):
         total += float(np.abs(np.linalg.eigvalsh(matrix[np.ix_(mask, mask)])).sum())
     return total
 
@@ -302,16 +365,6 @@ def fock_log_negativity(rho: FockDensityMatrix) -> LogNegativityResult:
     return LogNegativityResult(max(0.0, raw), raw)
 
 
-def covariance_from_fock(rho: FockDensityMatrix) -> CovMat1:
-    """Second moments of a one-mode matrix as a covariance (a, b) pair."""
-    if rho.n_modes != 1:
-        raise DomainError("moment extraction implemented for one-mode states")
-    a_op = annihilation(rho.dim)
-    mean_n = float(np.trace(rho.data @ (a_op.T @ a_op)).real)
-    mean_aa = complex(np.trace(rho.data @ (a_op @ a_op)))
-    return CovMat1(mean_n + 0.5, -mean_aa)
-
-
 @dataclass(frozen=True)
 class OracleComparison:
     """One grid point of the Gaussian-vs-Fock cross-check."""
@@ -324,6 +377,31 @@ class OracleComparison:
     dim_used: int
     status: str  # "pass", "fail", or "skip"
     note: str = ""
+
+
+def _available_memory() -> int | None:
+    """Bytes this process can still allocate, or None when nothing says.
+
+    MemAvailable from /proc/meminfo, capped by the memory cgroup's limit
+    less its usage; a file that is missing or unreadable is ignored.
+    """
+    limits = []
+    try:
+        with open("/proc/meminfo", encoding="ascii") as handle:
+            for line in handle:
+                if line.startswith("MemAvailable:"):
+                    limits.append(int(line.split()[1]) * 1024)
+    except (OSError, ValueError):
+        pass
+    for limit_path, usage_path in _CGROUP_MEMORY_FILES:
+        try:
+            with open(limit_path, encoding="ascii") as handle:
+                limit = int(handle.read())
+            with open(usage_path, encoding="ascii") as handle:
+                limits.append(limit - int(handle.read()))
+        except (OSError, ValueError):
+            continue
+    return min(limits) if limits else None
 
 
 def _pick_guard(wide: np.ndarray, base_dim: int, target: float) -> int:
@@ -348,7 +426,11 @@ def compare_with_gaussian(params: ScenarioParams, cfg: OracleConfig) -> OracleCo
     window misses, so the window is widened until the measured tail loss
     sits well below the comparison tolerance.  Base dimensions grow in
     steps of 20 up to 120; if the leakage budget still cannot be met the
-    point is skipped with the measured leakage recorded.
+    point is skipped with the measured leakage recorded.  Before a window
+    is allocated, its predicted peak of ``_LIVE_COPIES`` two-mode matrices
+    (8 bytes an entry when both phases are zero, else 16) is compared with
+    the memory still available; a point that does not fit is skipped with
+    a note starting "memory", since wider windows would need more.
     """
     n_gaussian = negativity_closed_form(params)
     dims = list(range(cfg.dim, _MAX_ESCALATION_DIM + 1, _ESCALATION_STEP))
@@ -364,6 +446,14 @@ def compare_with_gaussian(params: ScenarioParams, cfg: OracleConfig) -> OracleCo
         guard = _pick_guard(wide.data, dim, target)
         window = dim + guard
         rho1 = FockDensityMatrix(wide.data[:window, :window], n_modes=1)
+        itemsize = np.result_type(rho1.data, _phase(params.phi)).itemsize
+        need = _LIVE_COPIES * itemsize * window**4
+        free = _available_memory()
+        if free is not None and need > free:
+            note = f"memory: window {window} needs {need >> 20} MiB, {free >> 20} MiB available"
+            return OracleComparison(
+                params, n_gaussian, math.nan, math.nan, rho1.leakage, dim, "skip", note
+            )
         attempt = OracleConfig(dim=window, tol_trace=cfg.tol_trace, tol_compare=cfg.tol_compare)
         try:
             if rho1.leakage > cfg.tol_trace:

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from gaussbs import cli
 from gaussbs.cli import (
     Axis,
     SweepGrid,
@@ -360,6 +361,43 @@ class TestOracleCheckCommand:
         assert lines[0].startswith("tau,u,nbar,theta,n_gaussian,n_fock,abs_diff")
         assert len(lines) == 2
         assert lines[1].endswith("pass")
+
+
+class TestInternalErrors:
+    def test_unexpected_exception_exits_4(self, monkeypatch, capsys):
+        def crash(args):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli, "_cmd_negativity", crash)
+        assert run("negativity", "--tau", "0.25", "--u", "1", "--nbar", "0", "--theta", PI_4) == 4
+        err = capsys.readouterr().err
+        assert err == "internal error: RuntimeError: boom\n"
+
+    def test_memory_error_is_not_a_verification_failure(self, monkeypatch, capsys):
+        def exhausted(params, cfg):
+            raise MemoryError()
+
+        monkeypatch.setattr(cli, "compare_with_gaussian", exhausted)
+        code = run("oracle-check", "--tau-list", "0.2", "--u-list", "1", "--nbar-list", "0")
+        assert code == cli.EXIT_INTERNAL
+        assert capsys.readouterr().err.startswith("internal error: MemoryError")
+
+    def test_overflow_in_sweep_is_not_exit_0_or_1(self, tmp_path, capsys):
+        code = run(
+            "sweep",
+            "--axis",
+            "nbar:0:1e308:3",
+            "--tau",
+            "0.3",
+            "--u",
+            "1",
+            "--theta",
+            "0.7",
+            "-o",
+            str(tmp_path / "x.csv"),
+        )
+        assert code not in (0, 1)
+        assert "Traceback" not in capsys.readouterr().err
 
 
 class TestSerialization:

@@ -2,23 +2,23 @@ import math
 
 import numpy as np
 import pytest
+from conftest import _beam_splitter_unitary, coherent_state, covariance_from_fock, min_eigenvalue
 
+from gaussbs import fock
 from gaussbs.entanglement import ScenarioParams, negativity_closed_form
 from gaussbs.fock import (
     FockDensityMatrix,
     OracleConfig,
     TruncationError,
     annihilation,
-    coherent_state,
     compare_with_gaussian,
-    covariance_from_fock,
     fock_beam_splitter,
     fock_log_negativity,
     fock_partial_transpose,
     fock_squeezed_thermal,
     fock_thermal,
 )
-from gaussbs.fock import _beam_splitter_unitary
+from gaussbs.fock import _beam_splitter_sectors, _sector_conjugate
 from gaussbs.states import (
     BeamSplitter,
     DomainError,
@@ -75,7 +75,7 @@ class TestStateBuilders:
 
     def test_states_positive_and_normalized(self):
         rho = fock_squeezed_thermal(GaussianSpec(0.25, 0.7, 0.4), OracleConfig(dim=40))
-        assert rho.min_eigenvalue() > -1e-10
+        assert min_eigenvalue(rho) > -1e-10
         assert rho.leakage < 1e-8
 
     def test_truncation_error_reports_leakage(self):
@@ -264,6 +264,79 @@ class TestComparisonHarness:
             OracleConfig(dim=30, tol_trace=1e-6, tol_compare=1e-12),
         )
         assert res.status == "fail"
+
+
+class TestDtypeFollowsPhases:
+    ROTATIONS = ((0.0, 0.0), (0.7, 1.1))
+
+    def _output(self, phi, phi_b):
+        p = ScenarioParams(0.2, 0.9, 0.3, math.pi / 4, phi, phi_b)
+        rho1 = fock_squeezed_thermal(p.spec(), CFG)
+        rho2 = fock_thermal(p.nbar, CFG)
+        return fock_beam_splitter(rho1, rho2, p.splitter(), CFG)
+
+    def test_two_mode_dtype(self):
+        for (phi, phi_b), dtype in zip(self.ROTATIONS, (np.float64, np.complex128)):
+            out = self._output(phi, phi_b)
+            assert out.data.dtype == dtype
+            assert fock_partial_transpose(out).data.dtype == dtype
+
+    def test_log_negativity_same_in_both_dtypes(self):
+        values = [fock_log_negativity(self._output(*phases)).raw for phases in self.ROTATIONS]
+        assert values[0] > 0.01
+        assert values[1] == pytest.approx(values[0], abs=1e-9)
+
+    def test_sector_conjugate_matches_dense(self):
+        dim = 8
+        rng = np.random.default_rng(7)
+        z = rng.standard_normal((dim * dim,) * 2) + 1j * rng.standard_normal((dim * dim,) * 2)
+        for rho in (z.real + z.real.T, z + z.conj().T):
+            for phi in (0.0, 0.4):
+                u = _beam_splitter_unitary(0.7, phi, dim)
+                got = _sector_conjugate(rho.copy(), _beam_splitter_sectors(0.7, phi, dim))
+                assert got.dtype == np.result_type(rho, u)
+                assert np.abs(got - u @ rho @ u.conj().T).max() < 1e-12
+
+    def test_real_input_stays_real(self):
+        rho = FockDensityMatrix(np.diag([0.75, 0.25]), n_modes=1)
+        assert rho.data.dtype == np.float64
+
+
+class TestMemoryPrecheck:
+    POINT = ScenarioParams(0.2, 0.8, 0.1, math.pi / 4)
+
+    def test_skip_before_allocating(self, monkeypatch):
+        def no_allocation(*args):
+            raise AssertionError("two-mode matrix allocated")
+
+        monkeypatch.setattr(fock, "_available_memory", lambda: 1 << 20)
+        monkeypatch.setattr(fock, "fock_beam_splitter", no_allocation)
+        res = compare_with_gaussian(self.POINT, OracleConfig(dim=30, tol_trace=1e-6))
+        assert res.status == "skip"
+        assert res.note.startswith("memory")
+        assert res.dim_used == 30
+        assert math.isnan(res.n_fock)
+
+    def test_complex_points_need_twice_the_memory(self, monkeypatch):
+        cfg = OracleConfig(dim=30, tol_trace=1e-6)
+        monkeypatch.setattr(fock, "_available_memory", lambda: None)
+        real = compare_with_gaussian(self.POINT, cfg)
+        assert real.status == "pass"
+        window = real.dim_used + int(real.note.partition("guard=")[2] or 0)
+        budget = 12 * fock._LIVE_COPIES * window**4
+        monkeypatch.setattr(fock, "_available_memory", lambda: budget)
+        assert compare_with_gaussian(self.POINT, cfg).status == "pass"
+        rotated = ScenarioParams(0.2, 0.8, 0.1, math.pi / 4, 0.7, 1.1)
+        assert compare_with_gaussian(rotated, cfg).note.startswith("memory")
+
+    def test_cgroup_limit_caps_available_memory(self, monkeypatch, tmp_path):
+        limit, usage, unlimited = (tmp_path / name for name in ("limit", "usage", "max"))
+        limit.write_text("3000\n")
+        usage.write_text("1000\n")
+        unlimited.write_text("max\n")
+        files = ((str(unlimited), str(usage)), (str(limit), str(usage)))
+        monkeypatch.setattr(fock, "_CGROUP_MEMORY_FILES", files)
+        assert fock._available_memory() == 2000
 
 
 class TestConfigValidation:
