@@ -15,7 +15,9 @@ one stderr line so that a crash never reads as a verification failure).
 Identical invocations produce byte-identical files:
 numbers are serialized with 12 significant digits, grids are walked in
 row-major order over the axes as declared, and an infinite threshold is
-written as the literal token "inf" next to its flag column.
+written as the literal token "inf" next to its flag column.  Sweeps are
+evaluated column-wise and written in chunks of CHUNK rows, so their
+memory does not grow with the grid.
 """
 
 from __future__ import annotations
@@ -25,14 +27,21 @@ import itertools
 import json
 import math
 import sys
+from collections import Counter
 from dataclasses import dataclass, field
+from typing import NamedTuple, Optional
+
+import numpy as np
 
 from .entanglement import (
     ScenarioParams,
     closed_form_terms,
+    cos4,
     critical_noise,
+    critical_noise_columns,
     log_negativity,
     negativity_closed_form,
+    negativity_columns,
     optimal_angle,
     output_covariance,
     pt_symplectic_spectrum,
@@ -48,6 +57,11 @@ EXIT_INTERNAL = 4
 
 PARAM_NAMES = ("tau", "u", "nbar", "theta", "phi", "phi_b")
 ANGLE_NAMES = ("theta", "phi", "phi_b")
+THRESHOLD_COLUMNS = ("nbar_c", "never_entangled", "infinite_threshold")
+
+# Rows evaluated, formatted and written per step of a sweep, so that the
+# memory a sweep needs does not grow with its grid.
+CHUNK = 4096
 
 _FIG_PRESETS = {
     # name: (fixed values, first axis, second axis, with threshold columns)
@@ -83,11 +97,31 @@ class Axis:
                 f"axis {self.name}: start {self.start} exceeds stop {self.stop}"
             )
 
-    def values(self) -> list[float]:
+    def at(self, positions: np.ndarray) -> np.ndarray:
+        """Values at the given positions: start + i*step, and stop at the last."""
         if self.count == 1:
-            return [self.start]
+            return np.full(len(positions), self.start)
         step = (self.stop - self.start) / (self.count - 1)
-        return [self.start + i * step for i in range(self.count - 1)] + [self.stop]
+        with np.errstate(all="ignore"):  # inf and nan as Python floats give them
+            values = self.start + positions * step
+        values[positions == self.count - 1] = self.stop
+        return values
+
+
+class Column(NamedTuple):
+    """One column of a chunk of rows: ``values[index]`` row by row, or
+    ``values`` broadcast over the rows when there is no index.
+
+    A swept parameter holds the distinct axis values that its rows use, so
+    each value is validated and formatted once; a fixed one holds one value.
+    """
+
+    values: object  # np.ndarray, or a list of Python values
+    index: Optional[np.ndarray] = None
+
+    def rows(self, size: int) -> np.ndarray:
+        values = np.asarray(self.values)
+        return np.broadcast_to(values if self.index is None else values[self.index], (size,))
 
 
 @dataclass(frozen=True)
@@ -111,30 +145,97 @@ class SweepGrid:
     def size(self) -> int:
         return math.prod(axis.count for axis in self.axes)
 
+    def chunks(self, size: int = CHUNK):
+        """The grid in row-major runs of at most ``size`` rows.
+
+        Yields (rows, columns, new) per run: columns maps every parameter to
+        a Column, and new maps parameters to the values that first occur in
+        the run (the fixed values in the first run), so that a caller can
+        validate each value once.  Only the run's own axis values are
+        computed, never a list of the whole grid.
+        """
+        strides = [math.prod(a.count for a in self.axes[k + 1 :]) for k in range(len(self.axes))]
+        seen = [0] * len(self.axes)  # leading positions of each axis already yielded
+        total = self.size()
+        for lo in range(0, total, size):
+            hi = min(lo + size, total)
+            flat = np.arange(lo, hi)
+            columns = {name: Column(np.array([v], dtype=float)) for name, v in self.fixed.items()}
+            new = {name: [v] for name, v in self.fixed.items()} if lo == 0 else {}
+            for k, (axis, stride) in enumerate(zip(self.axes, strides)):
+                first, last = lo // stride, (hi - 1) // stride
+                if last - first + 1 >= axis.count:  # the run visits every value
+                    positions = np.arange(axis.count)
+                    index = flat // stride % axis.count
+                else:
+                    positions = np.arange(first, last + 1) % axis.count
+                    index = flat // stride - first
+                values = axis.at(positions)
+                columns[axis.name] = Column(values, index)
+                new[axis.name] = values[positions >= seen[k]].tolist()
+                seen[k] = max(seen[k], min(last + 1, axis.count))
+            yield hi - lo, columns, new
+
     def points(self):
-        axis_values = [axis.values() for axis in self.axes]
-        names = [axis.name for axis in self.axes]
-        for combo in itertools.product(*axis_values):
-            point = dict(self.fixed)
-            point.update(zip(names, combo))
-            yield point
+        for rows, columns, _ in self.chunks():
+            yield from _point_dicts(rows, columns)
+
+
+def _point_dicts(rows: int, columns: dict):
+    names = list(columns)
+    for combo in zip(*(columns[name].rows(rows).tolist() for name in names)):
+        yield dict(zip(names, combo))
+
+
+# A value passes the checks of ScenarioParams on its own exactly when it
+# passes them within any valid point: each check involves one parameter.
+_VALID_POINT = {"tau": 0.0, "u": 1.0, "nbar": 0.0, "theta": 0.0, "phi": 0.0, "phi_b": 0.0}
+_FLAGS = [False, True]
+
+
+def _evaluate(rows: int, columns: dict, with_threshold: bool) -> dict:
+    """The computed columns of a chunk: the closed form on its parameter columns."""
+    theta = columns["theta"]
+    cos4t = Column(cos4(theta.values), theta.index).rows(rows)  # math.cos per distinct angle
+    tau, u, nbar = (columns[name].rows(rows) for name in ("tau", "u", "nbar"))
+    n, xi_minus = negativity_columns(tau, u, nbar, cos4t)
+    computed = {"N": Column(n), "xi_minus": Column(xi_minus)}
+    if with_threshold:
+        value, never, infinite = critical_noise_columns(tau, u, cos4t)
+        computed["nbar_c"] = Column(value)
+        computed["never_entangled"] = Column(_FLAGS, never.astype(np.intp))
+        computed["infinite_threshold"] = Column(_FLAGS, infinite.astype(np.intp))
+    return computed
+
+
+def evaluated_chunks(grid: SweepGrid, with_threshold: bool):
+    """Each chunk of the grid with its computed columns added.
+
+    Every axis and fixed value is validated once.  A chunk that raises is
+    replayed point by point, so that the error is the one that the first
+    failing point raises on its own.
+    """
+    for rows, columns, new in grid.chunks(CHUNK):
+        try:
+            for name, values in new.items():
+                for value in values:
+                    ScenarioParams(**{**_VALID_POINT, name: value})
+            computed = _evaluate(rows, columns, with_threshold)
+        except Exception:
+            for point in _point_dicts(rows, columns):
+                evaluate_point(point, with_threshold)
+            raise
+        columns.update(computed)
+        yield rows, columns
 
 
 def evaluate_point(point: dict, with_threshold: bool) -> dict:
-    """One output record; ScenarioParams performs the range validation."""
-    params = ScenarioParams(**point)
-    terms = closed_form_terms(params.tau, params.u, params.nbar, params.theta)
-    k_sq = ((2.0 * params.nbar + 1.0) / params.u) ** 2
-    disc = max(terms.s * terms.s - k_sq, 0.0)
-    two_xi_minus_sq = k_sq / (terms.s + math.sqrt(disc))
+    """One output record, as a one-row chunk; ScenarioParams validates the point."""
+    ScenarioParams(**point)
+    columns = {name: Column(np.array([point[name]], dtype=float)) for name in PARAM_NAMES}
     record = {name: point[name] for name in PARAM_NAMES}
-    record["N"] = negativity_closed_form(params)
-    record["xi_minus"] = 0.5 * math.sqrt(two_xi_minus_sq)
-    if with_threshold:
-        threshold = critical_noise(params.tau, params.u, params.theta)
-        record["nbar_c"] = threshold.value
-        record["never_entangled"] = threshold.never_entangled
-        record["infinite_threshold"] = threshold.infinite
+    for name, column in _evaluate(1, columns, with_threshold).items():
+        record[name] = column.rows(1).tolist()[0]
     return record
 
 
@@ -148,27 +249,76 @@ def format_number(value) -> str:
     return f"{value:.12g}"
 
 
-def write_records(records: list[dict], columns: list[str], path: str, fmt: str) -> None:
+def _json_cell(value) -> str:
+    if isinstance(value, (bool, int)):
+        return str(int(value))
+    if isinstance(value, str):
+        return json.dumps(value)
+    if math.isinf(value):
+        return '"inf"'
+    return json.dumps(float(format_number(value)))
+
+
+def _cells(values, fmt: str) -> list[str]:
+    """Each value serialized: 12 significant digits, flags as 0/1, inf as "inf".
+
+    CSV passes strings through.  A float64 array is formatted in one pass;
+    its non-finite entries and all other values go through format_number
+    (CSV) or its JSON counterpart.
+    """
+    cell = format_number if fmt == "csv" else _json_cell
+    if isinstance(values, np.ndarray) and values.dtype == np.float64:
+        cells = [f"{v:.12g}" for v in values.tolist()]
+        if fmt == "jsonl":
+            cells = [repr(float(c)) for c in cells]
+        for i in np.flatnonzero(~np.isfinite(values)).tolist():
+            cells[i] = cell(values[i].item())
+        return cells
+    return [v if isinstance(v, str) and fmt == "csv" else cell(v) for v in values]
+
+
+def write_chunks(path: str, columns: list[str], chunks, fmt: str) -> int:
+    """Write (rows, {name: Column}) chunks as CSV or JSON lines; return the row count.
+
+    Each distinct value of a column is formatted once per chunk.  The first
+    chunk is taken before the file is opened, so that a grid which fails in
+    its first chunk leaves no file behind.
+    """
+    chunks = iter(chunks)
+    first = next(chunks)
+    keys = [json.dumps(name) + ": " if fmt == "jsonl" else "" for name in columns]
+    written = 0
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as handle:
             if fmt == "csv":
                 handle.write(",".join(columns) + "\n")
-                for record in records:
-                    handle.write(",".join(format_number(record[c]) for c in columns) + "\n")
-            else:
-                for record in records:
-                    row = {}
-                    for c in columns:
-                        value = record[c]
-                        if isinstance(value, bool) or isinstance(value, int):
-                            row[c] = int(value)
-                        elif math.isinf(value):
-                            row[c] = "inf"
-                        else:
-                            row[c] = float(format_number(value))
-                    handle.write(json.dumps(row) + "\n")
+            for rows, chunk in itertools.chain([first], chunks):
+                cells = []
+                for name, key in zip(columns, keys):
+                    column = chunk[name]
+                    formatted = _cells(column.values, fmt)
+                    if key:
+                        formatted = [key + c for c in formatted]
+                    if column.index is not None:
+                        formatted = [formatted[i] for i in column.index.tolist()]
+                    elif len(formatted) == 1:
+                        formatted = itertools.repeat(formatted[0], rows)
+                    cells.append(formatted)
+                if fmt == "csv":
+                    lines = map(",".join, zip(*cells))
+                else:
+                    lines = ("{" + ", ".join(row) + "}" for row in zip(*cells))
+                if rows:
+                    handle.write("\n".join(lines) + "\n")
+                written += rows
     except OSError as err:
         raise _IOFailure(str(err)) from err
+    return written
+
+
+def write_records(records: list[dict], columns: list[str], path: str, fmt: str) -> None:
+    chunk = {name: Column([record[name] for record in records]) for name in columns}
+    write_chunks(path, columns, [(len(records), chunk)], fmt)
 
 
 class _IOFailure(Exception):
@@ -233,6 +383,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_oracle.add_argument("--theta-list", default=f"{math.pi / 8!r},{math.pi / 4!r}")
     p_oracle.add_argument("--max-tau", dest="max_tau", type=float, default=0.35)
     _add_common_flags(p_oracle)
+    # Kept for --config, which installs its defaults on each subcommand.
+    parser.subcommands = {
+        "negativity": p_neg,
+        "sweep": p_sweep,
+        "critical": p_crit,
+        "oracle-check": p_oracle,
+    }
     return parser
 
 
@@ -260,12 +417,10 @@ def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.
                 overrides.setdefault("axis", []).append(raw)
                 continue
             overrides[key] = raw
-        subparsers = list(parser._subparsers._group_actions[0].choices.values())
-        known = {action.dest for action in parser._actions}
-        for sub_parser in subparsers:
-            known |= {action.dest for action in sub_parser._actions}
+        # The destinations of a subcommand are the keys of its default namespace.
+        owners = [(p, vars(p.parse_args([]))) for p in parser.subcommands.values()]
         for key, raw in overrides.items():
-            if key not in known:
+            if not any(key in dests for _, dests in owners):
                 raise DomainError(f"unknown config key {key!r}")
             if key in ("nx", "ny", "dim"):
                 value = int(raw)
@@ -279,9 +434,8 @@ def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.
                 value = float(raw)
             # Subcommand parsers fill a fresh namespace, so defaults must be
             # installed on each parser that owns the destination.
-            parser.set_defaults(**{key: value})
-            for sub_parser in subparsers:
-                if any(action.dest == key for action in sub_parser._actions):
+            for sub_parser, dests in owners:
+                if key in dests:
                     sub_parser.set_defaults(**{key: value})
     return parser.parse_args(argv)
 
@@ -368,17 +522,20 @@ def _grid_from_args(args, preset_allowed: bool, with_threshold: bool) -> tuple[S
     return SweepGrid(tuple(axes), fixed), with_threshold
 
 
+def _write_grid(grid: SweepGrid, with_threshold: bool, path: str, fmt: str) -> int:
+    columns = list(PARAM_NAMES) + ["N", "xi_minus"]
+    if with_threshold:
+        columns += THRESHOLD_COLUMNS
+    rows = write_chunks(path, columns, evaluated_chunks(grid, with_threshold), fmt)
+    print(f"wrote {rows} rows to {path}")
+    return EXIT_OK
+
+
 def _cmd_sweep(args) -> int:
     grid, with_threshold = _grid_from_args(args, preset_allowed=True, with_threshold=False)
     if not args.output:
         raise DomainError("sweep requires an output path (-o/--output)")
-    records = [evaluate_point(point, with_threshold) for point in grid.points()]
-    columns = list(PARAM_NAMES) + ["N", "xi_minus"]
-    if with_threshold:
-        columns += ["nbar_c", "never_entangled", "infinite_threshold"]
-    write_records(records, columns, args.output, args.format)
-    print(f"wrote {len(records)} rows to {args.output}")
-    return EXIT_OK
+    return _write_grid(grid, with_threshold, args.output, args.format)
 
 
 def _cmd_critical(args) -> int:
@@ -386,17 +543,7 @@ def _cmd_critical(args) -> int:
         grid, _ = _grid_from_args(args, preset_allowed=False, with_threshold=True)
         if not args.output:
             raise DomainError("critical sweeps require an output path (-o/--output)")
-        records = [evaluate_point(point, True) for point in grid.points()]
-        columns = list(PARAM_NAMES) + [
-            "N",
-            "xi_minus",
-            "nbar_c",
-            "never_entangled",
-            "infinite_threshold",
-        ]
-        write_records(records, columns, args.output, args.format)
-        print(f"wrote {len(records)} rows to {args.output}")
-        return EXIT_OK
+        return _write_grid(grid, True, args.output, args.format)
     point = _collect_point(args, names=("tau", "u", "theta"))
     result = critical_noise(point["tau"], point["u"], point["theta"])
     print(f"nbar_c = {format_number(result.value)}")
@@ -432,7 +579,7 @@ def _cmd_oracle_check(args) -> int:
     cfg = OracleConfig(dim=args.dim, tol_trace=args.tol_trace, tol_compare=args.tol_compare)
     records = []
     failures = 0
-    skips = 0
+    skips = Counter()
     for tau, u, nbar, theta in itertools.product(taus, us, nbars, thetas):
         result = compare_with_gaussian(ScenarioParams(tau, u, nbar, theta), cfg)
         records.append(result)
@@ -440,7 +587,7 @@ def _cmd_oracle_check(args) -> int:
         if result.status == "fail":
             failures += 1
         elif result.status == "skip":
-            skips += 1
+            skips["memory" if result.note.startswith("memory") else "leakage"] += 1
         detail = (
             f"tau={tau:g} u={u:g} nbar={nbar:g} theta={theta:.6g} "
             f"N_gaussian={format_number(result.n_gaussian)} "
@@ -467,24 +614,22 @@ def _cmd_oracle_check(args) -> int:
             }
             for r in records
         ]
-        columns = list(rows[0])
-        try:
-            with open(args.output, "w", encoding="utf-8", newline="\n") as handle:
-                handle.write(",".join(columns) + "\n")
-                for row in rows:
-                    cells = [
-                        row[c] if isinstance(row[c], str) else format_number(row[c])
-                        for c in columns
-                    ]
-                    handle.write(",".join(str(c) for c in cells) + "\n")
-        except OSError as err:
-            raise _IOFailure(str(err)) from err
+        write_records(rows, list(rows[0]), args.output, "csv")
+    skipped = sum(skips.values())
     print(
-        f"checked {len(records)} points: {len(records) - failures - skips} passed, "
-        f"{failures} failed, {skips} skipped"
+        f"checked {len(records)} points: {len(records) - failures - skipped} passed, "
+        f"{failures} failed, {skipped} skipped"
     )
-    if skips and not failures:
-        print("warning: some points were skipped after cutoff escalation")
+    if skipped and not failures:
+        reasons = [
+            f"{skips[reason]} {text}"
+            for reason, text in (
+                ("leakage", "with leakage above budget after cutoff escalation"),
+                ("memory", "whose window would not fit in the available memory"),
+            )
+            if skips[reason]
+        ]
+        print(f"warning: some points were skipped: {'; '.join(reasons)}")
     return EXIT_VERIFICATION if failures else EXIT_OK
 
 

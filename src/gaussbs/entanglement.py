@@ -10,12 +10,17 @@ scenario the same quantity has a closed form in (tau, u, nbar, theta)
 alone, independent of both phases; this module provides both routes, the
 critical thermal occupation at which N reaches zero (analytic, with a
 bisection fallback), the optimal-angle dichotomy, and the small-deviation
-expansion of the threshold around the 50:50 setting.
+expansion of the threshold around the 50:50 setting.  The closed form and
+the threshold are also evaluated elementwise over numpy arrays
+(``negativity_columns``, ``critical_noise_columns``), bit for bit equal to
+the scalar functions, for the CLI's sweeps.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -158,13 +163,7 @@ def closed_form_terms(tau: float, u: float, nbar: float, theta: float) -> Closed
     s = [(nbar - tau + 1) s_plus - (nbar + tau) s_minus cos(4 theta)] / 2.
     Inputs are assumed validated (see ScenarioParams).
     """
-    w = 1.0 - 2.0 * tau
-    g = 1.0 / (u * u * w)
-    m = 2.0 * nbar + 1.0
-    s_plus = g + m
-    s_minus = g - m
-    s = 0.5 * ((nbar - tau + 1.0) * s_plus - (nbar + tau) * s_minus * math.cos(4.0 * theta))
-    return ClosedFormTerms(s, s_plus, s_minus)
+    return _terms(tau, u, nbar, math.cos(4.0 * theta))
 
 
 def negativity_closed_form(p: ScenarioParams) -> float:
@@ -175,15 +174,12 @@ def negativity_closed_form(p: ScenarioParams) -> float:
     direct expression s - sqrt(s^2 - k^2) loses half the machine digits
     exactly where N must vanish identically.
     """
+    cos4t = math.cos(4.0 * p.theta)
     m = 2.0 * p.nbar + 1.0
-    if _entanglement_margin(p.tau, p.u, math.cos(4.0 * p.theta), m) <= 0.0:
+    if _entanglement_margin(p.tau, p.u, cos4t, m) <= 0.0:
         return 0.0
-    terms = closed_form_terms(p.tau, p.u, p.nbar, p.theta)
-    k_sq = (m / p.u) ** 2
-    disc = max(terms.s * terms.s - k_sq, 0.0)
-    # (2 xi_-)^2 = s - sqrt(s^2 - k^2), evaluated in cancellation-free form.
-    two_xi_minus_sq = k_sq / (terms.s + math.sqrt(disc))
-    return max(0.0, -0.5 * math.log2(two_xi_minus_sq))
+    terms = _terms(p.tau, p.u, p.nbar, cos4t)
+    return _negativity(_two_xi_minus_sq(terms.s, m, p.u))
 
 
 def negativity_5050(tau: float, nbar: float) -> float:
@@ -205,19 +201,6 @@ def critical_noise_5050(tau: float) -> float:
     return tau / (1.0 - 2.0 * tau)
 
 
-def _entanglement_margin(tau: float, u: float, cos4t: float, m: float) -> float:
-    """Positive exactly when the output with 2 nbar + 1 = m is entangled.
-
-    Quadratic in m: alpha m^2 + beta m + gamma = 2 (2 s - 1 - m^2/u^2).
-    """
-    w = 1.0 - 2.0 * tau
-    g = 1.0 / (u * u * w)
-    alpha = (1.0 + cos4t) - 2.0 / (u * u)
-    beta = (1.0 - cos4t) * (g + w)
-    gamma = (1.0 + cos4t) / (u * u) - 2.0
-    return alpha * m * m + beta * m + gamma
-
-
 def critical_noise(tau: float, u: float, theta: float) -> CriticalNoise:
     """Occupation nbar_c where the output negativity transitions to zero.
 
@@ -237,17 +220,163 @@ def critical_noise(tau: float, u: float, theta: float) -> CriticalNoise:
     cos4t = math.cos(4.0 * theta)
     if cos4t >= _NO_MIXING_COS:
         return CriticalNoise(0.0, "no-mixing")
-    w = 1.0 - 2.0 * tau
-    g = 1.0 / (u * u * w)
-    alpha = (1.0 + cos4t) - 2.0 / (u * u)  # < 0 for u <= 1, cos4t < 1
-    beta = (1.0 - cos4t) * (g + w)
-    gamma = (1.0 + cos4t) / (u * u) - 2.0
-    disc = beta * beta - 4.0 * alpha * gamma
-    q = -0.5 * (beta + math.sqrt(disc))  # beta > 0, so q is the stable pivot
-    m_star = max(q / alpha, gamma / q)
+    m_star = _upper_root(*_margin_coefficients(tau, u, cos4t))
     if not math.isfinite(m_star):
         return CriticalNoise(math.inf, "infinite")
     return CriticalNoise(0.5 * (m_star - 1.0), "ok")
+
+
+# The formulas below are written once and evaluated two ways: on Python
+# floats by the scalar API above, and elementwise on numpy arrays by the
+# column evaluators further down.  Both give the same bits: + - * / and
+# sqrt are correctly rounded in both, and the operations where numpy and
+# Python differ are parameters whose defaults are the Python ones (default
+# arguments keep the scalar cost).  The column evaluators pass array
+# versions that call libm pow and log2 per element (numpy's differ in the
+# last bit on some inputs), keep Python's max (np.maximum(0.0, -0.0) is
+# -0.0), and raise where Python raises.
+
+
+def _terms(tau, u, nbar, cos4t, div=operator.truediv) -> ClosedFormTerms:
+    w = 1.0 - 2.0 * tau
+    g = div(1.0, u * u * w)
+    m = 2.0 * nbar + 1.0
+    s_plus = g + m
+    s_minus = g - m
+    s = 0.5 * ((nbar - tau + 1.0) * s_plus - (nbar + tau) * s_minus * cos4t)
+    return ClosedFormTerms(s, s_plus, s_minus)
+
+
+def _margin_coefficients(tau, u, cos4t, div=operator.truediv):
+    """alpha, beta, gamma of the entanglement margin, quadratic in m = 2 nbar + 1.
+
+    alpha m^2 + beta m + gamma = 2 (2 s - 1 - m^2/u^2); alpha < 0 for
+    u <= 1 and cos4t < 1, and beta > 0.
+    """
+    w = 1.0 - 2.0 * tau
+    g = div(1.0, u * u * w)
+    alpha = (1.0 + cos4t) - div(2.0, u * u)
+    beta = (1.0 - cos4t) * (g + w)
+    gamma = div(1.0 + cos4t, u * u) - 2.0
+    return alpha, beta, gamma
+
+
+def _entanglement_margin(tau, u, cos4t, m, div=operator.truediv):
+    """Positive exactly when the output with 2 nbar + 1 = m is entangled."""
+    alpha, beta, gamma = _margin_coefficients(tau, u, cos4t, div)
+    return alpha * m * m + beta * m + gamma
+
+
+def _two_xi_minus_sq(s, m, u, div=operator.truediv, pow=pow, sqrt=math.sqrt, max=max):
+    """(2 xi_-)^2 = s - sqrt(s^2 - k^2) with k = m/u, in cancellation-free form."""
+    k_sq = pow(m / u, 2)
+    return div(k_sq, s + sqrt(max(s * s - k_sq, 0.0)))
+
+
+def _negativity(two_xi_minus_sq, log2=math.log2, max=max):
+    return max(0.0, -0.5 * log2(two_xi_minus_sq))
+
+
+def _upper_root(alpha, beta, gamma, div=operator.truediv, sqrt=math.sqrt, max=max):
+    """The root of the margin above m = 1, from the stable quadratic pivot."""
+    disc = beta * beta - 4.0 * alpha * gamma
+    q = -0.5 * (beta + sqrt(disc))  # beta > 0, so q is the stable pivot
+    return max(div(q, alpha), div(gamma, q))
+
+
+def _each(f, x, *args) -> np.ndarray:
+    """f(element, *args) for every element of x, on Python floats."""
+    x = np.asarray(x, dtype=float)
+    values = map(f, x.ravel().tolist(), *map(itertools.repeat, args))
+    return np.fromiter(values, float, x.size).reshape(x.shape)
+
+
+def _array_div(a, b):
+    if not np.all(b):
+        raise ZeroDivisionError("float division by zero")
+    return a / b
+
+
+def _array_pow(x, exponent):
+    return _each(pow, x, exponent)
+
+
+def _array_log2(x):
+    return _each(math.log2, x)
+
+
+def _array_sqrt(x):
+    if np.any(x < 0.0):
+        raise ValueError("math domain error")
+    return np.sqrt(x)
+
+
+def _array_max(a, b):
+    return np.where(b > a, b, a)  # max(a, b) keeps a unless b is larger
+
+
+class NegativityColumns(NamedTuple):
+    n: np.ndarray
+    xi_minus: np.ndarray
+
+
+class ThresholdColumns(NamedTuple):
+    value: np.ndarray
+    never_entangled: np.ndarray
+    infinite: np.ndarray
+
+
+def _float_arrays(*arrays) -> list[np.ndarray]:
+    return np.broadcast_arrays(*(np.asarray(x, dtype=float) for x in arrays))
+
+
+def cos4(theta) -> np.ndarray:
+    """cos(4 theta) per element, with math.cos as the scalar API uses it.
+
+    Evaluate it on the distinct angles of a grid and index the result.
+    """
+    return _each(lambda t: math.cos(4.0 * t), theta)
+
+
+def negativity_columns(tau, u, nbar, cos4t) -> NegativityColumns:
+    """N and xi_minus at every element of the broadcast parameter arrays.
+
+    cos4t is cos(4 theta) (see ``cos4``).  Inputs are assumed validated.
+    Each element equals ``negativity_closed_form`` bit for bit, and an
+    element on which the scalar formulas raise makes this raise too.
+    """
+    tau, u, nbar, cos4t = _float_arrays(tau, u, nbar, cos4t)
+    with np.errstate(all="ignore"):
+        m = 2.0 * nbar + 1.0
+        s = _terms(tau, u, nbar, cos4t, _array_div).s
+        two_xi_minus_sq = _two_xi_minus_sq(
+            s, m, u, _array_div, _array_pow, _array_sqrt, _array_max
+        )
+        n = np.zeros(tau.shape)
+        entangled = ~(_entanglement_margin(tau, u, cos4t, m, _array_div) <= 0.0)
+        n[entangled] = _negativity(two_xi_minus_sq[entangled], _array_log2, _array_max)
+        return NegativityColumns(n, 0.5 * _array_sqrt(two_xi_minus_sq))
+
+
+def critical_noise_columns(tau, u, cos4t) -> ThresholdColumns:
+    """``critical_noise`` at every element of the broadcast parameter arrays.
+
+    The value is 0 with never_entangled set for classical inputs and
+    unmixed angles, and inf with infinite set past every occupation.
+    Inputs are assumed validated.
+    """
+    tau, u, cos4t = _float_arrays(tau, u, cos4t)
+    never = (tau == 0.0) | (cos4t >= _NO_MIXING_COS)
+    value = np.zeros(tau.shape)
+    infinite = np.zeros(tau.shape, dtype=bool)
+    mixed = ~never
+    with np.errstate(all="ignore"):
+        coefficients = _margin_coefficients(tau[mixed], u[mixed], cos4t[mixed], _array_div)
+        m_star = _upper_root(*coefficients, _array_div, _array_sqrt, _array_max)
+        finite = np.isfinite(m_star)
+        value[mixed] = np.where(finite, 0.5 * (m_star - 1.0), math.inf)
+    infinite[mixed] = ~finite
+    return ThresholdColumns(value, never, infinite)
 
 
 def critical_noise_bisection(

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from gaussbs import cli
+from gaussbs import cli, fock
 from gaussbs.cli import (
     Axis,
     SweepGrid,
@@ -13,6 +13,7 @@ from gaussbs.cli import (
     main,
     write_records,
 )
+from gaussbs.fock import OracleComparison
 from gaussbs.states import DomainError
 
 PI_4 = "0.7853981633974483"
@@ -361,6 +362,36 @@ class TestOracleCheckCommand:
         assert lines[0].startswith("tau,u,nbar,theta,n_gaussian,n_fock,abs_diff")
         assert len(lines) == 2
         assert lines[1].endswith("pass")
+
+    def test_memory_skip_is_named_in_the_warning(self, monkeypatch, capsys):
+        monkeypatch.setattr(fock, "_available_memory", lambda: 1 << 20)
+        code = run("oracle-check", "--tau-list", "0.2", "--u-list", "1", "--nbar-list", "0",
+                   "--theta-list", PI_4, "--dim", "24")  # fmt: skip
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "1 passed" not in out and "0 failed, 1 skipped" in out
+        warning = [line for line in out.splitlines() if line.startswith("warning")]
+        assert warning == [
+            "warning: some points were skipped: 1 whose window would not fit in the available memory"
+        ]
+
+    def test_skips_are_counted_by_reason(self, monkeypatch, capsys):
+        notes = iter(["memory: window 64 needs 99 MiB", "leakage 1e-3 above budget at dim=120",
+                      "memory: window 64 needs 99 MiB"])  # fmt: skip
+
+        def skipped(params, cfg):
+            return OracleComparison(params, 0.1, math.nan, math.nan, 1e-3, 40, "skip", next(notes))
+
+        monkeypatch.setattr(cli, "compare_with_gaussian", skipped)
+        code = run("oracle-check", "--tau-list", "0.2", "--u-list", "1", "--nbar-list", "0,0.5,1",
+                   "--theta-list", PI_4)  # fmt: skip
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "checked 3 points: 0 passed, 0 failed, 3 skipped" in out
+        assert out.splitlines()[-1] == (
+            "warning: some points were skipped: 1 with leakage above budget after cutoff "
+            "escalation; 2 whose window would not fit in the available memory"
+        )
 
 
 class TestInternalErrors:
