@@ -34,6 +34,7 @@ from .states import (
     ThermalParams,
     apply_beam_splitter,
     covariance_from_spec,
+    seralian_roots,
     symplectic_eigenvalues,
     thermal_covariance,
     to_quadrature,
@@ -122,24 +123,15 @@ def output_covariance(p: ScenarioParams) -> CovMat2:
 
 def pt_symplectic_spectrum(v: CovMat2) -> SymplecticPTSpectrum:
     """PT symplectic eigenvalues from the block determinants of V."""
-    m = v.matrix
-    det_a = np.linalg.det(m[:2, :2]).real
-    det_b = np.linalg.det(m[2:, 2:]).real
-    det_c = np.linalg.det(m[:2, 2:]).real
-    det_v = np.linalg.det(m).real
-    if det_v <= 0.0:
-        raise DomainError(f"covariance determinant must be positive, got {det_v}")
+    det_a, det_b, det_c, det_v = v.invariants
     delta = det_a + det_b - 2.0 * det_c
-    disc = delta * delta - 4.0 * det_v
-    if disc < -1e-9 * max(delta * delta, 1.0):
+    roots = seralian_roots(delta, det_v)
+    if roots.discriminant < -1e-9 * max(delta * delta, 1.0):
         raise DomainError(
             "complex partial-transpose roots signal an unphysical covariance "
-            f"(discriminant {disc})"
+            f"(discriminant {roots.discriminant})"
         )
-    root = math.sqrt(max(disc, 0.0))
-    xi_plus_sq = 0.5 * (delta + root)
-    xi_minus_sq = det_v / xi_plus_sq  # stable form of (delta - root)/2
-    return SymplecticPTSpectrum(math.sqrt(xi_minus_sq), math.sqrt(xi_plus_sq))
+    return SymplecticPTSpectrum(roots.nu_minus, roots.nu_plus)
 
 
 def pt_symplectic_spectrum_quadrature(v: CovMat2) -> SymplecticPTSpectrum:
@@ -213,8 +205,7 @@ def critical_noise(tau: float, u: float, theta: float) -> CriticalNoise:
     return 0 with distinct flags.
     """
     GaussianSpec(tau, u)
-    if not math.isfinite(theta):
-        raise DomainError("beam splitter angle must be finite")
+    BeamSplitter(theta)
     if tau == 0.0:
         return CriticalNoise(0.0, "classical-input")
     cos4t = math.cos(4.0 * theta)
@@ -394,6 +385,7 @@ def critical_noise_bisection(
     rather than a domain issue.
     """
     GaussianSpec(tau, u)
+    BeamSplitter(theta)
     if tau == 0.0:
         return CriticalNoise(0.0, "classical-input")
     cos4t = math.cos(4.0 * theta)

@@ -31,7 +31,6 @@ from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import expm
 
 from .entanglement import ScenarioParams, negativity_closed_form
 from .states import BeamSplitter, DomainError, GaussianSpec
@@ -171,6 +170,14 @@ def _phase(angle: float):
     return 1.0 if angle == 0.0 else complex(math.cos(angle), math.sin(angle))
 
 
+def _expm(a: np.ndarray) -> np.ndarray:
+    """Matrix exponential.  scipy is imported on the first call, so that
+    importing gaussbs, and every Gaussian-route command, goes without it."""
+    from scipy.linalg import expm
+
+    return expm(a)
+
+
 def annihilation(dim: int) -> np.ndarray:
     return np.diag(np.sqrt(np.arange(1.0, dim)), k=1)
 
@@ -213,7 +220,7 @@ def fock_squeezed_thermal(spec: GaussianSpec, cfg: OracleConfig) -> FockDensityM
     seed = np.diag(_thermal_weights(nbar_seed, work))
     a = annihilation(work)
     generator = 0.5 * (xi.conjugate() * (a @ a) - xi * (a.T @ a.T))
-    squeezer = expm(generator)
+    squeezer = _expm(generator)
     rho = (squeezer @ seed @ squeezer.conj().T)[: cfg.dim, : cfg.dim]
     rho = 0.5 * (rho + rho.conj().T)
     leakage = abs(1.0 - np.trace(rho).real)
@@ -247,7 +254,7 @@ def _beam_splitter_sectors(theta: float, phi: float, dim: int):
         gen = np.zeros((size, size), dtype=hop.dtype)
         gen[np.arange(1, size), np.arange(size - 1)] = hop
         gen[np.arange(size - 1), np.arange(1, size)] = -hop.conj()
-        block = expm(gen)
+        block = _expm(gen)
         block.setflags(write=False)
         order.append(n1 * dim + (total - n1))
         blocks.append((lo, lo + size, block))

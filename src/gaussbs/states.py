@@ -21,10 +21,10 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
-from scipy import constants
 
 # Matrices within this distance of a physicality boundary are clamped onto
 # the boundary instead of rejected: round-trip conversions must not reject
@@ -34,8 +34,24 @@ BOUNDARY_TOL = 1e-9
 # Mode-wise change of basis from the (alpha, alpha*) amplitude pair to the
 # (x, p) quadrature pair.  Unitary, so physicality is basis independent.
 _MODE_BRIDGE = np.array([[1.0, -1.0], [-1.0j, -1.0j]]) / math.sqrt(2.0)
+_TWO_MODE_BRIDGE = np.kron(np.eye(2), _MODE_BRIDGE)
+# Matrix size -> B (x) B*, so that B m B^H is one product with the
+# flattened (row-major) m.
+_QUADRATURE_MAPS = {
+    2: np.kron(_MODE_BRIDGE, _MODE_BRIDGE.conj()),
+    4: np.kron(_TWO_MODE_BRIDGE, _TWO_MODE_BRIDGE.conj()),
+}
 
-_SWAP = np.array([[0.0, 1.0], [1.0, 0.0]])
+# Flat indices of the two permutations of a two-mode amplitude matrix m
+# that a valid covariance maps onto conj(m): the transpose (Hermiticity)
+# and the swap of each mode's pair, (a1*, a1, a2*, a2) (mode conjugation).
+_TRANSPOSED = 4 * np.arange(4) + np.arange(4)[:, None]
+_SWAPPED_PAIRS = np.array([1, 0, 3, 2])
+_SYMMETRY_ORDERS = np.stack((_TRANSPOSED, 4 * _SWAPPED_PAIRS[:, None] + _SWAPPED_PAIRS))
+
+# Exact SI values (2019): Planck constant h in J s and Boltzmann constant in J/K.
+_HBAR = 6.62607015e-34 / (2.0 * math.pi)
+_K_B = 1.380649e-23
 
 
 class DomainError(ValueError):
@@ -125,6 +141,8 @@ class BeamSplitter:
         theta, phi = float(self.theta), float(self.phi)
         if not (math.isfinite(theta) and math.isfinite(phi)):
             raise DomainError("beam splitter angles must be finite")
+        if not math.isfinite(4.0 * theta):  # every closed form takes cos(4 theta)
+            raise DomainError(f"beam splitter angle must satisfy |4 theta| < inf, got {theta}")
         object.__setattr__(self, "theta", theta)
         object.__setattr__(self, "phi", phi)
 
@@ -136,6 +154,17 @@ class BeamSplitter:
         return np.array([[c, s * e], [-s * e.conjugate(), c]])
 
 
+class BlockInvariants(NamedTuple):
+    """Determinants of the blocks A, B, C and of the whole real quadrature
+    covariance [[A, C], [C^T, B]]; all four are invariant under local
+    symplectic operations, and every two-mode spectrum follows from them."""
+
+    det_a: float
+    det_b: float
+    det_c: float
+    det_v: float
+
+
 @dataclass(frozen=True, eq=False)
 class CovMat2:
     """Two-mode covariance [[A, C], [C^, B]] as a 4x4 complex matrix.
@@ -143,25 +172,47 @@ class CovMat2:
     Blocks A and B carry the one-mode structure [[a, b], [b*, a]]; the
     intermodal block C satisfies C[1,1] = C[0,0]* and C[1,0] = C[0,1]*,
     which is what makes the matrix the covariance of a valid (real-valued
-    quadrature) state rather than merely Hermitian.
+    quadrature) state rather than merely Hermitian.  A physical covariance
+    is positive definite with both symplectic eigenvalues at least 1/2;
+    the block determinants it is checked with stay on the instance as
+    ``invariants``.
     """
 
     matrix: np.ndarray
+    invariants: BlockInvariants = field(init=False, repr=False)
 
     def __post_init__(self):
-        m = np.array(self.matrix, dtype=complex)
+        m = np.asarray(self.matrix, dtype=complex)
         if m.shape != (4, 4):
             raise DomainError(f"two-mode covariance must be 4x4, got shape {m.shape}")
         scale = max(float(np.abs(m).max()), 1.0)
-        if np.abs(m - m.conj().T).max() > BOUNDARY_TOL * scale:
+        m_conj = m.conj()
+        hermitian, conjugation = np.abs(m.take(_SYMMETRY_ORDERS) - m_conj).max(axis=(1, 2))
+        if hermitian > BOUNDARY_TOL * scale:
             raise DomainError("two-mode covariance must be Hermitian")
-        swap = np.kron(np.eye(2), _SWAP)
-        if np.abs(swap @ m @ swap - m.conj()).max() > BOUNDARY_TOL * scale:
+        if conjugation > BOUNDARY_TOL * scale:
             raise DomainError(
                 "two-mode covariance must satisfy mode conjugation symmetry"
             )
-        m = 0.5 * (m + m.conj().T)
-        nu_min = float(symplectic_eigenvalues(_quadrature_matrix(m)).min())
+        m = 0.5 * (m + m_conj.T)
+        q = _quadrature_matrix(m)
+        rows = q.tolist()
+        (q00, q01, q02, q03), (_, q11, q12, q13), (_, _, q22, q23), (*_, q33) = rows
+        inv = BlockInvariants(
+            q00 * q11 - q01 * q01,
+            q22 * q33 - q23 * q23,
+            q02 * q13 - q03 * q12,
+            _positive_definite_det(rows),
+        )
+        # The symplectic spectrum alone cannot tell V from -V.
+        if not inv.det_v > 0.0:
+            raise DomainError("two-mode covariance must be positive definite")
+        nu_min = seralian_roots(inv.det_a + inv.det_b + 2.0 * inv.det_c, inv.det_v).nu_minus
+        if nu_min < 0.5 - BOUNDARY_TOL:
+            # Every pure state has nu_- = nu_+ = 1/2, where the roots move
+            # by the square root of the rounding in det V: the eigenvalue
+            # route decides before a state is rejected.
+            nu_min = float(symplectic_eigenvalues(q).min())
         if nu_min < 0.5 - BOUNDARY_TOL:
             raise DomainError(
                 "two-mode covariance violates the uncertainty bound: "
@@ -169,6 +220,7 @@ class CovMat2:
             )
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "invariants", inv)
 
     @classmethod
     def from_blocks(cls, block_a: CovMat1, block_b: CovMat1, block_c: np.ndarray) -> "CovMat2":
@@ -240,7 +292,7 @@ def thermal_occupation(temperature: float, frequency: float) -> ThermalParams:
         raise DomainError(f"frequency must be positive, got {frequency}")
     if temperature == 0.0:
         return ThermalParams(0.0)
-    x = constants.hbar * frequency / (constants.k * temperature)
+    x = _HBAR * frequency / (_K_B * temperature)
     if x > 700.0:  # nbar underflows to zero well before expm1 overflows
         return ThermalParams(0.0)
     return ThermalParams(1.0 / math.expm1(x))
@@ -264,14 +316,39 @@ def apply_beam_splitter(v1: CovMat1, v2: CovMat1, bs: BeamSplitter) -> CovMat2:
     v_in[:2, :2] = v1.matrix
     v_in[2:, 2:] = v2.matrix
     t = _embed(bs.matrix)
-    v_out = t.conj().T @ v_in @ t
-    return CovMat2(0.5 * (v_out + v_out.conj().T))
+    return CovMat2(t.conj().T @ v_in @ t)  # CovMat2 takes the Hermitian part
+
+
+def _positive_definite_det(rows: list) -> float:
+    """det V if the real symmetric 4x4 V (as nested lists) is positive
+    definite, else 0.
+
+    Symmetric Gaussian elimination V = L D L^T (Cholesky without square
+    roots): V is positive definite exactly when every pivot is positive,
+    and det V is their product.  Without pivoting this is backward stable
+    on positive definite matrices, as Cholesky is.
+    """
+    (a00, a01, a02, a03), (_, a11, a12, a13), (_, _, a22, a23), (*_, a33) = rows
+    if not a00 > 0.0:
+        return 0.0
+    r1, r2, r3 = a01 / a00, a02 / a00, a03 / a00
+    a11, a12, a13 = a11 - r1 * a01, a12 - r1 * a02, a13 - r1 * a03
+    a22, a23, a33 = a22 - r2 * a02, a23 - r2 * a03, a33 - r3 * a03
+    if not a11 > 0.0:
+        return 0.0
+    r2, r3 = a12 / a11, a13 / a11
+    a22, a23, a33 = a22 - r2 * a12, a23 - r2 * a13, a33 - r3 * a13
+    if not a22 > 0.0:
+        return 0.0
+    a33 -= a23 / a22 * a23
+    if not a33 > 0.0:
+        return 0.0
+    return a00 * a11 * a22 * a33
 
 
 def _quadrature_matrix(m: np.ndarray) -> np.ndarray:
-    n = m.shape[0] // 2
-    bridge = _MODE_BRIDGE if n == 1 else np.kron(np.eye(2), _MODE_BRIDGE)
-    q = bridge @ m @ bridge.conj().T
+    n = m.shape[0]
+    q = (_QUADRATURE_MAPS[n] @ m.reshape(-1)).reshape(n, n)  # B m B^H
     scale = max(float(np.abs(q).max()), 1.0)
     if np.abs(q.imag).max() > BOUNDARY_TOL * scale:
         raise DomainError("covariance has no real quadrature representation")
@@ -291,8 +368,7 @@ def from_quadrature(m: np.ndarray) -> CovMat1 | CovMat2:
         vc = _MODE_BRIDGE.conj().T @ m @ _MODE_BRIDGE
         return CovMat1(vc[0, 0].real, vc[0, 1])
     if m.shape == (4, 4):
-        bridge = np.kron(np.eye(2), _MODE_BRIDGE)
-        return CovMat2(bridge.conj().T @ m @ bridge)
+        return CovMat2(_TWO_MODE_BRIDGE.conj().T @ m @ _TWO_MODE_BRIDGE)
     raise DomainError(f"expected a 2x2 or 4x4 quadrature matrix, got shape {m.shape}")
 
 
@@ -313,3 +389,29 @@ def symplectic_eigenvalues(vr: np.ndarray) -> np.ndarray:
     vals = np.sort(np.abs(ev))
     # Average each +/- pair to suppress eigensolver noise.
     return vals.reshape(n, 2).mean(axis=1)
+
+
+class SeralianRoots(NamedTuple):
+    """nu_- <= nu_+ and the discriminant delta^2 - 4 det V they came from."""
+
+    nu_minus: float
+    nu_plus: float
+    discriminant: float
+
+
+def seralian_roots(delta: float, det_v: float) -> SeralianRoots:
+    """Symplectic eigenvalues of a two-mode covariance from its invariants.
+
+    nu_-^2 and nu_+^2 are the roots of x^2 - delta x + det V = 0, the
+    seralian form of Serafini, Illuminati & De Siena, J. Phys. B 37, L21
+    (2004).  delta = det A + det B + 2 det C gives the spectrum of V, and
+    delta = det A + det B - 2 det C that of its partial transpose (see
+    ``BlockInvariants``).  det V must be positive.  A negative
+    discriminant is taken as zero; the caller decides whether it is
+    rounding.  Where the roots nearly coincide a rounding error e in
+    det V moves them by about sqrt(e).
+    """
+    disc = delta * delta - 4.0 * det_v
+    nu_plus_sq = 0.5 * (delta + math.sqrt(max(disc, 0.0)))
+    nu_minus_sq = det_v / nu_plus_sq  # stable form of (delta - sqrt(disc))/2
+    return SeralianRoots(math.sqrt(nu_minus_sq), math.sqrt(nu_plus_sq), disc)

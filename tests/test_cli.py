@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -82,6 +86,25 @@ class TestCriticalCommand:
         report = parse_report(capsys)
         assert float(report["nbar_c"]) == 0.0
         assert report["never_entangled"] == "1"
+
+    def test_angle_whose_cos4_overflows_is_invalid(self, capsys):
+        # 4 * 1e308 is inf, so cos(4 theta) has no value
+        assert run("critical", "--tau", "0.3", "--u", "0.5", "--theta", "1e308") == cli.EXIT_INVALID
+        err = capsys.readouterr().err
+        assert err == "error: beam splitter angle must satisfy |4 theta| < inf, got 1e+308\n"
+        assert run("critical", "--tau", "0", "--u", "0.5", "--theta=-1e308") == cli.EXIT_INVALID
+        argv = ("negativity", "--tau", "0.3", "--u", "0.5", "--nbar", "0", "--theta", "1e308")
+        assert run(*argv) == cli.EXIT_INVALID
+
+    @pytest.mark.parametrize("command", ["sweep", "critical"])
+    def test_axis_reaching_an_overflowing_angle_is_invalid(self, tmp_path, capsys, command):
+        out = tmp_path / "x.csv"
+        argv = (command, "--axis", "theta:0:1e308:3", "--tau", "0.3", "--u", "0.5",
+                "--nbar", "0.1", "-o", str(out))  # fmt: skip
+        assert run(*argv) == cli.EXIT_INVALID
+        # the axis is 0, 5e307, 1e308; the first angle past 4.49e307 is reported
+        assert "|4 theta| < inf, got 5e+307" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_grid_output(self, tmp_path, capsys):
         out = tmp_path / "crit.csv"
@@ -491,3 +514,24 @@ class TestGridTypes:
         )
         assert record["nbar_c"] == pytest.approx(2.0, abs=1e-9)
         assert not record["never_entangled"]
+
+
+class TestImports:
+    def test_scipy_loads_only_for_the_fock_engine(self):
+        code = """
+import sys
+from gaussbs import cli
+cli.build_parser()
+loaded = [m for m in ("scipy.linalg", "scipy.constants") if m in sys.modules]
+assert not loaded, loaded
+from gaussbs.fock import OracleConfig, fock_squeezed_thermal
+from gaussbs.states import GaussianSpec
+rho = fock_squeezed_thermal(GaussianSpec(0.2, 0.9), OracleConfig(dim=8, tol_trace=1e-2))
+assert rho.dim == 8 and "scipy.linalg" in sys.modules
+"""
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        done = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert done.returncode == 0, done.stderr

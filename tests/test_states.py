@@ -2,8 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import constants
+from scipy.linalg import expm
 
+from gaussbs import states
 from gaussbs.states import (
+    BOUNDARY_TOL,
     BeamSplitter,
     CovMat1,
     CovMat2,
@@ -15,6 +21,7 @@ from gaussbs.states import (
     from_quadrature,
     nonclassical_depth,
     purity,
+    seralian_roots,
     symplectic_eigenvalues,
     symplectic_form,
     thermal_covariance,
@@ -143,6 +150,12 @@ class TestThermal:
         t = 2.0
         w = math.log(1.25) * KB * t / HBAR
         assert thermal_occupation(t, w).nbar == pytest.approx(4.0, rel=1e-9)
+
+    def test_occupation_constants_are_scipy_bit_for_bit(self):
+        assert states._HBAR == constants.hbar and states._K_B == constants.k
+        t, w = 2.0, 3e11
+        expected = 1.0 / math.expm1(constants.hbar * w / (constants.k * t))
+        assert thermal_occupation(t, w).nbar == expected
 
     def test_occupation_rejects_bad_inputs(self):
         with pytest.raises(DomainError):
@@ -336,6 +349,43 @@ class TestCovMat2Validation:
         with pytest.raises(DomainError):
             CovMat2(0.1 * np.eye(4))
 
+    @pytest.mark.parametrize("diagonal", [[-0.5] * 4, [0.5, 0.5, -0.5, -0.5]])
+    def test_rejects_non_positive(self, diagonal):
+        # |eig(i V sigma)| is 1/2 for both: only positivity tells them apart
+        assert symplectic_eigenvalues(np.diag(diagonal)) == pytest.approx([0.5, 0.5])
+        with pytest.raises(DomainError, match="positive definite"):
+            CovMat2(np.diag(diagonal))
+
+    def test_rejects_indefinite_with_large_symplectic_spectrum(self):
+        # A = B = I, C = 2 I: eigenvalues -1 and 3, symplectic eigenvalues 1 and 3
+        q = np.block([[np.eye(2), 2.0 * np.eye(2)], [2.0 * np.eye(2), np.eye(2)]])
+        assert symplectic_eigenvalues(q) == pytest.approx([1.0, 3.0])
+        with pytest.raises(DomainError, match="positive definite"):
+            from_quadrature(q)
+
+    def test_accepts_pure_states(self):
+        # nu_- = nu_+ = 1/2: the seralian roots carry sqrt(rounding) errors there
+        rng = np.random.default_rng(29)
+        vacuum = CovMat1(0.5, 0j)
+        for tau in rng.uniform(0.0, 0.499, 300):
+            v1 = covariance_from_spec(GaussianSpec(tau, 1.0, rng.uniform(0, 2 * math.pi)))
+            bs = BeamSplitter(rng.uniform(0, math.pi / 2), rng.uniform(0, 2 * math.pi))
+            out = apply_beam_splitter(v1, vacuum, bs)
+            assert symplectic_eigenvalues(to_quadrature(out)) == pytest.approx([0.5, 0.5], abs=1e-9)
+
+    def test_invariants_give_the_eigvals_spectrum(self):
+        rng = np.random.default_rng(23)
+        for _ in range(200):
+            spec = GaussianSpec(rng.uniform(0, 0.49), rng.uniform(0.05, 1.0), rng.uniform(0, 6.28))
+            v1 = covariance_from_spec(spec)
+            v2 = thermal_covariance(ThermalParams(rng.uniform(0.0, 3.0)))
+            out = apply_beam_splitter(
+                v1, v2, BeamSplitter(rng.uniform(0, math.pi / 2), rng.uniform(0, 2 * math.pi))
+            )
+            det_a, det_b, det_c, det_v = out.invariants
+            nu = seralian_roots(det_a + det_b + 2.0 * det_c, det_v)[:2]
+            assert nu == pytest.approx(symplectic_eigenvalues(to_quadrature(out)), abs=1e-10)
+
     def test_from_blocks_round_trip(self):
         v1 = covariance_from_spec(GaussianSpec(0.1, 0.8, 0.0))
         v2 = thermal_covariance(ThermalParams(0.3))
@@ -349,3 +399,55 @@ class TestCovMat2Validation:
         )
         with pytest.raises(ValueError):
             out.matrix[0, 0] = 9.0
+
+
+def _robertson_schroedinger(vq: np.ndarray) -> bool:
+    """V + i sigma/2 >= 0 up to a tolerance in units of V.
+
+    Near the boundary min eig(V + i sigma/2) >= 2 (nu_- - 1/2) lambda_max(V),
+    so this tolerance accepts nu_- >= 1/2 - BOUNDARY_TOL.
+    """
+    tol = 2.0 * BOUNDARY_TOL * np.linalg.eigvalsh(vq).max()
+    return np.linalg.eigvalsh(vq + 0.5j * symplectic_form(2)).min() >= -tol
+
+
+@st.composite
+def two_mode_quadratures(draw):
+    """S diag(nu_1, nu_1, nu_2, nu_2) S^T with S = expm(sigma H), ||H|| <= 1,
+    then kept, negated, shifted or with one mode flipped.
+
+    nu_2 >= 1/2, and nu_1 - 1/2 lies above 1e-6, within [-0.9, +1]
+    BOUNDARY_TOL, or below -1e-5: far enough from both criteria's edges
+    that each gives a definite verdict.
+    """
+    h = np.array(draw(st.lists(st.floats(-0.25, 0.25), min_size=16, max_size=16))).reshape(4, 4)
+    s = expm(symplectic_form(2) @ (h + h.T) / 2.0)
+    offset = draw(
+        st.one_of(
+            st.floats(1e-6, 2.5),
+            st.floats(-0.9 * BOUNDARY_TOL, BOUNDARY_TOL),
+            st.floats(-0.4, -1e-5),
+        )
+    )
+    nu_other = draw(st.floats(0.5, 3.0))
+    vq = s @ np.diag([0.5 + offset, 0.5 + offset, nu_other, nu_other]) @ s.T
+    kind = draw(st.sampled_from(["as drawn", "negated", "shifted", "mode flipped"]))
+    if kind == "negated":
+        vq = -vq
+    elif kind == "shifted":  # lowest eigenvalue moved to -t
+        vq = vq - (np.linalg.eigvalsh(vq).min() + draw(st.floats(1e-3, 2.0))) * np.eye(4)
+    elif kind == "mode flipped":
+        vq = vq.copy()
+        vq[2:, 2:] *= -1.0
+    return 0.5 * (vq + vq.T)
+
+
+@settings(max_examples=400, deadline=None)
+@given(vq=two_mode_quadratures())
+def test_validation_is_the_robertson_schroedinger_check(vq):
+    try:
+        from_quadrature(vq)
+        accepted = True
+    except DomainError:
+        accepted = False
+    assert accepted == _robertson_schroedinger(vq)
