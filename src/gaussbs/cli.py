@@ -9,6 +9,14 @@ sweep         write a CSV or JSON-lines grid of negativities; presets
 critical      print or sweep the critical thermal occupation
 oracle-check  compare the Gaussian formulas against the Fock-space engine
 
+Each subcommand declares only the options it reads; a flag that the chosen
+run would not read (an --axis or a preset parameter beside --fig, --nx/--ny
+without it, -o on a single critical point) is invalid input.  A --config
+file holds one key=value per line; each line is parsed as the flag
+--key=value placed before the command-line flags, so it is typed like the
+flag, must name an option of the command, and loses to an explicit flag.
+Only the switch degrees takes a value there: 1/true/yes or 0/false/no.
+
 Exit codes: 0 success, 1 verification failure, 2 invalid input,
 3 I/O failure, 4 internal error (an unexpected exception, reported on
 one stderr line so that a crash never reads as a verification failure).
@@ -325,22 +333,34 @@ class _IOFailure(Exception):
     pass
 
 
-def _add_common_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("-o", "--output", help="output file path")
-    parser.add_argument("--format", choices=("csv", "jsonl"), default="csv")
-    parser.add_argument("--config", help="key=value file; flags take precedence")
-    parser.add_argument("--nx", type=int, default=101, help="first axis resolution")
-    parser.add_argument("--ny", type=int, default=101, help="second axis resolution")
+def _flag(name: str) -> str:
+    """The long flag of an option: every option's flag spells its destination."""
+    return "--" + name.replace("_", "-")
+
+
+def _add_param_flags(parser: argparse.ArgumentParser, **defaults) -> None:
+    defaults = {"phi": 0.0, "phi_b": 0.0, **defaults}
+    for name in PARAM_NAMES:
+        parser.add_argument(_flag(name), dest=name, type=float, default=defaults.get(name))
+
+
+def _add_input_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--config", help="file of key=value flags; command-line flags win")
     parser.add_argument(
         "--degrees", action="store_true", help="interpret input angles as degrees"
     )
 
 
-def _add_param_flags(parser: argparse.ArgumentParser, names=PARAM_NAMES, **extra_defaults) -> None:
-    defaults = {"phi": 0.0, "phi_b": 0.0, **extra_defaults}
-    for name in names:
-        flag = "--" + name.replace("_", "-")
-        parser.add_argument(flag, dest=name, type=float, default=defaults.get(name))
+def _add_grid_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--axis",
+        action="append",
+        default=[],
+        metavar="NAME:START:STOP:COUNT",
+        help="swept axis; repeat for multi-axis grids (row-major order)",
+    )
+    parser.add_argument("-o", "--output", help="output file path")
+    parser.add_argument("--format", choices=("csv", "jsonl"), default="csv")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -353,25 +373,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_neg = sub.add_parser("negativity", help="evaluate one parameter point")
     _add_param_flags(p_neg)
-    _add_common_flags(p_neg)
+    _add_input_flags(p_neg)
 
     p_sweep = sub.add_parser("sweep", help="grid sweep to CSV or JSON lines")
     p_sweep.add_argument("--fig", choices=sorted(_FIG_PRESETS), help="figure preset")
-    p_sweep.add_argument(
-        "--axis",
-        action="append",
-        default=[],
-        metavar="NAME:START:STOP:COUNT",
-        help="swept axis; repeat for multi-axis grids (row-major order)",
-    )
+    p_sweep.add_argument("--nx", type=int, help="--fig first axis resolution (default 101)")
+    p_sweep.add_argument("--ny", type=int, help="--fig second axis resolution (default 101)")
+    _add_grid_flags(p_sweep)
     _add_param_flags(p_sweep)
-    _add_common_flags(p_sweep)
+    _add_input_flags(p_sweep)
 
     p_crit = sub.add_parser("critical", help="critical thermal occupation")
-    p_crit.add_argument("--axis", action="append", default=[], metavar="NAME:START:STOP:COUNT")
+    _add_grid_flags(p_crit)
     # the threshold itself does not involve nbar; it only feeds the N column
-    _add_param_flags(p_crit, names=("tau", "u", "theta", "phi", "phi_b", "nbar"), nbar=0.0)
-    _add_common_flags(p_crit)
+    _add_param_flags(p_crit, nbar=0.0)
+    _add_input_flags(p_crit)
 
     p_oracle = sub.add_parser("oracle-check", help="Fock-space cross-check")
     p_oracle.add_argument("--dim", type=int, default=40)
@@ -382,62 +398,47 @@ def build_parser() -> argparse.ArgumentParser:
     p_oracle.add_argument("--nbar-list", default="0,0.5,1")
     p_oracle.add_argument("--theta-list", default=f"{math.pi / 8!r},{math.pi / 4!r}")
     p_oracle.add_argument("--max-tau", dest="max_tau", type=float, default=0.35)
-    _add_common_flags(p_oracle)
-    # Kept for --config, which installs its defaults on each subcommand.
-    parser.subcommands = {
-        "negativity": p_neg,
-        "sweep": p_sweep,
-        "critical": p_crit,
-        "oracle-check": p_oracle,
-    }
+    p_oracle.add_argument("-o", "--output", help="CSV report path")
+    _add_input_flags(p_oracle)
     return parser
 
 
 def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.Namespace:
-    # Two-pass parse so --config supplies defaults that explicit flags override.
-    probe, _ = parser.parse_known_args(argv)
-    config_path = getattr(probe, "config", None)
-    if config_path:
-        try:
-            with open(config_path, "r", encoding="utf-8") as handle:
-                lines = handle.readlines()
-        except OSError as err:
-            raise _IOFailure(f"cannot read config file: {err}") from err
-        overrides = {}
-        for lineno, line in enumerate(lines, start=1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            if "=" not in stripped:
-                raise DomainError(f"config line {lineno} is not key=value: {stripped!r}")
-            key, _, raw = stripped.partition("=")
-            key = key.strip().replace("-", "_")
-            raw = raw.strip()
-            if key == "axis":
-                overrides.setdefault("axis", []).append(raw)
-                continue
-            overrides[key] = raw
-        # The destinations of a subcommand are the keys of its default namespace.
-        owners = [(p, vars(p.parse_args([]))) for p in parser.subcommands.values()]
-        for key, raw in overrides.items():
-            if not any(key in dests for _, dests in owners):
-                raise DomainError(f"unknown config key {key!r}")
-            if key in ("nx", "ny", "dim"):
-                value = int(raw)
-            elif key in ("format",) or key.endswith("list") or key == "output":
-                value = raw
-            elif key == "degrees":
-                value = raw.lower() in ("1", "true", "yes")
-            elif key == "axis":
-                value = raw
-            else:
-                value = float(raw)
-            # Subcommand parsers fill a fresh namespace, so defaults must be
-            # installed on each parser that owns the destination.
-            for sub_parser, dests in owners:
-                if key in dests:
-                    sub_parser.set_defaults(**{key: value})
-    return parser.parse_args(argv)
+    """Parse argv, reading a --config file as flags placed before the user's.
+
+    Each key=value line becomes the token --key=value after the command
+    name, so argparse types and checks it like the flag, an explicit flag
+    (parsed later) wins, and config axes come before command-line ones.
+    """
+    args = parser.parse_args(argv)
+    if not args.config:
+        return args
+    try:
+        with open(args.config, "r", encoding="utf-8") as handle:
+            lines = handle.readlines()
+    except OSError as err:
+        raise _IOFailure(f"cannot read config file: {err}") from err
+    # The options of a command are the keys of its default namespace.
+    keys = set(vars(parser.parse_args([args.command]))) - {"command", "config"}
+    tokens = []
+    for lineno, line in enumerate(lines, start=1):
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        if "=" not in stripped:
+            raise DomainError(f"config line {lineno} is not key=value: {stripped!r}")
+        key, _, raw = stripped.partition("=")
+        key, raw = key.strip().replace("-", "_"), raw.strip()
+        if key not in keys:
+            raise DomainError(f"unknown config key {key!r} for {args.command}")
+        if key != "degrees":
+            tokens.append(f"{_flag(key)}={raw}")
+        elif raw.lower() in ("1", "true", "yes"):  # a switch: its flag takes no value
+            tokens.append(_flag(key))
+        elif raw.lower() not in ("0", "false", "no"):
+            raise DomainError(f"config key 'degrees' takes 1/true/yes or 0/false/no, got {raw!r}")
+    at = argv.index(args.command) + 1
+    return parser.parse_args(argv[:at] + tokens + argv[at:])
 
 
 def _parse_axis(spec: str, degrees: bool) -> Axis:
@@ -454,21 +455,46 @@ def _parse_axis(spec: str, degrees: bool) -> Axis:
     return Axis(name, start, stop, count)
 
 
-def _collect_point(args, names=PARAM_NAMES) -> dict:
-    point = {}
-    for name in names:
-        value = getattr(args, name, None)
+def _grid_from_args(args) -> tuple[SweepGrid, bool]:
+    """The grid that the flags describe, and whether its preset adds threshold columns.
+
+    Without --fig or --axis the grid is the single point of the fixed
+    values: negativity and single-point critical read their parameters here
+    too.  A flag that the chosen grid would not read is invalid input.
+    """
+    fig = getattr(args, "fig", None)
+    if fig:
+        fixed, (ax1, lo1, hi1), (ax2, lo2, hi2), with_threshold = _FIG_PRESETS[fig]
+        if args.axis:
+            raise DomainError(f"--fig {fig} sets the axes; --axis cannot be combined with it")
+        for name in (*fixed, ax1, ax2):
+            if getattr(args, name) is not None:
+                raise DomainError(f"--fig {fig} sets {_flag(name)}; drop the flag")
+        nx, ny = (101 if n is None else n for n in (args.nx, args.ny))
+        axes = [Axis(ax1, lo1, hi1, nx), Axis(ax2, lo2, hi2, ny)]
+        fixed = dict(fixed)
+    else:
+        for name in ("nx", "ny"):
+            if getattr(args, name, None) is not None:
+                raise DomainError(f"{_flag(name)} sets a --fig resolution; it needs --fig")
+        axes = [_parse_axis(spec, args.degrees) for spec in getattr(args, "axis", [])]
+        fixed, with_threshold = {}, False
+    swept = {axis.name for axis in axes}
+    for name in PARAM_NAMES:
+        if name in swept or name in fixed:
+            continue
+        value = getattr(args, name)
         if value is None:
-            raise DomainError(f"missing required parameter --{name.replace('_', '-')}")
+            raise DomainError(f"missing required parameter {_flag(name)}")
         if args.degrees and name in ANGLE_NAMES:
             value = math.radians(value)
-        point[name] = value
-    return point
+        fixed[name] = value
+    return SweepGrid(tuple(axes), fixed), with_threshold
 
 
 def _cmd_negativity(args) -> int:
-    point = _collect_point(args)
-    params = ScenarioParams(**point)
+    grid, _ = _grid_from_args(args)
+    params = ScenarioParams(**grid.fixed)
     v = output_covariance(params)
     spectrum = pt_symplectic_spectrum(v)
     terms = closed_form_terms(params.tau, params.u, params.nbar, params.theta)
@@ -491,37 +517,6 @@ def _cmd_negativity(args) -> int:
     return EXIT_OK
 
 
-def _grid_from_args(args, preset_allowed: bool, with_threshold: bool) -> tuple[SweepGrid, bool]:
-    axes = []
-    fixed_override = {}
-    if preset_allowed and getattr(args, "fig", None):
-        fixed, (ax1, lo1, hi1), (ax2, lo2, hi2), with_threshold = _FIG_PRESETS[args.fig]
-        fixed_override.update(fixed)
-        axes = [Axis(ax1, lo1, hi1, args.nx), Axis(ax2, lo2, hi2, args.ny)]
-    else:
-        axes = [_parse_axis(spec, args.degrees) for spec in args.axis]
-    swept = {axis.name for axis in axes}
-    fixed = {}
-    for name in PARAM_NAMES:
-        if name in swept:
-            continue
-        if name in fixed_override:
-            fixed[name] = fixed_override[name]
-            continue
-        value = getattr(args, name, None)
-        if value is None:
-            if name in ("phi", "phi_b"):
-                value = 0.0
-            else:
-                raise DomainError(
-                    f"parameter --{name.replace('_', '-')} must be fixed or swept"
-                )
-        if args.degrees and name in ANGLE_NAMES:
-            value = math.radians(value)
-        fixed[name] = value
-    return SweepGrid(tuple(axes), fixed), with_threshold
-
-
 def _write_grid(grid: SweepGrid, with_threshold: bool, path: str, fmt: str) -> int:
     columns = list(PARAM_NAMES) + ["N", "xi_minus"]
     if with_threshold:
@@ -532,19 +527,21 @@ def _write_grid(grid: SweepGrid, with_threshold: bool, path: str, fmt: str) -> i
 
 
 def _cmd_sweep(args) -> int:
-    grid, with_threshold = _grid_from_args(args, preset_allowed=True, with_threshold=False)
+    grid, with_threshold = _grid_from_args(args)
     if not args.output:
         raise DomainError("sweep requires an output path (-o/--output)")
     return _write_grid(grid, with_threshold, args.output, args.format)
 
 
 def _cmd_critical(args) -> int:
+    grid, _ = _grid_from_args(args)
     if args.axis:
-        grid, _ = _grid_from_args(args, preset_allowed=False, with_threshold=True)
         if not args.output:
             raise DomainError("critical sweeps require an output path (-o/--output)")
         return _write_grid(grid, True, args.output, args.format)
-    point = _collect_point(args, names=("tau", "u", "theta"))
+    if args.output:
+        raise DomainError("-o/--output writes critical --axis grids; a single point prints")
+    point = grid.fixed
     result = critical_noise(point["tau"], point["u"], point["theta"])
     print(f"nbar_c = {format_number(result.value)}")
     print(f"flag = {result.flag}")

@@ -99,19 +99,20 @@ class ScenarioParams:
     phi_b: float = 0.0
 
     def __post_init__(self):
-        # Delegate range checks to the component constructors.
-        self.spec()
-        self.thermal()
-        self.splitter()
+        # The component constructors do the range checks; their results are
+        # kept as non-field attributes, outside equality, hash and repr.
+        object.__setattr__(self, "_spec", GaussianSpec(self.tau, self.u, self.phi_b))
+        object.__setattr__(self, "_thermal", ThermalParams(self.nbar))
+        object.__setattr__(self, "_splitter", BeamSplitter(self.theta, self.phi))
 
     def spec(self) -> GaussianSpec:
-        return GaussianSpec(self.tau, self.u, self.phi_b)
+        return self._spec
 
     def thermal(self) -> ThermalParams:
-        return ThermalParams(self.nbar)
+        return self._thermal
 
     def splitter(self) -> BeamSplitter:
-        return BeamSplitter(self.theta, self.phi)
+        return self._splitter
 
 
 def output_covariance(p: ScenarioParams) -> CovMat2:
@@ -443,11 +444,8 @@ def optimal_angle(tau: float, u: float, nbar: float) -> OptimalAngle:
     """
     GaussianSpec(tau, u)
     ThermalParams(nbar)
-    w = 1.0 - 2.0 * tau
-    g = 1.0 / (u * u * w)
-    m = 2.0 * nbar + 1.0
-    s_at_zero = 0.5 / (u * u) + 0.5 * m * m
-    s_at_quarter = 0.5 * m * (g + w)
-    if g - m > 0.0:
+    at_zero = _terms(tau, u, nbar, 1.0)  # cos(4 theta) at theta = 0 and pi/4
+    s_at_zero, s_at_quarter = at_zero.s, _terms(tau, u, nbar, -1.0).s
+    if at_zero.s_minus > 0.0:
         return OptimalAngle(0.25 * math.pi, "entangling", s_at_zero, s_at_quarter)
     return OptimalAngle(0.0, "no entanglement achievable", s_at_zero, s_at_quarter)

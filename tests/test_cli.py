@@ -293,6 +293,159 @@ class TestSweepCommand:
         assert run("negativity", "--config", str(config), "--tau", "0.2", "--u", "1", "--nbar", "0", "--theta", "0.5") == 2
 
 
+def exit_code(*argv):
+    """main's exit code, also where argparse rejects the arguments with SystemExit."""
+    try:
+        return main(list(argv))
+    except SystemExit as exc:
+        return exc.code
+
+
+SWEEP_POINT = ("--tau", "0.3", "--u", "1", "--nbar", "0", "--theta", PI_4)
+
+
+class TestOptionSets:
+    @pytest.mark.parametrize(
+        "command,options",
+        [
+            ("negativity", {"tau", "u", "nbar", "theta", "phi", "phi_b", "config", "degrees"}),
+            (
+                "sweep",
+                {"fig", "nx", "ny", "axis", "output", "format", "tau", "u", "nbar", "theta",
+                 "phi", "phi_b", "config", "degrees"},
+            ),  # fmt: skip
+            (
+                "critical",
+                {"axis", "output", "format", "tau", "u", "nbar", "theta", "phi", "phi_b",
+                 "config", "degrees"},
+            ),  # fmt: skip
+            (
+                "oracle-check",
+                {"dim", "tol_trace", "tol_compare", "tau_list", "u_list", "nbar_list",
+                 "theta_list", "max_tau", "output", "config", "degrees"},
+            ),  # fmt: skip
+        ],
+    )
+    def test_each_command_declares_only_what_it_reads(self, command, options):
+        namespace = vars(cli.build_parser().parse_args([command]))
+        assert set(namespace) - {"command"} == options
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("negativity", *SWEEP_POINT, "-o", "x.csv"),
+            ("negativity", *SWEEP_POINT, "--format", "jsonl"),
+            ("critical", "--tau", "0.3", "--u", "1", "--theta", "0.2", "--nx", "5"),
+            ("oracle-check", "--tau-list", "0.2", "--format", "jsonl"),
+        ],
+    )
+    def test_removed_options_are_rejected(self, argv, capsys):
+        assert exit_code(*argv) == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+
+class TestIgnoredInputsRejected:
+    def test_fig_with_axis(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        argv = ("sweep", "--fig", "1a", "--nx", "2", "--ny", "2", "--axis", "u:0:1:3")
+        assert run(*argv, "-o", str(out)) == 2
+        assert "--axis" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag", ["--tau", "--u", "--nbar", "--theta"])
+    def test_fig_with_a_parameter_the_preset_sets(self, tmp_path, capsys, flag):
+        out = tmp_path / "x.csv"
+        assert run("sweep", "--fig", "1a", flag, "0.3", "-o", str(out)) == 2
+        assert f"sets {flag};" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_fig_leaves_the_phases_free(self, tmp_path):
+        out = tmp_path / "x.csv"
+        argv = ("sweep", "--fig", "2a", "--nx", "2", "--ny", "2", "--phi", "0.3")
+        assert run(*argv, "-o", str(out)) == 0
+        header, *rows = out.read_text().splitlines()
+        assert {row.split(",")[header.split(",").index("phi")] for row in rows} == {"0.3"}
+
+    @pytest.mark.parametrize("flag", ["--nx", "--ny"])
+    def test_resolution_without_fig(self, tmp_path, capsys, flag):
+        out = tmp_path / "x.csv"
+        argv = ("sweep", "--axis", "nbar:0:1:3", "--tau", "0.3", "--u", "1", "--theta", PI_4)
+        assert run(*argv, flag, "7", "-o", str(out)) == 2
+        assert flag in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_critical_point_with_output(self, tmp_path, capsys):
+        out = tmp_path / "crit.csv"
+        assert run("critical", "--tau", "0.3", "--u", "1", "--theta", "0.2", "-o", str(out)) == 2
+        assert "-o/--output" in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestConfigFile:
+    def write(self, tmp_path, text):
+        config = tmp_path / "run.cfg"
+        config.write_text(text)
+        return str(config)
+
+    def test_fig_from_config_equals_the_flag(self, tmp_path):
+        by_flag, by_config = tmp_path / "flag.csv", tmp_path / "config.csv"
+        assert run("sweep", "--fig", "1a", "-o", str(by_flag)) == 0
+        assert run("sweep", "--config", self.write(tmp_path, "fig=1a\n"), "-o", str(by_config)) == 0
+        assert by_config.read_bytes() == by_flag.read_bytes()
+
+    @pytest.mark.parametrize(
+        "command,line",
+        [
+            ("sweep", "fig=9"),
+            ("sweep", "format=xml"),
+            ("sweep", "tau=abc"),
+            ("sweep", "nx=abc"),
+            ("oracle-check", "dim=3.5"),
+        ],
+    )
+    def test_bad_value_is_a_usage_error(self, tmp_path, capsys, command, line):
+        out = tmp_path / "x.out"
+        config = self.write(tmp_path, line + "\n")
+        argv = SWEEP_POINT if command == "sweep" else ("--tau-list", "0.2")
+        assert exit_code(command, "--config", config, *argv, "-o", str(out)) == 2
+        assert f"argument --{line.partition('=')[0]}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_key_of_another_command_is_unknown(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        config = self.write(tmp_path, "dim=60\n")
+        assert run("sweep", "--config", config, *SWEEP_POINT, "-o", str(out)) == 2
+        assert "unknown config key 'dim'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_degrees_switch(self, tmp_path, capsys):
+        point = ("--tau", "0.25", "--u", "1", "--nbar", "0", "--theta", "45")
+        assert run("negativity", "--config", self.write(tmp_path, "degrees=yes\n"), *point) == 0
+        assert float(parse_report(capsys)["N"]) == pytest.approx(0.5, abs=1e-9)
+        assert run("negativity", "--config", self.write(tmp_path, "degrees=no\n"), *point) == 0
+        assert float(parse_report(capsys)["N"]) != pytest.approx(0.5, abs=1e-3)
+        assert run("negativity", "--config", self.write(tmp_path, "degrees=maybe\n"), *point) == 2
+        assert "degrees" in capsys.readouterr().err
+
+    def test_negative_value(self, tmp_path):
+        out = tmp_path / "x.csv"
+        assert run("sweep", "--config", self.write(tmp_path, "phi = -0.5\n"), *SWEEP_POINT,
+                   "-o", str(out)) == 0  # fmt: skip
+        header, row = out.read_text().splitlines()
+        assert row.split(",")[header.split(",").index("phi")] == "-0.5"
+
+    def test_config_axes_come_first(self, tmp_path):
+        out = tmp_path / "order.csv"
+        config = self.write(tmp_path, "axis=nbar:0:1:2\ntau=0.2\n")
+        argv = ("--axis", "theta:0.2:0.4:2", "--u", "1", "-o", str(out))
+        assert run("sweep", "--config", config, *argv) == 0
+        header, *lines = out.read_text().strip().splitlines()
+        names = header.split(",")
+        cells = [line.split(",") for line in lines]
+        combos = [(float(c[names.index("nbar")]), float(c[names.index("theta")])) for c in cells]
+        assert combos == [(0.0, 0.2), (0.0, 0.4), (1.0, 0.2), (1.0, 0.4)]
+
+
 class TestOracleCheckCommand:
     def test_single_point_pass(self, capsys):
         code = run(

@@ -1,5 +1,6 @@
 import csv
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -369,6 +370,12 @@ class TestOptimalAngle:
         assert got.s_at_zero == pytest.approx(terms0.s, abs=1e-12)
         assert got.s_at_quarter == pytest.approx(terms4.s, abs=1e-12)
 
+    def test_reported_extrema_are_the_closed_form_terms(self):
+        for tau, u, nbar in [(0.2, 0.5, 1.0), (0.0, 1.0, 0.0), (0.45, 0.3, 4.0), (0.1, 0.07, 0.3)]:
+            got = optimal_angle(tau, u, nbar)
+            assert got.s_at_zero == closed_form_terms(tau, u, nbar, 0.0).s
+            assert got.s_at_quarter == closed_form_terms(tau, u, nbar, math.pi / 4).s
+
 
 class TestScenarioParams:
     def test_validation_delegates(self):
@@ -396,6 +403,28 @@ class TestScenarioParams:
         assert p.spec() == GaussianSpec(0.2, 0.9, 0.7)
         assert p.thermal() == ThermalParams(0.4)
         assert p.splitter() == BeamSplitter(1.0, 0.3)
+
+    def test_components_are_built_once(self, monkeypatch):
+        p = ScenarioParams(0.2, 0.9, 0.4, 1.0, 0.3, 0.7)
+        assert p.spec() is p.spec()
+        assert p.thermal() is p.thermal() and p.splitter() is p.splitter()
+        built = []
+        for cls in (GaussianSpec, ThermalParams, BeamSplitter):
+            check = cls.__post_init__
+            monkeypatch.setattr(
+                cls, "__post_init__", lambda self, check=check: built.append(self) or check(self)
+            )
+        output_covariance(p)
+        assert built == []
+        ScenarioParams(0.2, 0.9, 0.4, 1.0)
+        assert len(built) == 3  # the counter does see construction
+
+    def test_kept_components_stay_out_of_equality_hash_and_repr(self):
+        p = ScenarioParams(0.2, 0.9, 0.4, 1.0, 0.3, 0.7)
+        q = ScenarioParams(0.2, 0.9, 0.4, 1.0, 0.3, 0.7)
+        assert p == q and hash(p) == hash(q)
+        assert repr(p) == "ScenarioParams(tau=0.2, u=0.9, nbar=0.4, theta=1.0, phi=0.3, phi_b=0.7)"
+        assert replace(p, nbar=0.5).thermal() == ThermalParams(0.5)
 
     def test_output_covariance_matches_manual(self):
         p = ScenarioParams(0.15, 0.7, 0.6, 0.9, 0.2, 1.1)

@@ -233,7 +233,8 @@ class TestColumnEvaluators:
             expected = critical_noise(tau[i], u[i], theta[i])
             assert same_bits(value[i].item(), expected.value)
             assert never[i] == expected.never_entangled and infinite[i] == expected.infinite
-            assert same_bits(xi_minus[i].item(), legacy_record(vars(p), False)["xi_minus"])
+            fields = {name: getattr(p, name) for name in PARAM_NAMES}
+            assert same_bits(xi_minus[i].item(), legacy_record(fields, False)["xi_minus"])
 
     def test_broadcast_shapes(self):
         n, xi_minus = negativity_columns(0.3, np.array([0.5, 1.0]), np.zeros((3, 1)), 0.0)
