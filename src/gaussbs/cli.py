@@ -11,15 +11,17 @@ oracle-check  compare the Gaussian formulas against the Fock-space engine
 
 Each subcommand declares only the options it reads; a flag that the chosen
 run would not read (an --axis or a preset parameter beside --fig, --nx/--ny
-without it, -o on a single critical point) is invalid input.  A --config
-file holds one key=value per line; each line is parsed as the flag
---key=value placed before the command-line flags, so it is typed like the
-flag, must name an option of the command, and loses to an explicit flag.
-Only the switch degrees takes a value there: 1/true/yes or 0/false/no.
+without it, -o, --format, --nbar, --phi or --phi-b on a single critical
+point) is invalid input.  A --config file holds one key=value per line;
+each line is parsed as the flag --key=value placed before the command-line
+flags, so it is typed like the flag, must name an option of the command,
+and loses to an explicit flag.  Only the switch degrees takes a value
+there: 1/true/yes or 0/false/no.
 
 Exit codes: 0 success, 1 verification failure, 2 invalid input,
-3 I/O failure, 4 internal error (an unexpected exception, reported on
-one stderr line so that a crash never reads as a verification failure).
+3 I/O failure (also a stdout whose reader has gone), 4 internal error (an
+unexpected exception, reported on one stderr line so that a crash never
+reads as a verification failure).
 Identical invocations produce byte-identical files:
 numbers are serialized with 12 significant digits, grids are walked in
 row-major order over the axes as declared, and an infinite threshold is
@@ -34,6 +36,7 @@ import argparse
 import itertools
 import json
 import math
+import os
 import sys
 from collections import Counter
 from dataclasses import dataclass, field
@@ -66,6 +69,10 @@ EXIT_INTERNAL = 4
 PARAM_NAMES = ("tau", "u", "nbar", "theta", "phi", "phi_b")
 ANGLE_NAMES = ("theta", "phi", "phi_b")
 THRESHOLD_COLUMNS = ("nbar_c", "never_entangled", "infinite_threshold")
+# Options of `critical` that only its --axis grids read, with their values
+# there when not given: nbar feeds the N column, the phases and the format
+# the rows.
+_CRITICAL_GRID_DEFAULTS = {"nbar": 0.0, "phi": 0.0, "phi_b": 0.0, "format": "csv"}
 
 # Rows evaluated, formatted and written per step of a sweep, so that the
 # memory a sweep needs does not grow with its grid.
@@ -385,9 +392,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_crit = sub.add_parser("critical", help="critical thermal occupation")
     _add_grid_flags(p_crit)
-    # the threshold itself does not involve nbar; it only feeds the N column
-    _add_param_flags(p_crit, nbar=0.0)
+    _add_param_flags(p_crit)
     _add_input_flags(p_crit)
+    # Only a grid reads these; None tells a single point that they were given.
+    p_crit.set_defaults(**dict.fromkeys(_CRITICAL_GRID_DEFAULTS))
 
     p_oracle = sub.add_parser("oracle-check", help="Fock-space cross-check")
     p_oracle.add_argument("--dim", type=int, default=40)
@@ -534,13 +542,22 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_critical(args) -> int:
+    if not args.axis:
+        if args.output:
+            raise DomainError("-o/--output writes critical --axis grids; a single point prints")
+        for name in _CRITICAL_GRID_DEFAULTS:
+            if getattr(args, name) is not None:
+                raise DomainError(
+                    f"{_flag(name)} is read by critical --axis grids; a single point ignores it"
+                )
+    for name, default in _CRITICAL_GRID_DEFAULTS.items():
+        if getattr(args, name) is None:
+            setattr(args, name, default)
     grid, _ = _grid_from_args(args)
     if args.axis:
         if not args.output:
             raise DomainError("critical sweeps require an output path (-o/--output)")
         return _write_grid(grid, True, args.output, args.format)
-    if args.output:
-        raise DomainError("-o/--output writes critical --axis grids; a single point prints")
     point = grid.fixed
     result = critical_noise(point["tau"], point["u"], point["theta"])
     print(f"nbar_c = {format_number(result.value)}")
@@ -632,22 +649,28 @@ def _cmd_oracle_check(args) -> int:
 
 def main(argv=None) -> int:
     parser = build_parser()
+    commands = {
+        "negativity": _cmd_negativity,
+        "sweep": _cmd_sweep,
+        "critical": _cmd_critical,
+        "oracle-check": _cmd_oracle_check,
+    }
     try:
         args = _apply_config(parser, list(sys.argv[1:] if argv is None else argv))
-        if args.command == "negativity":
-            return _cmd_negativity(args)
-        if args.command == "sweep":
-            return _cmd_sweep(args)
-        if args.command == "critical":
-            return _cmd_critical(args)
-        if args.command == "oracle-check":
-            return _cmd_oracle_check(args)
-        raise DomainError(f"unknown command {args.command!r}")
+        code = commands[args.command](args)
+        sys.stdout.flush()  # so that a closed stdout fails here, not at exit
+        return code
     except DomainError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INVALID
     except _IOFailure as err:
         print(f"I/O error: {err}", file=sys.stderr)
+        return EXIT_IO
+    except BrokenPipeError as err:
+        # The reader of stdout has gone; point stdout at the null device so
+        # that the interpreter's last flush has nowhere to fail.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"I/O error: standard output closed: {err}", file=sys.stderr)
         return EXIT_IO
     except Exception as err:  # any other exception is a defect, not a verdict
         print(f"internal error: {type(err).__name__}: {err}", file=sys.stderr)

@@ -9,12 +9,26 @@ formulas is a genuine cross-check.
 The arithmetic follows the phases.  At ``phi = phi_b = 0`` the squeezer
 generator and every beam-splitter sector are exactly real, so the states,
 the two-mode output, its partial transpose and the eigensolve all stay in
-float64.  A non-zero ``phi`` or ``phi_b`` makes the same functions run in
-complex128, so the oracle still tests phase independence rather than
-assuming it.  The two-mode stage works in place where it can and holds
-about ``_LIVE_COPIES`` matrices of ``W^4`` entries at its peak; a point
-whose window would not fit in the memory still available is skipped with
-the note "memory" instead of being allocated.
+float64.  A non-zero ``phi_b`` makes the squeezer complex, and a non-zero
+``phi`` scales the real sector blocks by phases, so the same functions run
+in complex128 and the oracle still tests phase independence rather than
+assuming it.
+
+The two-mode state is never held in the product basis on the way from the
+inputs to the negativity.  The beam splitter conserves total photon
+number, and inputs that couple only Fock numbers of equal parity (checked)
+give an output that couples only states of equal total parity.  The output
+is therefore built as two class matrices, total number even and odd, in
+sector order, straight from the one-mode inputs.  Its partial transpose
+splits into the same two classes and is written one class block at a time
+and diagonalized in place, so the stage peaks at about 3/4 of a matrix of
+``W^4`` entries (``_LIVE_COPIES``, rounded up).  Inputs that fail the
+parity check run the same routines with one class and peak at about two
+matrices (``_LIVE_COPIES_ONE_CLASS``).  A point whose window would not fit
+in the memory still available is skipped with the note "memory" instead
+of being allocated.  Product-basis matrices appear only at the public
+boundary: the result of ``fock_beam_splitter`` and the argument of
+``fock_log_negativity``, each converted by one permutation.
 
 Truncation is handled honestly: every builder measures the probability
 mass lost at the cutoff and raises ``TruncationError`` when it exceeds the
@@ -56,12 +70,17 @@ _COMPARE_GUARDS = (0, 8, 16, 24)
 # Window leakage this far below the comparison tolerance keeps the
 # amplified tail error out of the reported negativity difference.
 _GUARD_SAFETY = 300.0
-# Two-mode matrices of the working dtype alive at once in one oracle point,
-# rounded up.  The conjugation holds two (the kron, reused for the output,
-# and its sector-ordered copy); the eigensolve holds the output, its partial
-# transpose and a quarter-size parity block plus the eigensolver's copy of
-# it.  Peak RSS growth measured 2.6 (real) to 2.8 (complex) matrices.
-_LIVE_COPIES = 3
+# Couplings between Fock numbers of opposite parity up to this fraction of
+# the largest entry count as absent (see _parity_classes).
+_PARITY_TOL = 1e-12
+# Peak of the two-mode stage of one oracle point, in matrices of W^4
+# entries of the working dtype, rounded up.  With two parity classes it
+# holds the two class matrices (half a matrix) and one partial-transpose
+# block (a quarter), which the eigensolve overwrites; with one class, the
+# whole output and its whole partial transpose.  tracemalloc at W = 24
+# measured 0.79 (real) and 0.80 (complex), and 2.08 with one class.
+_LIVE_COPIES = 1
+_LIVE_COPIES_ONE_CLASS = 3
 # Memory cgroup (limit, usage) files, v2 then v1 layout.
 _CGROUP_MEMORY_FILES = (
     ("/sys/fs/cgroup/memory.max", "/sys/fs/cgroup/memory.current"),
@@ -229,62 +248,156 @@ def fock_squeezed_thermal(spec: GaussianSpec, cfg: OracleConfig) -> FockDensityM
     return FockDensityMatrix(rho, n_modes=1)
 
 
+def _sector_block(hop: np.ndarray) -> np.ndarray:
+    """exp(G) for the real tridiagonal G with G[j + 1, j] = -G[j, j + 1] = hop[j].
+
+    With S = diag(i^j), G = S (-i T) S^ for the real symmetric tridiagonal
+    T with off-diagonal ``hop``, so exp(G)[j, k] = i^(j - k) (C - i D)[j, k]
+    with C = cos T and D = sin T.  T is bipartite, so C couples only even
+    and D only odd distances j - k, and exp(G) is C or D with the sign of
+    i^(j - k).  Taken from the eigendecomposition of T, this is accurate to
+    about 1e-14 where scipy's real expm of G is off by up to 4e-13.
+    """
+    from scipy.linalg import eigh_tridiagonal
+
+    size = hop.size + 1
+    if size == 1:
+        return np.ones((1, 1))
+    angles, vectors = eigh_tridiagonal(np.zeros(size), hop)
+    cos_t = (vectors * np.cos(angles)) @ vectors.T
+    sin_t = (vectors * np.sin(angles)) @ vectors.T
+    distance = np.subtract.outer(np.arange(size), np.arange(size)) % 4
+    return np.where(distance % 2 == 0, cos_t, sin_t) * np.where(distance < 2, 1.0, -1.0)
+
+
 @lru_cache(maxsize=8)
-def _beam_splitter_sectors(theta: float, phi: float, dim: int):
+def _beam_splitter_sectors(theta: float, phi: float, dim: int) -> tuple:
     """Per-sector blocks of exp(theta (e^{i phi} a1^ a2 - e^{-i phi} a1 a2^)).
 
     The generator conserves total photon number, so it is exponentiated
     sector by sector; the assembled operator equals the exponential of the
     truncated generator, is exactly unitary on the truncated space, and
     satisfies U^ a_i U = (M_B a)_i exactly within complete sectors (total
-    number <= dim - 1).  Returns ``(order, blocks)``: ``order`` lists the
-    flat two-mode indices sector by sector, and each ``(lo, hi, block)``
-    acts on positions ``lo:hi`` of that order.  The blocks are real when
-    ``phi == 0``.  The arrays are shared by every caller and read-only.
+    number <= dim - 1).  Block ``t`` of the returned tuple acts on the
+    states (n1, t - n1) of total ``t``, n1 ascending.  At ``phi == 0`` the
+    blocks are real.  The phase is a rotation by e^{i phi n1}, so a rotated
+    block is the real one scaled entrywise, B(phi)[m, n] = e^{i (m - n) phi}
+    B(0)[m, n], and no complex exponential is taken.  The arrays are shared
+    by every caller and read-only.
     """
-    e = _phase(phi)
-    order = []
     blocks = []
-    lo = 0
-    for total in range(2 * dim - 1):
-        n1 = np.arange(max(0, total - dim + 1), min(total, dim - 1) + 1)
-        size = n1.size
-        # a1^ a2 sends (n1, n2) -> (n1 + 1, n2 - 1) within the sector.
-        hop = theta * e * np.sqrt((n1[:-1] + 1.0) * (total - n1[:-1]))
-        gen = np.zeros((size, size), dtype=hop.dtype)
-        gen[np.arange(1, size), np.arange(size - 1)] = hop
-        gen[np.arange(size - 1), np.arange(1, size)] = -hop.conj()
-        block = _expm(gen)
+    if phi != 0.0:
+        for real in _beam_splitter_sectors(theta, 0.0, dim):
+            d = np.exp(1j * phi * np.arange(real.shape[0]))
+            blocks.append(np.outer(d, d.conj()) * real)
+    else:
+        for total in range(2 * dim - 1):
+            n1 = np.arange(max(0, total - dim + 1), min(total, dim - 1) + 1)
+            # a1^ a2 sends (n1, n2) -> (n1 + 1, n2 - 1) within the sector.
+            blocks.append(_sector_block(theta * np.sqrt((n1[:-1] + 1.0) * (total - n1[:-1]))))
+    for block in blocks:
         block.setflags(write=False)
-        order.append(n1 * dim + (total - n1))
-        blocks.append((lo, lo + size, block))
-        lo += size
-    order = np.concatenate(order)
-    order.setflags(write=False)
-    return order, tuple(blocks)
+    return tuple(blocks)
 
 
-def _sector_conjugate(rho: np.ndarray, sectors) -> np.ndarray:
-    """U rho U^ using the block structure of U, reusing ``rho`` for the result.
+def _parity_classes(matrix: np.ndarray, labels: np.ndarray) -> int:
+    """2 when ``matrix`` couples only indices whose labels have equal parity, else 1.
 
-    ``rho`` is permuted once into sector order, where each block acts on a
-    contiguous slab of rows and then of columns, and the product is mapped
-    back once.  The result overwrites ``rho`` when that already has the
-    result dtype ``np.result_type(rho, block)``; otherwise it goes to a new
-    array.  Either way the caller must use the returned array.
+    Couplings up to ``_PARITY_TOL`` of the largest entry (at least 1) count
+    as absent.  The matrix is read a tile of rows at a time.
     """
-    order, blocks = sectors
-    work = np.empty(rho.shape, np.result_type(rho, blocks[0][2]))
-    for lo, hi, _ in blocks:
-        work[lo:hi] = rho[order[lo:hi]][:, order]
-    for lo, hi, block in blocks:
-        work[lo:hi] = block @ work[lo:hi]
-    for lo, hi, block in blocks:
-        work[:, lo:hi] = work[:, lo:hi] @ block.conj().T
-    out = rho if rho.dtype == work.dtype else np.empty_like(work)
-    inverse = np.argsort(order)
-    for lo, hi, _ in blocks:
-        out[order[lo:hi]] = work[lo:hi][:, inverse]
+    odd = labels % 2 == 1
+    cross = peak = 0.0
+    for lo in range(0, matrix.shape[0], _TILE):
+        slab = matrix[lo : lo + _TILE]
+        peak = max(peak, float(np.abs(slab).max(initial=0.0)))
+        cross = max(cross, float(np.abs(slab[~odd[lo : lo + _TILE]][:, odd]).max(initial=0.0)))
+    return 1 if cross > _PARITY_TOL * max(peak, 1.0) else 2
+
+
+def _layout(dim: int, classes: int):
+    """Where each two-mode state sits in the class matrices.
+
+    A state (n1, n2) belongs to class (n1 + n2) mod ``classes``; within its
+    class the states are in sector order (by total n1 + n2, then by n1).
+    Returns ``(flats, pos)``: ``flats[c]`` lists the flat product-basis
+    indices n1 * dim + n2 of class ``c`` in that order, and ``pos[n1, n2]``
+    is the state's index in its class.
+    """
+    n1, n2 = np.divmod(np.arange(dim * dim), dim)
+    total = n1 + n2
+    order = np.lexsort((n1, total, total % classes))
+    flats = np.split(order, [np.count_nonzero(total % classes == 0)])[:classes]
+    pos = np.empty(dim * dim, dtype=np.intp)
+    for flat in flats:
+        pos[flat] = np.arange(flat.size)
+    return flats, pos.reshape(dim, dim)
+
+
+def _conjugated_classes(rho1: np.ndarray, rho2: np.ndarray, blocks, classes: int) -> list:
+    """U (rho1 x rho2) U^ as its ``classes`` class matrices (see ``_layout``).
+
+    Each class matrix is built straight from the one-mode inputs: the rows
+    of one sector at a time are gathered from rho1 x rho2 and multiplied by
+    the sector's block, then each sector's columns by the block's adjoint.
+    Two classes are exact when both inputs couple only Fock numbers of
+    equal parity, since U conserves total photon number; the couplings
+    between the classes are then zero and never formed.
+    """
+    dim = rho1.shape[0]
+    flats, _ = _layout(dim, classes)
+    dtype = np.result_type(rho1, rho2, blocks[0])
+    out = []
+    for c, flat in enumerate(flats):
+        n1, n2 = np.divmod(flat, dim)
+        mat = np.empty((flat.size, flat.size), dtype)
+        spans = []
+        lo = 0
+        for block in blocks[c::classes]:
+            hi = lo + block.shape[0]
+            slab = rho1[n1[lo:hi, None], n1] * rho2[n2[lo:hi, None], n2]
+            mat[lo:hi] = block @ slab
+            spans.append((lo, hi, block))
+            lo = hi
+        for lo, hi, block in spans:
+            mat[:, lo:hi] = mat[:, lo:hi] @ block.conj().T
+        out.append(mat)
+    return out
+
+
+def _output_classes(
+    rho1: FockDensityMatrix,
+    rho2: FockDensityMatrix,
+    bs: BeamSplitter,
+    cfg: OracleConfig,
+) -> tuple[list, float]:
+    """U (rho1 x rho2) U^ as class matrices, Hermitian averaged and trace checked.
+
+    Two classes (total photon number even and odd) when both inputs pass
+    the parity check, else one.  Returns the matrices and the leakage.
+    """
+    if rho1.n_modes != 1 or rho2.n_modes != 1:
+        raise DomainError("beam splitter inputs must be one-mode states")
+    if rho1.dim != rho2.dim:
+        raise DomainError(f"input cutoffs differ: {rho1.dim} != {rho2.dim}")
+    labels = np.arange(rho1.dim)
+    classes = min(_parity_classes(rho.data, labels) for rho in (rho1, rho2))
+    sectors = _beam_splitter_sectors(bs.theta, bs.phi, rho1.dim)
+    mats = _conjugated_classes(rho1.data, rho2.data, sectors, classes)
+    for mat in mats:
+        _hermitize(mat)
+    leakage = abs(1.0 - sum(np.trace(mat).real for mat in mats))
+    if leakage > cfg.tol_trace:
+        raise TruncationError(leakage, rho1.dim, cfg.tol_trace)
+    return mats, leakage
+
+
+def _product_basis(mats: list, dim: int) -> np.ndarray:
+    """Class matrices scattered into the product basis, index n1 * dim + n2."""
+    flats, _ = _layout(dim, len(mats))
+    out = np.zeros((dim * dim, dim * dim), mats[0].dtype)
+    for flat, mat in zip(flats, mats):
+        out[np.ix_(flat, flat)] = mat
     return out
 
 
@@ -304,18 +417,9 @@ def fock_beam_splitter(
     cfg: OracleConfig,
 ) -> FockDensityMatrix:
     """U (rho1 x rho2) U^ for the beam-splitter unitary pinned to M_B."""
-    if rho1.n_modes != 1 or rho2.n_modes != 1:
-        raise DomainError("beam splitter inputs must be one-mode states")
-    if rho1.dim != rho2.dim:
-        raise DomainError(f"input cutoffs differ: {rho1.dim} != {rho2.dim}")
-    sectors = _beam_splitter_sectors(bs.theta, bs.phi, rho1.dim)
-    rho = _sector_conjugate(np.kron(rho1.data, rho2.data), sectors)
-    _hermitize(rho)
-    leakage = abs(1.0 - np.trace(rho).real)
-    if leakage > cfg.tol_trace:
-        raise TruncationError(leakage, rho1.dim, cfg.tol_trace)
+    mats, _ = _output_classes(rho1, rho2, bs, cfg)
     # _hermitize has run the constructor's checks; the result is our own.
-    return _wrap_hermitian_two_mode(rho)
+    return _wrap_hermitian_two_mode(_product_basis(mats, rho1.dim))
 
 
 def fock_partial_transpose(rho: FockDensityMatrix) -> FockDensityMatrix:
@@ -336,39 +440,73 @@ class LogNegativityResult(NamedTuple):
     raw: float
 
 
-def _abs_eigenvalue_sum(matrix: np.ndarray, dim: int) -> float:
-    """Sum |eigenvalues| of a Hermitian two-mode operator.
+def _pt_block(mats: list, pos: np.ndarray, q: int) -> np.ndarray:
+    """Class ``q`` block of the partial transpose, written from the class matrices.
 
-    The scenario states only carry coherences between Fock numbers of equal
-    parity, so the partially transposed matrix splits into two blocks over
-    the parity of n1 + n2; when that structure holds (checked, not assumed)
-    the two blocks are diagonalized separately.  The check reads the matrix
-    a slab of rows at a time, so only the parity block being diagonalized
-    is copied.
+    Its basis, the states (n1, n2) with n1 + n2 = q mod the number of
+    classes, runs in groups by n2 mod that number, each ordered by n1, then
+    n2.  The rows of one m1 are then contiguous, and against each group of
+    columns they read one class matrix.
     """
-    n1, n2 = np.divmod(np.arange(dim * dim), dim)
-    odd = (n1 + n2) % 2 == 1
-    cross = peak = 0.0
-    for lo in range(0, dim * dim, dim):
-        slab = matrix[lo : lo + dim]
-        peak = max(peak, float(np.abs(slab).max()))
-        cross = max(cross, float(np.abs(slab[~odd[lo : lo + dim]][:, odd]).max(initial=0.0)))
-    if cross > 1e-12 * max(peak, 1.0):
-        return float(np.abs(np.linalg.eigvalsh(matrix)).sum())
-    total = 0.0
-    for mask in (~odd, odd):
-        total += float(np.abs(np.linalg.eigvalsh(matrix[np.ix_(mask, mask)])).sum())
-    return total
+    classes = len(mats)
+    x = np.arange(pos.shape[0])
+    groups = [(x[(x + g - q) % classes == 0], x[x % classes == g]) for g in range(classes)]
+    size = sum(n1s.size * n2s.size for n1s, n2s in groups)
+    block = np.empty((size, size), mats[0].dtype)
+    row = 0
+    for m1s, m2s in groups:
+        col = 0
+        for g, (n1s, n2s) in enumerate(groups):
+            width = n1s.size * n2s.size
+            # block[(m1, m2), (n1, n2)] = state[(m1, n2), (n1, m2)]: the
+            # column of the state runs over (n1, m2), its row over n2.
+            state_cols = np.repeat(pos[n1s, m2s[:, None]], n2s.size, axis=1)
+            for i, m1 in enumerate(m1s):
+                lo = row + i * m2s.size
+                state_rows = np.tile(pos[m1, n2s], n1s.size)
+                mat = mats[(m1 + g) % classes]
+                block[lo : lo + m2s.size, col : col + width] = mat[state_rows, state_cols]
+            col += width
+        row += m1s.size * m2s.size
+    return block
+
+
+def _pt_trace_norm(mats: list, dim: int) -> float:
+    """Sum of |eigenvalues| of the partial transpose of a state given as class matrices.
+
+    The partial transpose couples (m1, m2) with (n1, n2) only where the
+    state couples (m1, n2) with (n1, m2), so it splits into the same
+    classes by m1 + m2.  Its blocks are written one at a time and
+    diagonalized in place, so the peak is the state and one block.
+    """
+    from scipy.linalg import eigh
+
+    _, pos = _layout(dim, len(mats))
+    norm = 0.0
+    for q in range(len(mats)):
+        block = _pt_block(mats, pos, q)
+        # block.T is the Fortran-ordered view of a Hermitian matrix; its
+        # eigenvalues are those of the block, and LAPACK works on it in place.
+        eigenvalues = eigh(block.T, eigvals_only=True, overwrite_a=True, check_finite=False)
+        norm += float(np.abs(eigenvalues).sum())
+        del block  # before the next one is allocated
+    return norm
 
 
 def fock_log_negativity(rho: FockDensityMatrix) -> LogNegativityResult:
     """log2 of the trace norm of the partial transpose.
 
     ``raw`` keeps the unclamped logarithm (slightly negative values arise
-    from truncation leakage); ``value`` is max{0, raw}.
+    from truncation leakage); ``value`` is max{0, raw}.  The product-basis
+    matrix is gathered once into class matrices: two when it couples only
+    states of equal total-number parity (checked, not assumed), else one.
     """
-    pt = fock_partial_transpose(rho)
-    raw = math.log2(_abs_eigenvalue_sum(pt.data, rho.dim))
+    if rho.n_modes != 2:
+        raise DomainError("partial transpose needs a two-mode state")
+    d = rho.dim
+    classes = _parity_classes(rho.data, np.add.outer(np.arange(d), np.arange(d)).ravel())
+    flats, _ = _layout(d, classes)
+    raw = math.log2(_pt_trace_norm([rho.data[np.ix_(flat, flat)] for flat in flats], d))
     return LogNegativityResult(max(0.0, raw), raw)
 
 
@@ -434,10 +572,12 @@ def compare_with_gaussian(params: ScenarioParams, cfg: OracleConfig) -> OracleCo
     sits well below the comparison tolerance.  Base dimensions grow in
     steps of 20 up to 120; if the leakage budget still cannot be met the
     point is skipped with the measured leakage recorded.  Before a window
-    is allocated, its predicted peak of ``_LIVE_COPIES`` two-mode matrices
-    (8 bytes an entry when both phases are zero, else 16) is compared with
-    the memory still available; a point that does not fit is skipped with
-    a note starting "memory", since wider windows would need more.
+    is allocated, its predicted peak of ``_LIVE_COPIES`` matrices of W^4
+    entries (``_LIVE_COPIES_ONE_CLASS`` if the input fails the parity
+    check; 8 bytes an entry when both phases are zero, else 16) is
+    compared with the memory still available; a point that does not fit
+    is skipped with a note starting "memory", since wider windows would
+    need more.
     """
     n_gaussian = negativity_closed_form(params)
     dims = list(range(cfg.dim, _MAX_ESCALATION_DIM + 1, _ESCALATION_STEP))
@@ -454,7 +594,10 @@ def compare_with_gaussian(params: ScenarioParams, cfg: OracleConfig) -> OracleCo
         window = dim + guard
         rho1 = FockDensityMatrix(wide.data[:window, :window], n_modes=1)
         itemsize = np.result_type(rho1.data, _phase(params.phi)).itemsize
-        need = _LIVE_COPIES * itemsize * window**4
+        # The thermal input is diagonal, so the squeezed one decides the classes.
+        classes = _parity_classes(rho1.data, np.arange(window))
+        copies = _LIVE_COPIES if classes == 2 else _LIVE_COPIES_ONE_CLASS
+        need = copies * itemsize * window**4
         free = _available_memory()
         if free is not None and need > free:
             note = f"memory: window {window} needs {need >> 20} MiB, {free >> 20} MiB available"
@@ -466,13 +609,13 @@ def compare_with_gaussian(params: ScenarioParams, cfg: OracleConfig) -> OracleCo
             if rho1.leakage > cfg.tol_trace:
                 raise TruncationError(rho1.leakage, window, cfg.tol_trace)
             rho2 = fock_thermal(params.nbar, attempt)
-            out = fock_beam_splitter(rho1, rho2, params.splitter(), attempt)
+            mats, out_leakage = _output_classes(rho1, rho2, params.splitter(), attempt)
         except TruncationError as err:
             last_leakage = err.leakage
             continue
-        n_fock = fock_log_negativity(out).value
+        n_fock = max(0.0, math.log2(_pt_trace_norm(mats, window)))
         diff = abs(n_gaussian - n_fock)
-        leakage = max(rho1.leakage, rho2.leakage, out.leakage)
+        leakage = max(rho1.leakage, rho2.leakage, out_leakage)
         status = "pass" if diff <= cfg.tol_compare else "fail"
         note = f"guard={guard}" if guard else ""
         return OracleComparison(params, n_gaussian, n_fock, diff, leakage, dim, status, note)

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from gaussbs.fock import FockDensityMatrix, _beam_splitter_sectors, annihilation
+from gaussbs.fock import FockDensityMatrix, _beam_splitter_sectors, _layout, annihilation
 from gaussbs.states import CovMat1, DomainError
 
 
@@ -19,11 +19,14 @@ def coherent_state(alpha: complex, dim: int) -> np.ndarray:
 
 def _beam_splitter_unitary(theta: float, phi: float, dim: int) -> np.ndarray:
     """Dense form of the sector-blocked beam-splitter unitary."""
-    order, blocks = _beam_splitter_sectors(theta, phi, dim)
-    u = np.zeros((dim * dim, dim * dim), dtype=blocks[0][2].dtype)
-    for lo, hi, block in blocks:
-        flat = order[lo:hi]
+    blocks = _beam_splitter_sectors(theta, phi, dim)
+    (order,), _ = _layout(dim, 1)  # flat indices in sector order
+    u = np.zeros((dim * dim, dim * dim), dtype=blocks[0].dtype)
+    lo = 0
+    for block in blocks:
+        flat = order[lo : lo + block.shape[0]]
         u[np.ix_(flat, flat)] = block
+        lo += block.shape[0]
     return u
 
 

@@ -380,6 +380,29 @@ class TestIgnoredInputsRejected:
         assert "-o/--output" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "given,flag",
+        [
+            (("--nbar", "5"), "--nbar"),
+            (("--format", "jsonl"), "--format"),
+            (("--phi", "0.4", "--phi-b", "1"), "--phi"),
+            (("--phi-b", "1"), "--phi-b"),
+        ],
+    )
+    def test_critical_point_with_a_grid_option(self, capsys, given, flag):
+        assert run("critical", "--tau", "0.3", "--u", "0.5", "--theta", "0.2", *given) == 2
+        captured = capsys.readouterr()
+        assert f"{flag} is read by critical --axis grids" in captured.err
+        assert captured.out == ""
+
+    def test_critical_grid_options_keep_their_defaults(self, tmp_path):
+        implicit, explicit = tmp_path / "implicit.csv", tmp_path / "explicit.csv"
+        grid = ("critical", "--axis", "theta:0:1.5:7", "--tau", "0.3", "--u", "0.5")
+        defaults = ("--nbar", "0", "--phi", "0", "--phi-b", "0", "--format", "csv")
+        assert run(*grid, "-o", str(implicit)) == 0
+        assert run(*grid, *defaults, "-o", str(explicit)) == 0
+        assert implicit.read_bytes() == explicit.read_bytes()
+
 
 class TestConfigFile:
     def write(self, tmp_path, text):
@@ -605,6 +628,44 @@ class TestInternalErrors:
         )
         assert code not in (0, 1)
         assert "Traceback" not in capsys.readouterr().err
+
+
+
+class TestClosedStdout:
+    """A reader that closes the pipe is an I/O failure (exit 3), not a crash."""
+
+    def _run_and_close(self, argv, lines):
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src, "PYTHONUNBUFFERED": "1"}
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "gaussbs", *argv],
+            env=env,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+        read = [proc.stdout.readline() for _ in range(lines)]
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        return proc.wait(timeout=120), read, err
+
+    def test_closed_before_the_first_line(self):
+        argv = ("negativity", "--tau", "0.3", "--u", "0.5", "--nbar", "0.1", "--theta", "0.2")
+        code, _, err = self._run_and_close(argv, 0)
+        assert code == cli.EXIT_IO
+        assert len(err.splitlines()) == 1 and err.startswith("I/O error: ")
+
+    def test_closed_after_one_line(self):
+        thetas = ",".join(f"{0.05 * k:.2f}" for k in range(1, 21))
+        argv = (
+            "oracle-check", "--tau-list", "0.1", "--u-list", "1", "--nbar-list", "0",
+            "--theta-list", thetas, "--dim", "10", "--tol-trace", "1e-2",
+        )  # fmt: skip
+        code, (first,), err = self._run_and_close(argv, 1)
+        assert first.startswith("tau=0.1 u=1 nbar=0 theta=0.05 ")
+        assert code == cli.EXIT_IO
+        assert len(err.splitlines()) == 1 and err.startswith("I/O error: ")
 
 
 class TestSerialization:

@@ -1,4 +1,6 @@
+import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,7 +20,13 @@ from gaussbs.fock import (
     fock_squeezed_thermal,
     fock_thermal,
 )
-from gaussbs.fock import _beam_splitter_sectors, _sector_conjugate
+from gaussbs.fock import (
+    _beam_splitter_sectors,
+    _conjugated_classes,
+    _output_classes,
+    _product_basis,
+    _pt_trace_norm,
+)
 from gaussbs.states import (
     BeamSplitter,
     DomainError,
@@ -287,30 +295,135 @@ class TestDtypeFollowsPhases:
         assert values[1] == pytest.approx(values[0], abs=1e-9)
 
     def test_sector_conjugate_matches_dense(self):
+        # Arbitrary Hermitian inputs in one class; inputs with only
+        # even-parity couplings in two.
         dim = 8
         rng = np.random.default_rng(7)
-        z = rng.standard_normal((dim * dim,) * 2) + 1j * rng.standard_normal((dim * dim,) * 2)
-        for rho in (z.real + z.real.T, z + z.conj().T):
-            for phi in (0.0, 0.4):
-                u = _beam_splitter_unitary(0.7, phi, dim)
-                got = _sector_conjugate(rho.copy(), _beam_splitter_sectors(0.7, phi, dim))
-                assert got.dtype == np.result_type(rho, u)
-                assert np.abs(got - u @ rho @ u.conj().T).max() < 1e-12
+        n = np.arange(dim)
+        parity_mask = (n[:, None] - n) % 2 == 0
+        z = rng.standard_normal((2, dim, dim)) + 1j * rng.standard_normal((2, dim, dim))
+        for pair in (z.real + z.real.swapaxes(1, 2), z + z.conj().swapaxes(1, 2)):
+            for classes, mask in ((1, True), (2, parity_mask)):
+                rho1, rho2 = pair * mask
+                rho = np.kron(rho1, rho2)
+                for phi in (0.0, 0.4):
+                    u = _beam_splitter_unitary(0.7, phi, dim)
+                    blocks = _beam_splitter_sectors(0.7, phi, dim)
+                    mats = _conjugated_classes(rho1, rho2, blocks, classes)
+                    got = _product_basis(mats, dim)
+                    assert got.dtype == np.result_type(rho, u)
+                    assert np.abs(got - u @ rho @ u.conj().T).max() < 1e-12
 
     def test_real_input_stays_real(self):
         rho = FockDensityMatrix(np.diag([0.75, 0.25]), n_modes=1)
         assert rho.data.dtype == np.float64
 
 
+def _dense_trace_norm(rho: np.ndarray) -> float:
+    pt = fock_partial_transpose(FockDensityMatrix(rho, n_modes=2))
+    return float(np.abs(np.linalg.eigvalsh(pt.data)).sum())
+
+
+class TestParityClasses:
+    @pytest.mark.parametrize("dim", [5, 12, 21])
+    def test_rotated_blocks_are_expm_of_the_generator(self, dim):
+        from scipy.linalg import expm
+
+        for theta in (0.3, math.pi / 4, 1.2):
+            for phi in (0.0, 0.4, 2.5, -1.0):
+                for total, block in enumerate(_beam_splitter_sectors(theta, phi, dim)):
+                    n1 = np.arange(max(0, total - dim + 1), min(total, dim - 1) + 1)
+                    hop = theta * cmath.exp(1j * phi) * np.sqrt((n1[:-1] + 1.0) * (total - n1[:-1]))
+                    generator = np.diag(hop, -1) - np.diag(hop.conj(), 1)
+                    assert np.abs(block - expm(generator)).max() < 1e-13
+
+    @pytest.mark.parametrize("dim", [9, 10])
+    @pytest.mark.parametrize("phases", [(0.0, 0.0), (0.7, 1.1)])
+    def test_parity_blocks_match_dense_partial_transpose(self, dim, phases):
+        p = ScenarioParams(0.2, 0.8, 0.3, math.pi / 5, *phases)
+        cfg = OracleConfig(dim=dim, tol_trace=1.0)
+        rho1 = fock_squeezed_thermal(p.spec(), cfg)
+        rho2 = fock_thermal(p.nbar, cfg)
+        u = _beam_splitter_unitary(p.theta, p.phi, dim)
+        dense = u @ np.kron(rho1.data, rho2.data) @ u.conj().T
+        expected = _dense_trace_norm(dense)
+        mats, _ = _output_classes(rho1, rho2, p.splitter(), cfg)
+        assert len(mats) == 2
+        assert mats[0].dtype == dense.dtype
+        assert _pt_trace_norm(mats, dim) == pytest.approx(expected, abs=1e-12)
+        by_product = fock_log_negativity(FockDensityMatrix(dense, n_modes=2)).raw
+        assert by_product == pytest.approx(math.log2(expected), abs=1e-12)
+
+    def test_coherent_inputs_take_one_class(self):
+        dim = 12
+        cfg = OracleConfig(dim=dim, tol_trace=1.0)
+        psi1, psi2 = coherent_state(0.5 + 0.2j, dim), coherent_state(-0.3, dim)
+        rho1 = FockDensityMatrix(np.outer(psi1, psi1.conj()), n_modes=1)
+        rho2 = FockDensityMatrix(np.outer(psi2, psi2.conj()), n_modes=1)
+        bs = BeamSplitter(0.6, 0.9)
+        mats, _ = _output_classes(rho1, rho2, bs, cfg)
+        assert len(mats) == 1
+        u = _beam_splitter_unitary(bs.theta, bs.phi, dim)
+        dense = u @ np.kron(rho1.data, rho2.data) @ u.conj().T
+        assert np.abs(_product_basis(mats, dim) - dense).max() < 1e-12
+        assert _pt_trace_norm(mats, dim) == pytest.approx(_dense_trace_norm(dense), abs=1e-12)
+
+
 class TestMemoryPrecheck:
     POINT = ScenarioParams(0.2, 0.8, 0.1, math.pi / 4)
+
+    @staticmethod
+    def _stage_peak(rho1, rho2, bs, dim):
+        """Peak bytes traced over the two-mode stage, cold sector cache included."""
+        _beam_splitter_sectors.cache_clear()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            mats, _ = _output_classes(rho1, rho2, bs, OracleConfig(dim=dim, tol_trace=1.0))
+            classes = len(mats)
+            _pt_trace_norm(mats, dim)
+            return classes, tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+
+    @pytest.mark.parametrize("phases", [(0.0, 0.0), (0.7, 1.1)])
+    def test_two_mode_stage_peak(self, phases):
+        dim = 24
+        p = ScenarioParams(0.2, 0.8, 0.3, math.pi / 5, *phases)
+        cfg = OracleConfig(dim=dim, tol_trace=1.0)
+        rho1 = fock_squeezed_thermal(p.spec(), cfg)
+        rho2 = fock_thermal(p.nbar, cfg)
+        itemsize = 8 if phases == (0.0, 0.0) else 16
+        classes, peak = self._stage_peak(rho1, rho2, p.splitter(), dim)
+        assert classes == 2
+        assert peak <= fock._LIVE_COPIES * itemsize * dim**4
+
+    def test_one_class_stage_peak(self):
+        dim = 24
+        psi = coherent_state(0.5 + 0.2j, dim)
+        rho1 = FockDensityMatrix(np.outer(psi, psi.conj()), n_modes=1)
+        rho2 = fock_thermal(0.3, OracleConfig(dim=dim))
+        classes, peak = self._stage_peak(rho1, rho2, BeamSplitter(0.6, 0.9), dim)
+        assert classes == 1
+        assert peak <= fock._LIVE_COPIES_ONE_CLASS * 16 * dim**4
+
+    def test_one_class_inputs_need_more_memory(self, monkeypatch):
+        cfg = OracleConfig(dim=30, tol_trace=1e-6)
+        monkeypatch.setattr(fock, "_available_memory", lambda: None)
+        real = compare_with_gaussian(self.POINT, cfg)
+        window = real.dim_used + int(real.note.partition("guard=")[2] or 0)
+        budget = 8 * (fock._LIVE_COPIES + fock._LIVE_COPIES_ONE_CLASS) // 2 * window**4
+        monkeypatch.setattr(fock, "_available_memory", lambda: budget)
+        assert compare_with_gaussian(self.POINT, cfg).status == "pass"
+        monkeypatch.setattr(fock, "_parity_classes", lambda *args: 1)
+        assert compare_with_gaussian(self.POINT, cfg).note.startswith("memory")
 
     def test_skip_before_allocating(self, monkeypatch):
         def no_allocation(*args):
             raise AssertionError("two-mode matrix allocated")
 
         monkeypatch.setattr(fock, "_available_memory", lambda: 1 << 20)
-        monkeypatch.setattr(fock, "fock_beam_splitter", no_allocation)
+        monkeypatch.setattr(fock, "_output_classes", no_allocation)
         res = compare_with_gaussian(self.POINT, OracleConfig(dim=30, tol_trace=1e-6))
         assert res.status == "skip"
         assert res.note.startswith("memory")
