@@ -32,7 +32,6 @@ from .entanglement import (
     closed_form_terms,
     critical_noise,
     critical_noise_5050,
-    critical_noise_bisection,
     critical_noise_near_optimal,
     log_negativity,
     negativity_5050,
@@ -40,7 +39,6 @@ from .entanglement import (
     optimal_angle,
     output_covariance,
     pt_symplectic_spectrum,
-    pt_symplectic_spectrum_quadrature,
 )
 from .channels import (
     GaussianChannel,
@@ -52,15 +50,10 @@ from .channels import (
 )
 from .fock import (
     FockDensityMatrix,
-    LogNegativityResult,
     OracleComparison,
     OracleConfig,
     TruncationError,
-    annihilation,
     compare_with_gaussian,
-    fock_beam_splitter,
-    fock_log_negativity,
-    fock_partial_transpose,
     fock_squeezed_thermal,
     fock_thermal,
 )

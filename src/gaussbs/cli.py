@@ -331,11 +331,6 @@ def write_chunks(path: str, columns: list[str], chunks, fmt: str) -> int:
     return written
 
 
-def write_records(records: list[dict], columns: list[str], path: str, fmt: str) -> None:
-    chunk = {name: Column([record[name] for record in records]) for name in columns}
-    write_chunks(path, columns, [(len(records), chunk)], fmt)
-
-
 class _IOFailure(Exception):
     pass
 
@@ -613,22 +608,11 @@ def _cmd_oracle_check(args) -> int:
             detail += f" ({result.note})"
         print(detail)
     if args.output:
-        rows = [
-            {
-                "tau": r.params.tau,
-                "u": r.params.u,
-                "nbar": r.params.nbar,
-                "theta": r.params.theta,
-                "n_gaussian": r.n_gaussian,
-                "n_fock": r.n_fock,
-                "abs_diff": r.abs_diff,
-                "leakage": r.leakage,
-                "dim_used": r.dim_used,
-                "status": r.status,
-            }
-            for r in records
-        ]
-        write_records(rows, list(rows[0]), args.output, "csv")
+        params = ("tau", "u", "nbar", "theta")
+        results = ("n_gaussian", "n_fock", "abs_diff", "leakage", "dim_used", "status")
+        report = {name: Column([getattr(r.params, name) for r in records]) for name in params}
+        report.update({name: Column([getattr(r, name) for r in records]) for name in results})
+        write_chunks(args.output, list(report), [(len(records), report)], "csv")
     skipped = sum(skips.values())
     print(
         f"checked {len(records)} points: {len(records) - failures - skipped} passed, "

@@ -8,9 +8,9 @@ are the symplectic eigenvalues of the partially transposed two-mode
 covariance, and N = max{0, -log2(2 xi_-)}.  For the squeezed-thermal
 scenario the same quantity has a closed form in (tau, u, nbar, theta)
 alone, independent of both phases; this module provides both routes, the
-critical thermal occupation at which N reaches zero (analytic, with a
-bisection fallback), the optimal-angle dichotomy, and the small-deviation
-expansion of the threshold around the 50:50 setting.  The closed form and
+critical thermal occupation at which N reaches zero (analytic), the
+optimal-angle dichotomy, and the small-deviation expansion of the
+threshold around the 50:50 setting.  The closed form and
 the threshold are also evaluated elementwise over numpy arrays
 (``negativity_columns``, ``critical_noise_columns``), bit for bit equal to
 the scalar functions, for the CLI's sweeps.
@@ -35,16 +35,12 @@ from .states import (
     apply_beam_splitter,
     covariance_from_spec,
     seralian_roots,
-    symplectic_eigenvalues,
     thermal_covariance,
-    to_quadrature,
 )
 
 # cos(4*theta) at or above this value means no mixing at all (theta a
 # multiple of pi/2 up to float rounding): the output is a product state.
 _NO_MIXING_COS = 1.0 - 1e-14
-
-_PT_FLIP = np.diag([1.0, 1.0, 1.0, -1.0])
 
 
 class SymplecticPTSpectrum(NamedTuple):
@@ -133,14 +129,6 @@ def pt_symplectic_spectrum(v: CovMat2) -> SymplecticPTSpectrum:
             f"(discriminant {roots.discriminant})"
         )
     return SymplecticPTSpectrum(roots.nu_minus, roots.nu_plus)
-
-
-def pt_symplectic_spectrum_quadrature(v: CovMat2) -> SymplecticPTSpectrum:
-    """Same spectrum via eigendecomposition of the momentum-flipped
-    quadrature covariance against the symplectic form (independent route)."""
-    vr = _PT_FLIP @ to_quadrature(v) @ _PT_FLIP
-    lo, hi = symplectic_eigenvalues(vr)
-    return SymplecticPTSpectrum(float(lo), float(hi))
 
 
 def log_negativity(v: CovMat2) -> float:
@@ -369,48 +357,6 @@ def critical_noise_columns(tau, u, cos4t) -> ThresholdColumns:
         value[mixed] = np.where(finite, 0.5 * (m_star - 1.0), math.inf)
     infinite[mixed] = ~finite
     return ThresholdColumns(value, never, infinite)
-
-
-def critical_noise_bisection(
-    tau: float,
-    u: float,
-    theta: float,
-    bracket: tuple[float, float] = (0.0, 1.0e3),
-    tol: float = 1e-10,
-) -> CriticalNoise:
-    """Bisection fallback for ``critical_noise`` on the same margin function.
-
-    Returns the "infinite" sentinel when the threshold exceeds the bracket.
-    Raises RuntimeError if the margin is not positive at the lower end for
-    parameters that must entangle, since that indicates a broken formula
-    rather than a domain issue.
-    """
-    GaussianSpec(tau, u)
-    BeamSplitter(theta)
-    if tau == 0.0:
-        return CriticalNoise(0.0, "classical-input")
-    cos4t = math.cos(4.0 * theta)
-    if cos4t >= _NO_MIXING_COS:
-        return CriticalNoise(0.0, "no-mixing")
-    lo, hi = bracket
-
-    def margin(nbar: float) -> float:
-        return _entanglement_margin(tau, u, cos4t, 2.0 * nbar + 1.0)
-
-    if margin(lo) <= 0.0:
-        raise RuntimeError(
-            "no sign change in bracket: entangled margin not positive at "
-            f"nbar={lo} for tau={tau}, u={u}, theta={theta}"
-        )
-    if margin(hi) > 0.0:
-        return CriticalNoise(math.inf, "infinite")
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if margin(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return CriticalNoise(0.5 * (lo + hi), "ok")
 
 
 def critical_noise_near_optimal(tau: float, u: float, e: float) -> float:

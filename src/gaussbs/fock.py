@@ -6,29 +6,27 @@ negativity as the log trace norm of the partially transposed output.  No
 covariance-level shortcut is used anywhere, so agreement with the Gaussian
 formulas is a genuine cross-check.
 
-The arithmetic follows the phases.  At ``phi = phi_b = 0`` the squeezer
-generator and every beam-splitter sector are exactly real, so the states,
-the two-mode output, its partial transpose and the eigensolve all stay in
-float64.  A non-zero ``phi_b`` makes the squeezer complex, and a non-zero
-``phi`` scales the real sector blocks by phases, so the same functions run
-in complex128 and the oracle still tests phase independence rather than
-assuming it.
+Both unitaries come from one routine.  In a fixed Fock parity the squeezer
+generator, and in a fixed total photon number the beam-splitter generator,
+is a real tridiagonal matrix (SU(1,1) and SU(2)), exponentiated through the
+eigendecomposition of a symmetric tridiagonal matrix (``_sector_block``).
+A phase is a rotation by e^{i angle n}, so a rotated state or block is the
+real one scaled entrywise and no complex exponential is taken.  At
+``phi = phi_b = 0`` the states, the two-mode output, its partial transpose
+and the eigensolve all stay in float64; a non-zero phase runs the same
+functions in complex128, so the oracle still tests phase independence
+rather than assuming it.
 
-The two-mode state is never held in the product basis on the way from the
-inputs to the negativity.  The beam splitter conserves total photon
-number, and inputs that couple only Fock numbers of equal parity (checked)
-give an output that couples only states of equal total parity.  The output
-is therefore built as two class matrices, total number even and odd, in
-sector order, straight from the one-mode inputs.  Its partial transpose
-splits into the same two classes and is written one class block at a time
-and diagonalized in place, so the stage peaks at about 3/4 of a matrix of
-``W^4`` entries (``_LIVE_COPIES``, rounded up).  Inputs that fail the
-parity check run the same routines with one class and peak at about two
-matrices (``_LIVE_COPIES_ONE_CLASS``).  A point whose window would not fit
-in the memory still available is skipped with the note "memory" instead
-of being allocated.  Product-basis matrices appear only at the public
-boundary: the result of ``fock_beam_splitter`` and the argument of
-``fock_log_negativity``, each converted by one permutation.
+The two-mode state is never held in the product basis.  The squeezed and
+thermal inputs couple only Fock numbers of equal parity, by construction,
+and the beam splitter conserves total photon number, so the output couples
+only states of equal total parity.  It is built as two class matrices,
+total number even and odd, in sector order, straight from the one-mode
+inputs.  Its partial transpose splits into the same two classes and is
+written one class block at a time and diagonalized in place, so the stage
+peaks at about 3/4 of a matrix of ``W^4`` entries (``_LIVE_COPIES``,
+rounded up).  A point whose window would not fit in the memory still
+available is skipped with the note "memory" instead of being allocated.
 
 Truncation is handled honestly: every builder measures the probability
 mass lost at the cutoff and raises ``TruncationError`` when it exceeds the
@@ -42,7 +40,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import NamedTuple
 
 import numpy as np
 
@@ -70,17 +67,12 @@ _COMPARE_GUARDS = (0, 8, 16, 24)
 # Window leakage this far below the comparison tolerance keeps the
 # amplified tail error out of the reported negativity difference.
 _GUARD_SAFETY = 300.0
-# Couplings between Fock numbers of opposite parity up to this fraction of
-# the largest entry count as absent (see _parity_classes).
-_PARITY_TOL = 1e-12
 # Peak of the two-mode stage of one oracle point, in matrices of W^4
-# entries of the working dtype, rounded up.  With two parity classes it
-# holds the two class matrices (half a matrix) and one partial-transpose
-# block (a quarter), which the eigensolve overwrites; with one class, the
-# whole output and its whole partial transpose.  tracemalloc at W = 24
-# measured 0.79 (real) and 0.80 (complex), and 2.08 with one class.
+# entries of the working dtype, rounded up: the two parity class matrices
+# (half a matrix) and one partial-transpose block (a quarter), which the
+# eigensolve overwrites.  tracemalloc at W = 24 measured 0.79 (real) and
+# 0.80 (complex).
 _LIVE_COPIES = 1
-_LIVE_COPIES_ONE_CLASS = 3
 # Memory cgroup (limit, usage) files, v2 then v1 layout.
 _CGROUP_MEMORY_FILES = (
     ("/sys/fs/cgroup/memory.max", "/sys/fs/cgroup/memory.current"),
@@ -118,7 +110,7 @@ class OracleConfig:
 
 @dataclass(frozen=True, eq=False)
 class FockDensityMatrix:
-    """Hermitian operator on one or two truncated modes.
+    """Hermitian operator on one truncated mode.
 
     The trace may fall short of 1 by the truncation leakage, which is
     reported through ``leakage`` rather than hidden by renormalization.
@@ -128,25 +120,18 @@ class FockDensityMatrix:
     """
 
     data: np.ndarray
-    n_modes: int
 
     def __post_init__(self):
         data = np.array(self.data, dtype=complex if np.iscomplexobj(self.data) else float)
-        if self.n_modes not in (1, 2):
-            raise DomainError("n_modes must be 1 or 2")
         if data.ndim != 2 or data.shape[0] != data.shape[1]:
             raise DomainError("density matrix must be square")
         _hermitize(data)
-        if self.n_modes == 2:
-            dim = math.isqrt(data.shape[0])
-            if dim * dim != data.shape[0]:
-                raise DomainError("two-mode matrix size must be a perfect square")
         data.setflags(write=False)
         object.__setattr__(self, "data", data)
 
     @property
     def dim(self) -> int:
-        return self.data.shape[0] if self.n_modes == 1 else math.isqrt(self.data.shape[0])
+        return self.data.shape[0]
 
     @property
     def trace(self) -> float:
@@ -181,24 +166,14 @@ def _hermitize(a: np.ndarray) -> None:
         raise DomainError("density matrix must be Hermitian")
 
 
-def _phase(angle: float):
-    """e^{i angle}; the float 1.0 when the angle is zero.
+def _rotated(real: np.ndarray, angle: float) -> np.ndarray:
+    """``real`` conjugated by diag(e^{i angle n}): entry [m, n] times e^{i (m - n) angle}.
 
-    A real factor keeps everything built from it in float64.
+    Index differences are all that matter, so a block whose rows start at
+    any Fock number takes the same scaling.
     """
-    return 1.0 if angle == 0.0 else complex(math.cos(angle), math.sin(angle))
-
-
-def _expm(a: np.ndarray) -> np.ndarray:
-    """Matrix exponential.  scipy is imported on the first call, so that
-    importing gaussbs, and every Gaussian-route command, goes without it."""
-    from scipy.linalg import expm
-
-    return expm(a)
-
-
-def annihilation(dim: int) -> np.ndarray:
-    return np.diag(np.sqrt(np.arange(1.0, dim)), k=1)
+    d = np.exp(1j * angle * np.arange(real.shape[0]))
+    return np.outer(d, d.conj()) * real
 
 
 def _thermal_weights(nbar: float, dim: int) -> np.ndarray:
@@ -218,7 +193,7 @@ def fock_thermal(nbar: float, cfg: OracleConfig) -> FockDensityMatrix:
     leakage = abs(1.0 - weights.sum())
     if leakage > cfg.tol_trace:
         raise TruncationError(leakage, cfg.dim, cfg.tol_trace)
-    return FockDensityMatrix(np.diag(weights), n_modes=1)
+    return FockDensityMatrix(np.diag(weights))
 
 
 def fock_squeezed_thermal(spec: GaussianSpec, cfg: OracleConfig) -> FockDensityMatrix:
@@ -228,24 +203,32 @@ def fock_squeezed_thermal(spec: GaussianSpec, cfg: OracleConfig) -> FockDensityM
     1/(2u) minus the vacuum half) and the squeezing obeys
     e^{-2r} = u (1 - 2 tau), so the first and second moments of the result
     reproduce ``covariance_from_spec`` exactly in the untruncated limit.
-    Synthesized on a working space ``dim + _WORK_MARGIN`` wide and then
-    compressed, so the delivered matrix agrees with the exact state up to
-    the reported tail leakage.  Real when ``phi_b == 0``.
+    The generator r (a a - a^ a^) / 2 couples n with n + 2 only, so the
+    squeezer is one real tridiagonal block per Fock parity, exponentiated
+    on a working space ``dim + _WORK_MARGIN`` wide and then compressed; the
+    delivered matrix agrees with the exact state up to the reported tail
+    leakage, and its entries between Fock numbers of opposite parity are
+    exactly zero.  The phase is a rotation, S(r e^{i phi_b}) =
+    R S(r) R^ with R = diag(e^{i n phi_b / 2}), which commutes with the
+    diagonal seed.  Real when ``phi_b == 0``.
     """
     nbar_seed = (1.0 - spec.u) / (2.0 * spec.u)
     r = -0.5 * math.log(spec.u * (1.0 - 2.0 * spec.tau))
-    xi = r * _phase(spec.phi_b)
     work = cfg.dim + _WORK_MARGIN
-    seed = np.diag(_thermal_weights(nbar_seed, work))
-    a = annihilation(work)
-    generator = 0.5 * (xi.conjugate() * (a @ a) - xi * (a.T @ a.T))
-    squeezer = _expm(generator)
-    rho = (squeezer @ seed @ squeezer.conj().T)[: cfg.dim, : cfg.dim]
-    rho = 0.5 * (rho + rho.conj().T)
+    seed = _thermal_weights(nbar_seed, work)
+    rho = np.zeros((cfg.dim, cfg.dim))
+    for parity in (0, 1):
+        # a^2 sends n + 2 -> n with amplitude sqrt((n + 1)(n + 2)).
+        n = np.arange(parity, work - 2, 2)
+        block = _sector_block(-0.5 * r * np.sqrt((n + 1.0) * (n + 2.0)))
+        rows = block[: len(range(parity, cfg.dim, 2))]
+        rho[parity::2, parity::2] = (rows * seed[parity::2]) @ rows.T
+    if spec.phi_b != 0.0:
+        rho = _rotated(rho, 0.5 * spec.phi_b)
     leakage = abs(1.0 - np.trace(rho).real)
     if leakage > cfg.tol_trace:
         raise TruncationError(leakage, cfg.dim, cfg.tol_trace)
-    return FockDensityMatrix(rho, n_modes=1)
+    return FockDensityMatrix(rho)
 
 
 def _sector_block(hop: np.ndarray) -> np.ndarray:
@@ -256,7 +239,9 @@ def _sector_block(hop: np.ndarray) -> np.ndarray:
     with C = cos T and D = sin T.  T is bipartite, so C couples only even
     and D only odd distances j - k, and exp(G) is C or D with the sign of
     i^(j - k).  Taken from the eigendecomposition of T, this is accurate to
-    about 1e-14 where scipy's real expm of G is off by up to 4e-13.
+    about 1e-14 where scipy's real matrix exponential of G is off by up to
+    4e-13.  scipy is imported on the first call, so that importing
+    gaussbs, and every Gaussian-route command, goes without it.
     """
     from scipy.linalg import eigh_tridiagonal
 
@@ -285,12 +270,10 @@ def _beam_splitter_sectors(theta: float, phi: float, dim: int) -> tuple:
     B(0)[m, n], and no complex exponential is taken.  The arrays are shared
     by every caller and read-only.
     """
-    blocks = []
     if phi != 0.0:
-        for real in _beam_splitter_sectors(theta, 0.0, dim):
-            d = np.exp(1j * phi * np.arange(real.shape[0]))
-            blocks.append(np.outer(d, d.conj()) * real)
+        blocks = [_rotated(real, phi) for real in _beam_splitter_sectors(theta, 0.0, dim)]
     else:
+        blocks = []
         for total in range(2 * dim - 1):
             n1 = np.arange(max(0, total - dim + 1), min(total, dim - 1) + 1)
             # a1^ a2 sends (n1, n2) -> (n1 + 1, n2 - 1) within the sector.
@@ -300,52 +283,37 @@ def _beam_splitter_sectors(theta: float, phi: float, dim: int) -> tuple:
     return tuple(blocks)
 
 
-def _parity_classes(matrix: np.ndarray, labels: np.ndarray) -> int:
-    """2 when ``matrix`` couples only indices whose labels have equal parity, else 1.
+def _layout(dim: int):
+    """Where each two-mode state sits in the two class matrices.
 
-    Couplings up to ``_PARITY_TOL`` of the largest entry (at least 1) count
-    as absent.  The matrix is read a tile of rows at a time.
-    """
-    odd = labels % 2 == 1
-    cross = peak = 0.0
-    for lo in range(0, matrix.shape[0], _TILE):
-        slab = matrix[lo : lo + _TILE]
-        peak = max(peak, float(np.abs(slab).max(initial=0.0)))
-        cross = max(cross, float(np.abs(slab[~odd[lo : lo + _TILE]][:, odd]).max(initial=0.0)))
-    return 1 if cross > _PARITY_TOL * max(peak, 1.0) else 2
-
-
-def _layout(dim: int, classes: int):
-    """Where each two-mode state sits in the class matrices.
-
-    A state (n1, n2) belongs to class (n1 + n2) mod ``classes``; within its
-    class the states are in sector order (by total n1 + n2, then by n1).
-    Returns ``(flats, pos)``: ``flats[c]`` lists the flat product-basis
-    indices n1 * dim + n2 of class ``c`` in that order, and ``pos[n1, n2]``
-    is the state's index in its class.
+    A state (n1, n2) belongs to class (n1 + n2) mod 2; within its class the
+    states are in sector order (by total n1 + n2, then by n1).  Returns
+    ``(flats, pos)``: ``flats[c]`` lists the flat product-basis indices
+    n1 * dim + n2 of class ``c`` in that order, and ``pos[n1, n2]`` is the
+    state's index in its class.
     """
     n1, n2 = np.divmod(np.arange(dim * dim), dim)
     total = n1 + n2
-    order = np.lexsort((n1, total, total % classes))
-    flats = np.split(order, [np.count_nonzero(total % classes == 0)])[:classes]
+    order = np.lexsort((n1, total, total % 2))
+    flats = np.split(order, [np.count_nonzero(total % 2 == 0)])
     pos = np.empty(dim * dim, dtype=np.intp)
     for flat in flats:
         pos[flat] = np.arange(flat.size)
     return flats, pos.reshape(dim, dim)
 
 
-def _conjugated_classes(rho1: np.ndarray, rho2: np.ndarray, blocks, classes: int) -> list:
-    """U (rho1 x rho2) U^ as its ``classes`` class matrices (see ``_layout``).
+def _conjugated_classes(rho1: np.ndarray, rho2: np.ndarray, blocks) -> list:
+    """U (rho1 x rho2) U^ as its two class matrices (see ``_layout``).
 
     Each class matrix is built straight from the one-mode inputs: the rows
     of one sector at a time are gathered from rho1 x rho2 and multiplied by
     the sector's block, then each sector's columns by the block's adjoint.
-    Two classes are exact when both inputs couple only Fock numbers of
-    equal parity, since U conserves total photon number; the couplings
-    between the classes are then zero and never formed.
+    Both inputs couple only Fock numbers of equal parity and U conserves
+    total photon number, so the couplings between the classes are zero and
+    never formed.
     """
     dim = rho1.shape[0]
-    flats, _ = _layout(dim, classes)
+    flats, _ = _layout(dim)
     dtype = np.result_type(rho1, rho2, blocks[0])
     out = []
     for c, flat in enumerate(flats):
@@ -353,7 +321,7 @@ def _conjugated_classes(rho1: np.ndarray, rho2: np.ndarray, blocks, classes: int
         mat = np.empty((flat.size, flat.size), dtype)
         spans = []
         lo = 0
-        for block in blocks[c::classes]:
+        for block in blocks[c::2]:
             hi = lo + block.shape[0]
             slab = rho1[n1[lo:hi, None], n1] * rho2[n2[lo:hi, None], n2]
             mat[lo:hi] = block @ slab
@@ -371,19 +339,12 @@ def _output_classes(
     bs: BeamSplitter,
     cfg: OracleConfig,
 ) -> tuple[list, float]:
-    """U (rho1 x rho2) U^ as class matrices, Hermitian averaged and trace checked.
+    """U (rho1 x rho2) U^ as its two class matrices, Hermitian averaged and trace checked.
 
-    Two classes (total photon number even and odd) when both inputs pass
-    the parity check, else one.  Returns the matrices and the leakage.
+    Returns the matrices and the leakage.
     """
-    if rho1.n_modes != 1 or rho2.n_modes != 1:
-        raise DomainError("beam splitter inputs must be one-mode states")
-    if rho1.dim != rho2.dim:
-        raise DomainError(f"input cutoffs differ: {rho1.dim} != {rho2.dim}")
-    labels = np.arange(rho1.dim)
-    classes = min(_parity_classes(rho.data, labels) for rho in (rho1, rho2))
     sectors = _beam_splitter_sectors(bs.theta, bs.phi, rho1.dim)
-    mats = _conjugated_classes(rho1.data, rho2.data, sectors, classes)
+    mats = _conjugated_classes(rho1.data, rho2.data, sectors)
     for mat in mats:
         _hermitize(mat)
     leakage = abs(1.0 - sum(np.trace(mat).real for mat in mats))
@@ -392,65 +353,16 @@ def _output_classes(
     return mats, leakage
 
 
-def _product_basis(mats: list, dim: int) -> np.ndarray:
-    """Class matrices scattered into the product basis, index n1 * dim + n2."""
-    flats, _ = _layout(dim, len(mats))
-    out = np.zeros((dim * dim, dim * dim), mats[0].dtype)
-    for flat, mat in zip(flats, mats):
-        out[np.ix_(flat, flat)] = mat
-    return out
-
-
-def _wrap_hermitian_two_mode(data: np.ndarray) -> FockDensityMatrix:
-    """Construction bypass for matrices Hermitian by construction."""
-    obj = object.__new__(FockDensityMatrix)
-    data.setflags(write=False)
-    object.__setattr__(obj, "data", data)
-    object.__setattr__(obj, "n_modes", 2)
-    return obj
-
-
-def fock_beam_splitter(
-    rho1: FockDensityMatrix,
-    rho2: FockDensityMatrix,
-    bs: BeamSplitter,
-    cfg: OracleConfig,
-) -> FockDensityMatrix:
-    """U (rho1 x rho2) U^ for the beam-splitter unitary pinned to M_B."""
-    mats, _ = _output_classes(rho1, rho2, bs, cfg)
-    # _hermitize has run the constructor's checks; the result is our own.
-    return _wrap_hermitian_two_mode(_product_basis(mats, rho1.dim))
-
-
-def fock_partial_transpose(rho: FockDensityMatrix) -> FockDensityMatrix:
-    """Transpose the second mode's indices; preserves trace and Hermiticity."""
-    if rho.n_modes != 2:
-        raise DomainError("partial transpose needs a two-mode state")
-    d = rho.dim
-    arr = np.ascontiguousarray(
-        rho.data.reshape(d, d, d, d).transpose(0, 3, 2, 1)
-    ).reshape(d * d, d * d)
-    # The index permutation maps Hermitian matrices to Hermitian matrices
-    # entry for entry, so the validating constructor is not re-run.
-    return _wrap_hermitian_two_mode(arr)
-
-
-class LogNegativityResult(NamedTuple):
-    value: float
-    raw: float
-
-
 def _pt_block(mats: list, pos: np.ndarray, q: int) -> np.ndarray:
     """Class ``q`` block of the partial transpose, written from the class matrices.
 
-    Its basis, the states (n1, n2) with n1 + n2 = q mod the number of
-    classes, runs in groups by n2 mod that number, each ordered by n1, then
-    n2.  The rows of one m1 are then contiguous, and against each group of
-    columns they read one class matrix.
+    Its basis, the states (n1, n2) with n1 + n2 = q mod 2, runs in groups
+    by the parity of n2, each ordered by n1, then n2.  The rows of one m1
+    are then contiguous, and against each group of columns they read one
+    class matrix.
     """
-    classes = len(mats)
     x = np.arange(pos.shape[0])
-    groups = [(x[(x + g - q) % classes == 0], x[x % classes == g]) for g in range(classes)]
+    groups = [(x[(x + g - q) % 2 == 0], x[x % 2 == g]) for g in (0, 1)]
     size = sum(n1s.size * n2s.size for n1s, n2s in groups)
     block = np.empty((size, size), mats[0].dtype)
     row = 0
@@ -464,7 +376,7 @@ def _pt_block(mats: list, pos: np.ndarray, q: int) -> np.ndarray:
             for i, m1 in enumerate(m1s):
                 lo = row + i * m2s.size
                 state_rows = np.tile(pos[m1, n2s], n1s.size)
-                mat = mats[(m1 + g) % classes]
+                mat = mats[(m1 + g) % 2]
                 block[lo : lo + m2s.size, col : col + width] = mat[state_rows, state_cols]
             col += width
         row += m1s.size * m2s.size
@@ -481,9 +393,9 @@ def _pt_trace_norm(mats: list, dim: int) -> float:
     """
     from scipy.linalg import eigh
 
-    _, pos = _layout(dim, len(mats))
+    _, pos = _layout(dim)
     norm = 0.0
-    for q in range(len(mats)):
+    for q in (0, 1):
         block = _pt_block(mats, pos, q)
         # block.T is the Fortran-ordered view of a Hermitian matrix; its
         # eigenvalues are those of the block, and LAPACK works on it in place.
@@ -491,23 +403,6 @@ def _pt_trace_norm(mats: list, dim: int) -> float:
         norm += float(np.abs(eigenvalues).sum())
         del block  # before the next one is allocated
     return norm
-
-
-def fock_log_negativity(rho: FockDensityMatrix) -> LogNegativityResult:
-    """log2 of the trace norm of the partial transpose.
-
-    ``raw`` keeps the unclamped logarithm (slightly negative values arise
-    from truncation leakage); ``value`` is max{0, raw}.  The product-basis
-    matrix is gathered once into class matrices: two when it couples only
-    states of equal total-number parity (checked, not assumed), else one.
-    """
-    if rho.n_modes != 2:
-        raise DomainError("partial transpose needs a two-mode state")
-    d = rho.dim
-    classes = _parity_classes(rho.data, np.add.outer(np.arange(d), np.arange(d)).ravel())
-    flats, _ = _layout(d, classes)
-    raw = math.log2(_pt_trace_norm([rho.data[np.ix_(flat, flat)] for flat in flats], d))
-    return LogNegativityResult(max(0.0, raw), raw)
 
 
 @dataclass(frozen=True)
@@ -573,12 +468,15 @@ def compare_with_gaussian(params: ScenarioParams, cfg: OracleConfig) -> OracleCo
     steps of 20 up to 120; if the leakage budget still cannot be met the
     point is skipped with the measured leakage recorded.  Before a window
     is allocated, its predicted peak of ``_LIVE_COPIES`` matrices of W^4
-    entries (``_LIVE_COPIES_ONE_CLASS`` if the input fails the parity
-    check; 8 bytes an entry when both phases are zero, else 16) is
+    entries (8 bytes an entry when both phases are zero, else 16) is
     compared with the memory still available; a point that does not fit
     is skipped with a note starting "memory", since wider windows would
-    need more.
+    need more.  A starting cutoff above 120 raises ``DomainError``.
     """
+    if cfg.dim > _MAX_ESCALATION_DIM:
+        raise DomainError(
+            f"cutoff dimension {cfg.dim} exceeds the escalation cap {_MAX_ESCALATION_DIM}"
+        )
     n_gaussian = negativity_closed_form(params)
     dims = list(range(cfg.dim, _MAX_ESCALATION_DIM + 1, _ESCALATION_STEP))
     if dims[-1] != _MAX_ESCALATION_DIM:
@@ -592,12 +490,9 @@ def compare_with_gaussian(params: ScenarioParams, cfg: OracleConfig) -> OracleCo
         wide = fock_squeezed_thermal(params.spec(), probe)
         guard = _pick_guard(wide.data, dim, target)
         window = dim + guard
-        rho1 = FockDensityMatrix(wide.data[:window, :window], n_modes=1)
-        itemsize = np.result_type(rho1.data, _phase(params.phi)).itemsize
-        # The thermal input is diagonal, so the squeezed one decides the classes.
-        classes = _parity_classes(rho1.data, np.arange(window))
-        copies = _LIVE_COPIES if classes == 2 else _LIVE_COPIES_ONE_CLASS
-        need = copies * itemsize * window**4
+        rho1 = FockDensityMatrix(wide.data[:window, :window])
+        itemsize = 16 if params.phi != 0.0 or np.iscomplexobj(rho1.data) else 8
+        need = _LIVE_COPIES * itemsize * window**4
         free = _available_memory()
         if free is not None and need > free:
             note = f"memory: window {window} needs {need >> 20} MiB, {free >> 20} MiB available"

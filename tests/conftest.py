@@ -1,9 +1,15 @@
 """Helpers that only the tests use: reference states and dense operators."""
 
+import math
+
 import numpy as np
 
-from gaussbs.fock import FockDensityMatrix, _beam_splitter_sectors, _layout, annihilation
-from gaussbs.states import CovMat1, DomainError
+from gaussbs.fock import FockDensityMatrix, _beam_splitter_sectors
+from gaussbs.states import BeamSplitter, CovMat1
+
+
+def annihilation(dim: int) -> np.ndarray:
+    return np.diag(np.sqrt(np.arange(1.0, dim)), k=1)
 
 
 def coherent_state(alpha: complex, dim: int) -> np.ndarray:
@@ -18,9 +24,10 @@ def coherent_state(alpha: complex, dim: int) -> np.ndarray:
 
 
 def _beam_splitter_unitary(theta: float, phi: float, dim: int) -> np.ndarray:
-    """Dense form of the sector-blocked beam-splitter unitary."""
+    """Dense form of the sector-blocked beam-splitter unitary, index n1 * dim + n2."""
     blocks = _beam_splitter_sectors(theta, phi, dim)
-    (order,), _ = _layout(dim, 1)  # flat indices in sector order
+    n1, n2 = np.divmod(np.arange(dim * dim), dim)
+    order = np.lexsort((n1, n1 + n2))  # flat indices in sector order
     u = np.zeros((dim * dim, dim * dim), dtype=blocks[0].dtype)
     lo = 0
     for block in blocks:
@@ -30,10 +37,25 @@ def _beam_splitter_unitary(theta: float, phi: float, dim: int) -> np.ndarray:
     return u
 
 
+def dense_output(rho1: np.ndarray, rho2: np.ndarray, bs: BeamSplitter) -> np.ndarray:
+    """U (rho1 x rho2) U^ in the product basis, index n1 * dim + n2."""
+    u = _beam_splitter_unitary(bs.theta, bs.phi, rho1.shape[0])
+    return u @ np.kron(rho1, rho2) @ u.conj().T
+
+
+def partial_transpose(rho: np.ndarray) -> np.ndarray:
+    """Transpose the second mode's indices of a product-basis matrix."""
+    d = math.isqrt(rho.shape[0])
+    return rho.reshape(d, d, d, d).transpose(0, 3, 2, 1).reshape(d * d, d * d)
+
+
+def dense_pt_trace_norm(rho: np.ndarray) -> float:
+    """Trace norm of the partial transpose of a Hermitian product-basis matrix."""
+    return float(np.abs(np.linalg.eigvalsh(partial_transpose(rho))).sum())
+
+
 def covariance_from_fock(rho: FockDensityMatrix) -> CovMat1:
     """Second moments of a one-mode matrix as a covariance (a, b) pair."""
-    if rho.n_modes != 1:
-        raise DomainError("moment extraction implemented for one-mode states")
     a_op = annihilation(rho.dim)
     mean_n = float(np.trace(rho.data @ (a_op.T @ a_op)).real)
     mean_aa = complex(np.trace(rho.data @ (a_op @ a_op)))

@@ -11,11 +11,12 @@ import pytest
 from gaussbs import cli, fock
 from gaussbs.cli import (
     Axis,
+    Column,
     SweepGrid,
     evaluate_point,
     format_number,
     main,
-    write_records,
+    write_chunks,
 )
 from gaussbs.fock import OracleComparison
 from gaussbs.states import DomainError
@@ -537,6 +538,12 @@ class TestOracleCheckCommand:
         assert run("oracle-check", "--tau-list", "0.45") == 2
         assert "validity" in capsys.readouterr().err
 
+    def test_cutoff_above_escalation_cap_exits_2(self, capsys):
+        assert run("oracle-check", "--dim", "130") == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: cutoff dimension 130 exceeds the escalation cap 120\n"
+
     def test_report_file(self, tmp_path, capsys):
         out = tmp_path / "report.csv"
         code = run(
@@ -676,17 +683,19 @@ class TestSerialization:
         assert format_number(False) == "0"
 
     def test_infinity_token(self, tmp_path):
-        records = [
-            {"tau": 0.4, "nbar_c": math.inf, "infinite_threshold": True},
-            {"tau": 0.3, "nbar_c": 0.75, "infinite_threshold": False},
-        ]
+        columns = ["tau", "nbar_c", "infinite_threshold"]
+        chunk = {
+            "tau": Column([0.4, 0.3]),
+            "nbar_c": Column([math.inf, 0.75]),
+            "infinite_threshold": Column([True, False]),
+        }
         path = tmp_path / "inf.csv"
-        write_records(records, ["tau", "nbar_c", "infinite_threshold"], str(path), "csv")
+        write_chunks(str(path), columns, [(2, chunk)], "csv")
         lines = path.read_text().strip().splitlines()
         assert lines[1] == "0.4,inf,1"
         assert lines[2] == "0.3,0.75,0"
         path_jsonl = tmp_path / "inf.jsonl"
-        write_records(records, ["tau", "nbar_c", "infinite_threshold"], str(path_jsonl), "jsonl")
+        write_chunks(str(path_jsonl), columns, [(2, chunk)], "jsonl")
         row = json.loads(path_jsonl.read_text().splitlines()[0])
         assert row["nbar_c"] == "inf"
         assert row["infinite_threshold"] == 1

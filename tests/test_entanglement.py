@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from reference import critical_noise_bisection, pt_symplectic_spectrum_quadrature
 
 from gaussbs.cli import main
 from gaussbs.entanglement import (
@@ -12,7 +13,6 @@ from gaussbs.entanglement import (
     closed_form_terms,
     critical_noise,
     critical_noise_5050,
-    critical_noise_bisection,
     critical_noise_near_optimal,
     log_negativity,
     negativity_5050,
@@ -20,7 +20,6 @@ from gaussbs.entanglement import (
     optimal_angle,
     output_covariance,
     pt_symplectic_spectrum,
-    pt_symplectic_spectrum_quadrature,
 )
 from gaussbs.states import (
     BeamSplitter,

@@ -4,7 +4,16 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import _beam_splitter_unitary, coherent_state, covariance_from_fock, min_eigenvalue
+from conftest import (
+    _beam_splitter_unitary,
+    annihilation,
+    coherent_state,
+    covariance_from_fock,
+    dense_output,
+    dense_pt_trace_norm,
+    min_eigenvalue,
+    partial_transpose,
+)
 
 from gaussbs import fock
 from gaussbs.entanglement import ScenarioParams, negativity_closed_form
@@ -12,19 +21,16 @@ from gaussbs.fock import (
     FockDensityMatrix,
     OracleConfig,
     TruncationError,
-    annihilation,
     compare_with_gaussian,
-    fock_beam_splitter,
-    fock_log_negativity,
-    fock_partial_transpose,
     fock_squeezed_thermal,
     fock_thermal,
 )
 from gaussbs.fock import (
     _beam_splitter_sectors,
     _conjugated_classes,
+    _layout,
     _output_classes,
-    _product_basis,
+    _pt_block,
     _pt_trace_norm,
 )
 from gaussbs.states import (
@@ -35,6 +41,12 @@ from gaussbs.states import (
 )
 
 CFG = OracleConfig(dim=30, tol_trace=1e-6)
+
+
+def _oracle_log_negativity(rho1, rho2, bs, cfg) -> float:
+    """The oracle's log2 trace norm of the partial transpose of U (rho1 x rho2) U^, unclamped."""
+    mats, _ = _output_classes(rho1, rho2, bs, cfg)
+    return math.log2(_pt_trace_norm(mats, rho1.dim))
 
 
 class TestStateBuilders:
@@ -96,6 +108,32 @@ class TestStateBuilders:
         with pytest.raises(DomainError):
             fock_thermal(-0.5, CFG)
 
+    @pytest.mark.parametrize("dim", [40, 100])
+    @pytest.mark.parametrize("phi_b", [0.0, 0.7, 4.0])
+    def test_squeezer_is_expm_of_the_generator(self, dim, phi_b):
+        from scipy.linalg import expm
+
+        spec = GaussianSpec(0.3, 0.5, phi_b)
+        work = dim + fock._WORK_MARGIN
+        a = annihilation(work)
+        r = -0.5 * math.log(spec.u * (1.0 - 2.0 * spec.tau))
+        xi = r * cmath.exp(1j * phi_b)
+        squeezer = expm(0.5 * (xi.conjugate() * (a @ a) - xi * (a.T @ a.T)) + 0j)
+        seed = np.diag(fock._thermal_weights((1.0 - spec.u) / (2.0 * spec.u), work))
+        expected = (squeezer @ seed @ squeezer.conj().T)[:dim, :dim]
+        rho = fock_squeezed_thermal(spec, OracleConfig(dim=dim, tol_trace=1.0))
+        assert rho.data.dtype == (np.float64 if phi_b == 0.0 else np.complex128)
+        assert np.abs(rho.data - expected).max() < 1e-13
+
+    @pytest.mark.parametrize("phi_b", [0.0, 0.7])
+    def test_squeezer_has_no_cross_parity_entries(self, phi_b):
+        cfg = OracleConfig(dim=41, tol_trace=1.0)
+        rho = fock_squeezed_thermal(GaussianSpec(0.3, 0.5, phi_b), cfg)
+        n = np.arange(41)
+        cross = rho.data[(n[:, None] - n) % 2 == 1]
+        assert np.all(cross == 0.0)
+        assert np.abs(rho.data[0, 2]) > 0.1
+
 
 class TestBeamSplitterUnitary:
     def test_zero_angle_identity(self):
@@ -139,18 +177,18 @@ class TestBeamSplitterUnitary:
     def test_product_input_zero_angle(self):
         rho1 = fock_squeezed_thermal(GaussianSpec(0.2, 0.9, 0.3), CFG)
         rho2 = fock_thermal(0.5, CFG)
-        out = fock_beam_splitter(rho1, rho2, BeamSplitter(0.0, 0.4), CFG)
-        assert np.abs(out.data - np.kron(rho1.data, rho2.data)).max() < 1e-13
+        out = dense_output(rho1.data, rho2.data, BeamSplitter(0.0, 0.4))
+        assert np.abs(out - np.kron(rho1.data, rho2.data)).max() < 1e-13
 
     def test_coherent_inputs_stay_product(self):
         dim = 25
         cfg = OracleConfig(dim=dim, tol_trace=1e-6)
         psi1 = coherent_state(0.5, dim)
         psi2 = coherent_state(0.4j, dim)
-        rho1 = FockDensityMatrix(np.outer(psi1, psi1.conj()), n_modes=1)
-        rho2 = FockDensityMatrix(np.outer(psi2, psi2.conj()), n_modes=1)
-        out = fock_beam_splitter(rho1, rho2, BeamSplitter(math.pi / 4, 0.7), cfg)
-        arr = out.data.reshape(dim, dim, dim, dim)
+        rho1, rho2 = np.outer(psi1, psi1.conj()), np.outer(psi2, psi2.conj())
+        out = dense_output(rho1, rho2, BeamSplitter(math.pi / 4, 0.7))
+        assert abs(1.0 - np.trace(out).real) <= cfg.tol_trace
+        arr = out.reshape(dim, dim, dim, dim)
         red1 = np.trace(arr, axis1=1, axis2=3)
         red2 = np.trace(arr, axis1=0, axis2=2)
         for red in (red1, red2):
@@ -163,72 +201,61 @@ class TestBeamSplitterUnitary:
         vac[0, 0] = 1.0
         one = np.zeros((dim, dim), dtype=complex)
         one[1, 1] = 1.0
-        out = fock_beam_splitter(
-            FockDensityMatrix(vac, 1), FockDensityMatrix(one, 1), BeamSplitter(math.pi / 4), cfg
-        )
-        arr = out.data.reshape(dim, dim, dim, dim)
+        out = dense_output(vac, one, BeamSplitter(math.pi / 4))
+        assert abs(1.0 - np.trace(out).real) <= cfg.tol_trace
+        arr = out.reshape(dim, dim, dim, dim)
         red1 = np.trace(arr, axis1=1, axis2=3)
         red2 = np.trace(arr, axis1=0, axis2=2)
         n_op = np.diag(np.arange(dim))
         assert np.trace(red1 @ n_op).real == pytest.approx(0.5, abs=1e-12)
         assert np.trace(red2 @ n_op).real == pytest.approx(0.5, abs=1e-12)
 
-    def test_dim_mismatch_rejected(self):
-        rho1 = fock_thermal(0.1, OracleConfig(dim=10))
-        rho2 = fock_thermal(0.1, OracleConfig(dim=12))
-        with pytest.raises(DomainError):
-            fock_beam_splitter(rho1, rho2, BeamSplitter(0.3), OracleConfig(dim=10))
-
 
 class TestPartialTransposeAndNegativity:
     def test_pt_preserves_trace_and_hermiticity(self):
         rho1 = fock_squeezed_thermal(GaussianSpec(0.2, 0.8, 0.5), CFG)
         rho2 = fock_thermal(0.3, CFG)
-        out = fock_beam_splitter(rho1, rho2, BeamSplitter(0.7, 0.2), CFG)
-        pt = fock_partial_transpose(out)
-        assert pt.trace == pytest.approx(out.trace, abs=1e-14)
-        assert np.abs(pt.data - pt.data.conj().T).max() == 0.0
-        back = fock_partial_transpose(pt)
-        assert np.abs(back.data - out.data).max() == 0.0
+        out = dense_output(rho1.data, rho2.data, BeamSplitter(0.7, 0.2))
+        out = 0.5 * (out + out.conj().T)
+        pt = partial_transpose(out)
+        assert np.trace(pt).real == pytest.approx(np.trace(out).real, abs=1e-14)
+        assert np.abs(pt - pt.conj().T).max() == 0.0
+        back = partial_transpose(pt)
+        assert np.abs(back - out).max() == 0.0
 
     def test_product_state_zero_negativity(self):
         rho1 = fock_squeezed_thermal(GaussianSpec(0.2, 0.9, 0.0), CFG)
         rho2 = fock_thermal(0.4, CFG)
-        product = FockDensityMatrix(np.kron(rho1.data, rho2.data), n_modes=2)
-        assert fock_log_negativity(product).value == 0.0
+        product = np.kron(rho1.data, rho2.data)
+        assert max(0.0, math.log2(dense_pt_trace_norm(product))) == 0.0
 
     def test_pure_squeezed_5050_half_bit(self):
         p = ScenarioParams(0.25, 1.0, 0.0, math.pi / 4)
         rho1 = fock_squeezed_thermal(p.spec(), CFG)
         rho2 = fock_thermal(0.0, CFG)
-        out = fock_beam_splitter(rho1, rho2, p.splitter(), CFG)
-        assert fock_log_negativity(out).value == pytest.approx(0.5, abs=1e-3)
+        raw = _oracle_log_negativity(rho1, rho2, p.splitter(), CFG)
+        assert max(0.0, raw) == pytest.approx(0.5, abs=1e-3)
 
     def test_zero_at_critical_point(self):
         p = ScenarioParams(0.3, 1.0, 0.75, math.pi / 12)
         cfg = OracleConfig(dim=40, tol_trace=1e-6)
         rho1 = fock_squeezed_thermal(p.spec(), cfg)
         rho2 = fock_thermal(0.75, cfg)
-        out = fock_beam_splitter(rho1, rho2, p.splitter(), cfg)
-        assert fock_log_negativity(out).value == pytest.approx(0.0, abs=1e-3)
+        raw = _oracle_log_negativity(rho1, rho2, p.splitter(), cfg)
+        assert max(0.0, raw) == pytest.approx(0.0, abs=1e-3)
 
     def test_raw_value_reported(self):
         rho1 = fock_thermal(0.2, CFG)
         rho2 = fock_thermal(0.4, CFG)
-        out = fock_beam_splitter(rho1, rho2, BeamSplitter(0.5), CFG)
-        result = fock_log_negativity(out)
-        assert result.raw <= 1e-12
-        assert result.value <= 1e-12
-
-    def test_rejects_one_mode_input(self):
-        with pytest.raises(DomainError):
-            fock_log_negativity(fock_thermal(0.2, CFG))
+        raw = _oracle_log_negativity(rho1, rho2, BeamSplitter(0.5), CFG)
+        assert raw <= 1e-12
+        assert max(0.0, raw) <= 1e-12
 
     def test_non_hermitian_rejected(self):
         data = np.zeros((9, 9), dtype=complex)
         data[0, 1] = 1.0
         with pytest.raises(DomainError):
-            FockDensityMatrix(data, n_modes=2)
+            FockDensityMatrix(data)
 
 
 class TestComparisonHarness:
@@ -277,51 +304,49 @@ class TestComparisonHarness:
 class TestDtypeFollowsPhases:
     ROTATIONS = ((0.0, 0.0), (0.7, 1.1))
 
-    def _output(self, phi, phi_b):
+    def _inputs(self, phi, phi_b):
         p = ScenarioParams(0.2, 0.9, 0.3, math.pi / 4, phi, phi_b)
-        rho1 = fock_squeezed_thermal(p.spec(), CFG)
-        rho2 = fock_thermal(p.nbar, CFG)
-        return fock_beam_splitter(rho1, rho2, p.splitter(), CFG)
+        return fock_squeezed_thermal(p.spec(), CFG), fock_thermal(p.nbar, CFG), p.splitter()
 
     def test_two_mode_dtype(self):
+        _, pos = _layout(CFG.dim)
         for (phi, phi_b), dtype in zip(self.ROTATIONS, (np.float64, np.complex128)):
-            out = self._output(phi, phi_b)
-            assert out.data.dtype == dtype
-            assert fock_partial_transpose(out).data.dtype == dtype
+            rho1, rho2, bs = self._inputs(phi, phi_b)
+            mats, _ = _output_classes(rho1, rho2, bs, CFG)
+            assert [mat.dtype for mat in mats] == [dtype, dtype]
+            assert [_pt_block(mats, pos, q).dtype for q in (0, 1)] == [dtype, dtype]
 
     def test_log_negativity_same_in_both_dtypes(self):
-        values = [fock_log_negativity(self._output(*phases)).raw for phases in self.ROTATIONS]
+        values = [
+            _oracle_log_negativity(*self._inputs(*phases), CFG) for phases in self.ROTATIONS
+        ]
         assert values[0] > 0.01
         assert values[1] == pytest.approx(values[0], abs=1e-9)
 
     def test_sector_conjugate_matches_dense(self):
-        # Arbitrary Hermitian inputs in one class; inputs with only
-        # even-parity couplings in two.
+        # Hermitian inputs with only even-parity couplings, real and complex.
         dim = 8
         rng = np.random.default_rng(7)
         n = np.arange(dim)
         parity_mask = (n[:, None] - n) % 2 == 0
         z = rng.standard_normal((2, dim, dim)) + 1j * rng.standard_normal((2, dim, dim))
+        flats, _ = _layout(dim)
         for pair in (z.real + z.real.swapaxes(1, 2), z + z.conj().swapaxes(1, 2)):
-            for classes, mask in ((1, True), (2, parity_mask)):
-                rho1, rho2 = pair * mask
-                rho = np.kron(rho1, rho2)
-                for phi in (0.0, 0.4):
-                    u = _beam_splitter_unitary(0.7, phi, dim)
-                    blocks = _beam_splitter_sectors(0.7, phi, dim)
-                    mats = _conjugated_classes(rho1, rho2, blocks, classes)
-                    got = _product_basis(mats, dim)
+            rho1, rho2 = pair * parity_mask
+            rho = np.kron(rho1, rho2)
+            for phi in (0.0, 0.4):
+                u = _beam_splitter_unitary(0.7, phi, dim)
+                blocks = _beam_splitter_sectors(0.7, phi, dim)
+                mats = _conjugated_classes(rho1, rho2, blocks)
+                expected = u @ rho @ u.conj().T
+                assert np.abs(expected[np.ix_(flats[0], flats[1])]).max() < 1e-12
+                for flat, got in zip(flats, mats):
                     assert got.dtype == np.result_type(rho, u)
-                    assert np.abs(got - u @ rho @ u.conj().T).max() < 1e-12
+                    assert np.abs(got - expected[np.ix_(flat, flat)]).max() < 1e-12
 
     def test_real_input_stays_real(self):
-        rho = FockDensityMatrix(np.diag([0.75, 0.25]), n_modes=1)
+        rho = FockDensityMatrix(np.diag([0.75, 0.25]))
         assert rho.data.dtype == np.float64
-
-
-def _dense_trace_norm(rho: np.ndarray) -> float:
-    pt = fock_partial_transpose(FockDensityMatrix(rho, n_modes=2))
-    return float(np.abs(np.linalg.eigvalsh(pt.data)).sum())
 
 
 class TestParityClasses:
@@ -344,29 +369,12 @@ class TestParityClasses:
         cfg = OracleConfig(dim=dim, tol_trace=1.0)
         rho1 = fock_squeezed_thermal(p.spec(), cfg)
         rho2 = fock_thermal(p.nbar, cfg)
-        u = _beam_splitter_unitary(p.theta, p.phi, dim)
-        dense = u @ np.kron(rho1.data, rho2.data) @ u.conj().T
-        expected = _dense_trace_norm(dense)
+        dense = dense_output(rho1.data, rho2.data, p.splitter())
+        expected = dense_pt_trace_norm(dense)
         mats, _ = _output_classes(rho1, rho2, p.splitter(), cfg)
         assert len(mats) == 2
         assert mats[0].dtype == dense.dtype
         assert _pt_trace_norm(mats, dim) == pytest.approx(expected, abs=1e-12)
-        by_product = fock_log_negativity(FockDensityMatrix(dense, n_modes=2)).raw
-        assert by_product == pytest.approx(math.log2(expected), abs=1e-12)
-
-    def test_coherent_inputs_take_one_class(self):
-        dim = 12
-        cfg = OracleConfig(dim=dim, tol_trace=1.0)
-        psi1, psi2 = coherent_state(0.5 + 0.2j, dim), coherent_state(-0.3, dim)
-        rho1 = FockDensityMatrix(np.outer(psi1, psi1.conj()), n_modes=1)
-        rho2 = FockDensityMatrix(np.outer(psi2, psi2.conj()), n_modes=1)
-        bs = BeamSplitter(0.6, 0.9)
-        mats, _ = _output_classes(rho1, rho2, bs, cfg)
-        assert len(mats) == 1
-        u = _beam_splitter_unitary(bs.theta, bs.phi, dim)
-        dense = u @ np.kron(rho1.data, rho2.data) @ u.conj().T
-        assert np.abs(_product_basis(mats, dim) - dense).max() < 1e-12
-        assert _pt_trace_norm(mats, dim) == pytest.approx(_dense_trace_norm(dense), abs=1e-12)
 
 
 class TestMemoryPrecheck:
@@ -380,9 +388,8 @@ class TestMemoryPrecheck:
         try:
             base = tracemalloc.get_traced_memory()[0]
             mats, _ = _output_classes(rho1, rho2, bs, OracleConfig(dim=dim, tol_trace=1.0))
-            classes = len(mats)
             _pt_trace_norm(mats, dim)
-            return classes, tracemalloc.get_traced_memory()[1] - base
+            return tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
 
@@ -394,29 +401,8 @@ class TestMemoryPrecheck:
         rho1 = fock_squeezed_thermal(p.spec(), cfg)
         rho2 = fock_thermal(p.nbar, cfg)
         itemsize = 8 if phases == (0.0, 0.0) else 16
-        classes, peak = self._stage_peak(rho1, rho2, p.splitter(), dim)
-        assert classes == 2
+        peak = self._stage_peak(rho1, rho2, p.splitter(), dim)
         assert peak <= fock._LIVE_COPIES * itemsize * dim**4
-
-    def test_one_class_stage_peak(self):
-        dim = 24
-        psi = coherent_state(0.5 + 0.2j, dim)
-        rho1 = FockDensityMatrix(np.outer(psi, psi.conj()), n_modes=1)
-        rho2 = fock_thermal(0.3, OracleConfig(dim=dim))
-        classes, peak = self._stage_peak(rho1, rho2, BeamSplitter(0.6, 0.9), dim)
-        assert classes == 1
-        assert peak <= fock._LIVE_COPIES_ONE_CLASS * 16 * dim**4
-
-    def test_one_class_inputs_need_more_memory(self, monkeypatch):
-        cfg = OracleConfig(dim=30, tol_trace=1e-6)
-        monkeypatch.setattr(fock, "_available_memory", lambda: None)
-        real = compare_with_gaussian(self.POINT, cfg)
-        window = real.dim_used + int(real.note.partition("guard=")[2] or 0)
-        budget = 8 * (fock._LIVE_COPIES + fock._LIVE_COPIES_ONE_CLASS) // 2 * window**4
-        monkeypatch.setattr(fock, "_available_memory", lambda: budget)
-        assert compare_with_gaussian(self.POINT, cfg).status == "pass"
-        monkeypatch.setattr(fock, "_parity_classes", lambda *args: 1)
-        assert compare_with_gaussian(self.POINT, cfg).note.startswith("memory")
 
     def test_skip_before_allocating(self, monkeypatch):
         def no_allocation(*args):
@@ -456,6 +442,15 @@ class TestConfigValidation:
     def test_dim_lower_bound(self):
         with pytest.raises(DomainError):
             OracleConfig(dim=3)
+
+    def test_cutoff_above_escalation_cap_rejected(self, monkeypatch):
+        def no_work(*args):
+            raise AssertionError("work started")
+
+        monkeypatch.setattr(fock, "negativity_closed_form", no_work)
+        monkeypatch.setattr(fock, "fock_squeezed_thermal", no_work)
+        with pytest.raises(DomainError, match="120"):
+            compare_with_gaussian(ScenarioParams(0.2, 0.8, 0.1, math.pi / 4), OracleConfig(dim=121))
 
     def test_positive_tolerances(self):
         with pytest.raises(DomainError):
