@@ -49,13 +49,10 @@ from .channels import (
     thermal_substitution,
 )
 from .fock import (
-    FockDensityMatrix,
     OracleComparison,
     OracleConfig,
-    TruncationError,
     compare_with_gaussian,
     fock_squeezed_thermal,
-    fock_thermal,
 )
 
 __version__ = "0.1.0"

@@ -267,8 +267,6 @@ def format_number(value) -> str:
 def _json_cell(value) -> str:
     if isinstance(value, (bool, int)):
         return str(int(value))
-    if isinstance(value, str):
-        return json.dumps(value)
     if math.isinf(value):
         return '"inf"'
     return json.dumps(float(format_number(value)))

@@ -28,11 +28,11 @@ peaks at about 3/4 of a matrix of ``W^4`` entries (``_LIVE_COPIES``,
 rounded up).  A point whose window would not fit in the memory still
 available is skipped with the note "memory" instead of being allocated.
 
-Truncation is handled honestly: every builder measures the probability
-mass lost at the cutoff and raises ``TruncationError`` when it exceeds the
-configured budget instead of silently renormalizing.  The comparison
-harness escalates the cutoff in steps of 20 up to 120 and records a skip
-if even that is not enough.
+Truncation is handled honestly, never by renormalizing: the comparison
+harness checks the mass lost by the squeezed window, the thermal tail and
+the two-mode output, in that order, against the budget ``tol_trace``,
+escalates the cutoff past any stage over budget in steps of 20 up to 120,
+and records a skip if even that is not enough.
 """
 
 from __future__ import annotations
@@ -80,18 +80,6 @@ _CGROUP_MEMORY_FILES = (
 )
 
 
-class TruncationError(RuntimeError):
-    """Cutoff too small: measured leakage above the configured budget."""
-
-    def __init__(self, leakage: float, dim: int, tol: float):
-        super().__init__(
-            f"truncation leakage {leakage:.3e} exceeds {tol:.3e} at dim={dim}; "
-            "increase the cutoff"
-        )
-        self.leakage = leakage
-        self.dim = dim
-
-
 @dataclass(frozen=True)
 class OracleConfig:
     """Cutoff and tolerances for the Fock-space checks."""
@@ -106,40 +94,6 @@ class OracleConfig:
         if not (self.tol_trace > 0.0 and self.tol_compare > 0.0):
             raise DomainError("tolerances must be positive")
         object.__setattr__(self, "dim", int(self.dim))
-
-
-@dataclass(frozen=True, eq=False)
-class FockDensityMatrix:
-    """Hermitian operator on one truncated mode.
-
-    The trace may fall short of 1 by the truncation leakage, which is
-    reported through ``leakage`` rather than hidden by renormalization.
-    Real input is stored as float64 and complex input as complex128; the
-    stored matrix is the Hermitian part of a copy of the input, which must
-    be Hermitian to within ``_HERMITICITY_TOL``.
-    """
-
-    data: np.ndarray
-
-    def __post_init__(self):
-        data = np.array(self.data, dtype=complex if np.iscomplexobj(self.data) else float)
-        if data.ndim != 2 or data.shape[0] != data.shape[1]:
-            raise DomainError("density matrix must be square")
-        _hermitize(data)
-        data.setflags(write=False)
-        object.__setattr__(self, "data", data)
-
-    @property
-    def dim(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def trace(self) -> float:
-        return float(np.trace(self.data).real)
-
-    @property
-    def leakage(self) -> float:
-        return abs(1.0 - self.trace)
 
 
 def _hermitize(a: np.ndarray) -> None:
@@ -185,18 +139,7 @@ def _thermal_weights(nbar: float, dim: int) -> np.ndarray:
     return (nbar / (nbar + 1.0)) ** n / (nbar + 1.0)
 
 
-def fock_thermal(nbar: float, cfg: OracleConfig) -> FockDensityMatrix:
-    """Truncated thermal state: geometric weights nbar^n / (nbar+1)^(n+1)."""
-    if nbar < 0.0:
-        raise DomainError(f"thermal occupation must satisfy nbar >= 0, got {nbar}")
-    weights = _thermal_weights(nbar, cfg.dim)
-    leakage = abs(1.0 - weights.sum())
-    if leakage > cfg.tol_trace:
-        raise TruncationError(leakage, cfg.dim, cfg.tol_trace)
-    return FockDensityMatrix(np.diag(weights))
-
-
-def fock_squeezed_thermal(spec: GaussianSpec, cfg: OracleConfig) -> FockDensityMatrix:
+def fock_squeezed_thermal(spec: GaussianSpec, dim: int) -> np.ndarray:
     """S rho_th S^ with the thermal seed and squeezing matched to (tau, u).
 
     The seed occupation is (1 - u) / (2 u) (the symplectic eigenvalue
@@ -206,29 +149,35 @@ def fock_squeezed_thermal(spec: GaussianSpec, cfg: OracleConfig) -> FockDensityM
     The generator r (a a - a^ a^) / 2 couples n with n + 2 only, so the
     squeezer is one real tridiagonal block per Fock parity, exponentiated
     on a working space ``dim + _WORK_MARGIN`` wide and then compressed; the
-    delivered matrix agrees with the exact state up to the reported tail
-    leakage, and its entries between Fock numbers of opposite parity are
-    exactly zero.  The phase is a rotation, S(r e^{i phi_b}) =
-    R S(r) R^ with R = diag(e^{i n phi_b / 2}), which commutes with the
-    diagonal seed.  Real when ``phi_b == 0``.
+    returned matrix agrees with the exact state up to its tail leakage, and
+    its entries between Fock numbers of opposite parity are exactly zero.
+    The phase is a rotation, S(r e^{i phi_b}) = R S(r) R^ with
+    R = diag(e^{i n phi_b / 2}), which commutes with the diagonal seed.
+    Exactly Hermitian; float64 when ``phi_b == 0``, else complex128.  A
+    ``dim`` that is not an integer >= 1 raises ``DomainError``.
     """
+    if not isinstance(dim, (int, np.integer)) or dim < 1:
+        raise DomainError(f"cutoff dimension must be an integer >= 1, got {dim!r}")
     nbar_seed = (1.0 - spec.u) / (2.0 * spec.u)
     r = -0.5 * math.log(spec.u * (1.0 - 2.0 * spec.tau))
-    work = cfg.dim + _WORK_MARGIN
+    work = dim + _WORK_MARGIN
     seed = _thermal_weights(nbar_seed, work)
-    rho = np.zeros((cfg.dim, cfg.dim))
+    rho = np.zeros((dim, dim))
     for parity in (0, 1):
         # a^2 sends n + 2 -> n with amplitude sqrt((n + 1)(n + 2)).
         n = np.arange(parity, work - 2, 2)
         block = _sector_block(-0.5 * r * np.sqrt((n + 1.0) * (n + 2.0)))
-        rows = block[: len(range(parity, cfg.dim, 2))]
+        rows = block[: len(range(parity, dim, 2))]
         rho[parity::2, parity::2] = (rows * seed[parity::2]) @ rows.T
     if spec.phi_b != 0.0:
         rho = _rotated(rho, 0.5 * spec.phi_b)
-    leakage = abs(1.0 - np.trace(rho).real)
-    if leakage > cfg.tol_trace:
-        raise TruncationError(leakage, cfg.dim, cfg.tol_trace)
-    return FockDensityMatrix(rho)
+    _hermitize(rho)
+    return rho
+
+
+def _leakage(rho: np.ndarray) -> float:
+    """Probability mass missing from ``rho``: |1 - trace|."""
+    return abs(1.0 - float(np.trace(rho).real))
 
 
 def _sector_block(hop: np.ndarray) -> np.ndarray:
@@ -333,23 +282,17 @@ def _conjugated_classes(rho1: np.ndarray, rho2: np.ndarray, blocks) -> list:
     return out
 
 
-def _output_classes(
-    rho1: FockDensityMatrix,
-    rho2: FockDensityMatrix,
-    bs: BeamSplitter,
-    cfg: OracleConfig,
-) -> tuple[list, float]:
-    """U (rho1 x rho2) U^ as its two class matrices, Hermitian averaged and trace checked.
+def _output_classes(rho1: np.ndarray, rho2: np.ndarray, bs: BeamSplitter) -> tuple[list, float]:
+    """U (rho1 x rho2) U^ as its two class matrices, Hermitian averaged.
 
-    Returns the matrices and the leakage.
+    Returns the matrices and their leakage, |1 - total trace|; comparing it
+    with a budget is the caller's decision.
     """
-    sectors = _beam_splitter_sectors(bs.theta, bs.phi, rho1.dim)
-    mats = _conjugated_classes(rho1.data, rho2.data, sectors)
+    sectors = _beam_splitter_sectors(bs.theta, bs.phi, rho1.shape[0])
+    mats = _conjugated_classes(rho1, rho2, sectors)
     for mat in mats:
         _hermitize(mat)
     leakage = abs(1.0 - sum(np.trace(mat).real for mat in mats))
-    if leakage > cfg.tol_trace:
-        raise TruncationError(leakage, rho1.dim, cfg.tol_trace)
     return mats, leakage
 
 
@@ -465,8 +408,10 @@ def compare_with_gaussian(params: ScenarioParams, cfg: OracleConfig) -> OracleCo
     partial-transpose trace norm amplifies whatever probability mass the
     window misses, so the window is widened until the measured tail loss
     sits well below the comparison tolerance.  Base dimensions grow in
-    steps of 20 up to 120; if the leakage budget still cannot be met the
-    point is skipped with the measured leakage recorded.  Before a window
+    steps of 20 up to 120, past any cutoff at which the window, the thermal
+    tail or the output, checked in that order, leaks more than
+    ``cfg.tol_trace``; a point still over budget at 120 is skipped with the
+    first such leakage, and a verdict reports the largest.  Before a window
     is allocated, its predicted peak of ``_LIVE_COPIES`` matrices of W^4
     entries (8 bytes an entry when both phases are zero, else 16) is
     compared with the memory still available; a point that does not fit
@@ -484,36 +429,32 @@ def compare_with_gaussian(params: ScenarioParams, cfg: OracleConfig) -> OracleCo
     last_leakage = math.nan
     target = cfg.tol_compare / _GUARD_SAFETY
     for dim in dims:
-        probe = OracleConfig(
-            dim=dim + _COMPARE_GUARDS[-1], tol_trace=1.0, tol_compare=cfg.tol_compare
-        )
-        wide = fock_squeezed_thermal(params.spec(), probe)
-        guard = _pick_guard(wide.data, dim, target)
+        wide = fock_squeezed_thermal(params.spec(), dim + _COMPARE_GUARDS[-1])
+        guard = _pick_guard(wide, dim, target)
         window = dim + guard
-        rho1 = FockDensityMatrix(wide.data[:window, :window])
-        itemsize = 16 if params.phi != 0.0 or np.iscomplexobj(rho1.data) else 8
+        rho1 = wide[:window, :window]
+        itemsize = 16 if params.phi != 0.0 or np.iscomplexobj(rho1) else 8
         need = _LIVE_COPIES * itemsize * window**4
         free = _available_memory()
         if free is not None and need > free:
             note = f"memory: window {window} needs {need >> 20} MiB, {free >> 20} MiB available"
             return OracleComparison(
-                params, n_gaussian, math.nan, math.nan, rho1.leakage, dim, "skip", note
+                params, n_gaussian, math.nan, math.nan, _leakage(rho1), dim, "skip", note
             )
-        attempt = OracleConfig(dim=window, tol_trace=cfg.tol_trace, tol_compare=cfg.tol_compare)
-        try:
-            if rho1.leakage > cfg.tol_trace:
-                raise TruncationError(rho1.leakage, window, cfg.tol_trace)
-            rho2 = fock_thermal(params.nbar, attempt)
-            mats, out_leakage = _output_classes(rho1, rho2, params.splitter(), attempt)
-        except TruncationError as err:
-            last_leakage = err.leakage
+        rho2 = np.diag(_thermal_weights(params.nbar, window))
+        leakages = [_leakage(rho1), _leakage(rho2)]
+        if not any(leakage > cfg.tol_trace for leakage in leakages):
+            mats, out_leakage = _output_classes(rho1, rho2, params.splitter())
+            leakages.append(out_leakage)
+        over = [leakage for leakage in leakages if leakage > cfg.tol_trace]
+        if over:
+            last_leakage = over[0]
             continue
         n_fock = max(0.0, math.log2(_pt_trace_norm(mats, window)))
         diff = abs(n_gaussian - n_fock)
-        leakage = max(rho1.leakage, rho2.leakage, out_leakage)
         status = "pass" if diff <= cfg.tol_compare else "fail"
         note = f"guard={guard}" if guard else ""
-        return OracleComparison(params, n_gaussian, n_fock, diff, leakage, dim, status, note)
+        return OracleComparison(params, n_gaussian, n_fock, diff, max(leakages), dim, status, note)
     return OracleComparison(
         params,
         n_gaussian,

@@ -4,8 +4,13 @@ import math
 
 import numpy as np
 
-from gaussbs.fock import FockDensityMatrix, _beam_splitter_sectors
+from gaussbs.fock import _beam_splitter_sectors, _thermal_weights
 from gaussbs.states import BeamSplitter, CovMat1
+
+
+def thermal(nbar: float, dim: int) -> np.ndarray:
+    """The oracle's truncated thermal input: geometric weights on the diagonal."""
+    return np.diag(_thermal_weights(nbar, dim))
 
 
 def annihilation(dim: int) -> np.ndarray:
@@ -54,13 +59,13 @@ def dense_pt_trace_norm(rho: np.ndarray) -> float:
     return float(np.abs(np.linalg.eigvalsh(partial_transpose(rho))).sum())
 
 
-def covariance_from_fock(rho: FockDensityMatrix) -> CovMat1:
+def covariance_from_fock(rho: np.ndarray) -> CovMat1:
     """Second moments of a one-mode matrix as a covariance (a, b) pair."""
-    a_op = annihilation(rho.dim)
-    mean_n = float(np.trace(rho.data @ (a_op.T @ a_op)).real)
-    mean_aa = complex(np.trace(rho.data @ (a_op @ a_op)))
+    a_op = annihilation(rho.shape[0])
+    mean_n = float(np.trace(rho @ (a_op.T @ a_op)).real)
+    mean_aa = complex(np.trace(rho @ (a_op @ a_op)))
     return CovMat1(mean_n + 0.5, -mean_aa)
 
 
-def min_eigenvalue(rho: FockDensityMatrix) -> float:
-    return float(np.linalg.eigvalsh(rho.data).min())
+def min_eigenvalue(rho: np.ndarray) -> float:
+    return float(np.linalg.eigvalsh(rho).min())

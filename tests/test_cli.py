@@ -747,10 +747,10 @@ from gaussbs import cli
 cli.build_parser()
 loaded = [m for m in ("scipy.linalg", "scipy.constants") if m in sys.modules]
 assert not loaded, loaded
-from gaussbs.fock import OracleConfig, fock_squeezed_thermal
+from gaussbs.fock import fock_squeezed_thermal
 from gaussbs.states import GaussianSpec
-rho = fock_squeezed_thermal(GaussianSpec(0.2, 0.9), OracleConfig(dim=8, tol_trace=1e-2))
-assert rho.dim == 8 and "scipy.linalg" in sys.modules
+rho = fock_squeezed_thermal(GaussianSpec(0.2, 0.9), 8)
+assert rho.shape == (8, 8) and "scipy.linalg" in sys.modules
 """
         src = str(Path(cli.__file__).resolve().parents[1])
         env = {**os.environ, "PYTHONPATH": src}

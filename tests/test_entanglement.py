@@ -274,6 +274,20 @@ class TestCriticalNoise:
             got = critical_noise(0.3, 1.0, theta)
             assert got.value == pytest.approx(0.75, abs=1e-9)
 
+    @pytest.mark.xfail(
+        strict=True,
+        reason="m* - 1 cancels at small tau: relative error 6.8e-5 at tau = 1e-6, then 0 or "
+        "a math domain error; a cancellation-free form moves the pinned threshold digests",
+    )
+    @pytest.mark.parametrize("theta", [math.pi / 8, 0.3, math.pi / 4])
+    @pytest.mark.parametrize("tau", [1e-6, 1e-8, 1e-10])
+    def test_pure_state_small_tau(self, tau, theta):
+        # u = 1: the paper's threshold tau / (1 - 2 tau) at every mixing angle
+        exact = tau / (1.0 - 2.0 * tau)
+        got = critical_noise(tau, 1.0, theta)
+        assert got.flag == "ok"
+        assert abs(got.value - exact) <= 1e-9 * exact
+
     def test_classical_input_flag(self):
         got = critical_noise(0.0, 0.5, math.pi / 4)
         assert got == CriticalNoise(0.0, "classical-input")
@@ -329,6 +343,16 @@ class TestNearOptimal:
             assert critical_noise_near_optimal(0.35, 1.0, e) == pytest.approx(
                 0.35 / 0.3, abs=1e-14
             )
+
+    @pytest.mark.parametrize("e", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_error(self, e):
+        with pytest.raises(DomainError, match="finite"):
+            critical_noise_near_optimal(0.3, 0.6, e)
+
+    def test_pure_classical_input_is_zero(self):
+        # u = 1, tau = 0 zeroes the denominator of the correction; no threshold
+        for e in (0.0, 0.1, -0.2):
+            assert critical_noise_near_optimal(0.0, 1.0, e) == 0.0
 
     def test_against_exact_solver(self):
         # theta = (pi + 2e)/4 is the detuned angle for transmittance error e

@@ -13,22 +13,18 @@ from conftest import (
     dense_pt_trace_norm,
     min_eigenvalue,
     partial_transpose,
+    thermal,
 )
 
 from gaussbs import fock
 from gaussbs.entanglement import ScenarioParams, negativity_closed_form
-from gaussbs.fock import (
-    FockDensityMatrix,
-    OracleConfig,
-    TruncationError,
-    compare_with_gaussian,
-    fock_squeezed_thermal,
-    fock_thermal,
-)
+from gaussbs.fock import OracleConfig, compare_with_gaussian, fock_squeezed_thermal
 from gaussbs.fock import (
     _beam_splitter_sectors,
     _conjugated_classes,
+    _hermitize,
     _layout,
+    _leakage,
     _output_classes,
     _pt_block,
     _pt_trace_norm,
@@ -43,70 +39,69 @@ from gaussbs.states import (
 CFG = OracleConfig(dim=30, tol_trace=1e-6)
 
 
-def _oracle_log_negativity(rho1, rho2, bs, cfg) -> float:
+def _oracle_log_negativity(rho1, rho2, bs) -> float:
     """The oracle's log2 trace norm of the partial transpose of U (rho1 x rho2) U^, unclamped."""
-    mats, _ = _output_classes(rho1, rho2, bs, cfg)
-    return math.log2(_pt_trace_norm(mats, rho1.dim))
+    mats, _ = _output_classes(rho1, rho2, bs)
+    return math.log2(_pt_trace_norm(mats, rho1.shape[0]))
 
 
 class TestStateBuilders:
     def test_pure_vacuum_projector(self):
-        rho = fock_squeezed_thermal(GaussianSpec(0.0, 1.0, 0.0), CFG)
+        rho = fock_squeezed_thermal(GaussianSpec(0.0, 1.0, 0.0), CFG.dim)
         expected = np.zeros((30, 30))
         expected[0, 0] = 1.0
-        assert np.abs(rho.data - expected).max() < 1e-14
+        assert np.abs(rho - expected).max() < 1e-14
 
     def test_thermal_geometric_weights(self):
-        rho = fock_thermal(1.0, OracleConfig(dim=40))
-        weights = np.diag(rho.data).real
+        rho = thermal(1.0, 40)
+        weights = np.diag(rho).real
         n = np.arange(40)
         assert np.abs(weights - 0.5 * 0.5**n).max() < 1e-15
-        assert np.abs(rho.data - np.diag(np.diag(rho.data))).max() == 0.0
+        assert np.abs(rho - np.diag(np.diag(rho))).max() == 0.0
 
     def test_boundary_mixed_state_is_squeezed_not_thermal(self):
         # tau = 0, u = 1/3 maps to a squeezed thermal seed, and its moments
         # must track the covariance parametrization, not a bare thermal
-        rho = fock_squeezed_thermal(GaussianSpec(0.0, 1.0 / 3.0, 0.0), OracleConfig(dim=80))
+        rho = fock_squeezed_thermal(GaussianSpec(0.0, 1.0 / 3.0, 0.0), 80)
         got = covariance_from_fock(rho)
         assert got.a == pytest.approx(2.5, abs=1e-6)
         assert abs(got.b) == pytest.approx(2.0, abs=1e-6)
-        off_diag = rho.data - np.diag(np.diag(rho.data))
+        off_diag = rho - np.diag(np.diag(rho))
         assert np.abs(off_diag).max() > 0.1
 
     def test_moment_extraction_matches_covariance(self):
         spec = GaussianSpec(0.2, 0.8, 0.0)
-        rho = fock_squeezed_thermal(spec, OracleConfig(dim=40))
+        rho = fock_squeezed_thermal(spec, 40)
         got = covariance_from_fock(rho)
         target = covariance_from_spec(spec)
         assert got.a == pytest.approx(target.a, abs=1e-6)
         assert abs(got.b - target.b) < 1e-6
 
     def test_moment_grid(self):
-        cfg = OracleConfig(dim=72, tol_trace=1e-7)
         for tau in (0.05, 0.2, 0.3):
             for u in (0.6, 0.85, 1.0):
                 for phi_b in (0.0, 1.1):
                     spec = GaussianSpec(tau, u, phi_b)
-                    rho = fock_squeezed_thermal(spec, cfg)
+                    rho = fock_squeezed_thermal(spec, 72)
                     got = covariance_from_fock(rho)
                     target = covariance_from_spec(spec)
                     assert got.a == pytest.approx(target.a, abs=1e-6)
                     assert abs(got.b - target.b) < 1e-6
 
     def test_states_positive_and_normalized(self):
-        rho = fock_squeezed_thermal(GaussianSpec(0.25, 0.7, 0.4), OracleConfig(dim=40))
+        rho = fock_squeezed_thermal(GaussianSpec(0.25, 0.7, 0.4), 40)
         assert min_eigenvalue(rho) > -1e-10
-        assert rho.leakage < 1e-8
+        assert _leakage(rho) < 1e-8
 
-    def test_truncation_error_reports_leakage(self):
-        with pytest.raises(TruncationError) as excinfo:
-            fock_squeezed_thermal(GaussianSpec(0.3, 0.5, 0.0), OracleConfig(dim=8, tol_trace=1e-10))
-        assert excinfo.value.leakage > 1e-10
-        assert excinfo.value.dim == 8
+    @pytest.mark.parametrize("dim", [0, -3, 8.0, 2.5, "8", None])
+    def test_squeezer_rejects_bad_cutoff(self, dim):
+        with pytest.raises(DomainError, match="integer >= 1"):
+            fock_squeezed_thermal(GaussianSpec(0.2, 0.9), dim)
 
-    def test_thermal_rejects_negative(self):
-        with pytest.raises(DomainError):
-            fock_thermal(-0.5, CFG)
+    def test_squeezer_smallest_cutoff(self):
+        rho = fock_squeezed_thermal(GaussianSpec(0.2, 0.9), 1)
+        assert rho.shape == (1, 1)
+        assert 0.0 < rho[0, 0] < 1.0
 
     @pytest.mark.parametrize("dim", [40, 100])
     @pytest.mark.parametrize("phi_b", [0.0, 0.7, 4.0])
@@ -121,18 +116,17 @@ class TestStateBuilders:
         squeezer = expm(0.5 * (xi.conjugate() * (a @ a) - xi * (a.T @ a.T)) + 0j)
         seed = np.diag(fock._thermal_weights((1.0 - spec.u) / (2.0 * spec.u), work))
         expected = (squeezer @ seed @ squeezer.conj().T)[:dim, :dim]
-        rho = fock_squeezed_thermal(spec, OracleConfig(dim=dim, tol_trace=1.0))
-        assert rho.data.dtype == (np.float64 if phi_b == 0.0 else np.complex128)
-        assert np.abs(rho.data - expected).max() < 1e-13
+        rho = fock_squeezed_thermal(spec, dim)
+        assert rho.dtype == (np.float64 if phi_b == 0.0 else np.complex128)
+        assert np.abs(rho - expected).max() < 1e-13
 
     @pytest.mark.parametrize("phi_b", [0.0, 0.7])
     def test_squeezer_has_no_cross_parity_entries(self, phi_b):
-        cfg = OracleConfig(dim=41, tol_trace=1.0)
-        rho = fock_squeezed_thermal(GaussianSpec(0.3, 0.5, phi_b), cfg)
+        rho = fock_squeezed_thermal(GaussianSpec(0.3, 0.5, phi_b), 41)
         n = np.arange(41)
-        cross = rho.data[(n[:, None] - n) % 2 == 1]
+        cross = rho[(n[:, None] - n) % 2 == 1]
         assert np.all(cross == 0.0)
-        assert np.abs(rho.data[0, 2]) > 0.1
+        assert np.abs(rho[0, 2]) > 0.1
 
 
 class TestBeamSplitterUnitary:
@@ -175,10 +169,10 @@ class TestBeamSplitterUnitary:
             assert np.abs(lhs - rhs).max() < 1e-10
 
     def test_product_input_zero_angle(self):
-        rho1 = fock_squeezed_thermal(GaussianSpec(0.2, 0.9, 0.3), CFG)
-        rho2 = fock_thermal(0.5, CFG)
-        out = dense_output(rho1.data, rho2.data, BeamSplitter(0.0, 0.4))
-        assert np.abs(out - np.kron(rho1.data, rho2.data)).max() < 1e-13
+        rho1 = fock_squeezed_thermal(GaussianSpec(0.2, 0.9, 0.3), CFG.dim)
+        rho2 = thermal(0.5, CFG.dim)
+        out = dense_output(rho1, rho2, BeamSplitter(0.0, 0.4))
+        assert np.abs(out - np.kron(rho1, rho2)).max() < 1e-13
 
     def test_coherent_inputs_stay_product(self):
         dim = 25
@@ -213,9 +207,9 @@ class TestBeamSplitterUnitary:
 
 class TestPartialTransposeAndNegativity:
     def test_pt_preserves_trace_and_hermiticity(self):
-        rho1 = fock_squeezed_thermal(GaussianSpec(0.2, 0.8, 0.5), CFG)
-        rho2 = fock_thermal(0.3, CFG)
-        out = dense_output(rho1.data, rho2.data, BeamSplitter(0.7, 0.2))
+        rho1 = fock_squeezed_thermal(GaussianSpec(0.2, 0.8, 0.5), CFG.dim)
+        rho2 = thermal(0.3, CFG.dim)
+        out = dense_output(rho1, rho2, BeamSplitter(0.7, 0.2))
         out = 0.5 * (out + out.conj().T)
         pt = partial_transpose(out)
         assert np.trace(pt).real == pytest.approx(np.trace(out).real, abs=1e-14)
@@ -224,30 +218,29 @@ class TestPartialTransposeAndNegativity:
         assert np.abs(back - out).max() == 0.0
 
     def test_product_state_zero_negativity(self):
-        rho1 = fock_squeezed_thermal(GaussianSpec(0.2, 0.9, 0.0), CFG)
-        rho2 = fock_thermal(0.4, CFG)
-        product = np.kron(rho1.data, rho2.data)
+        rho1 = fock_squeezed_thermal(GaussianSpec(0.2, 0.9, 0.0), CFG.dim)
+        rho2 = thermal(0.4, CFG.dim)
+        product = np.kron(rho1, rho2)
         assert max(0.0, math.log2(dense_pt_trace_norm(product))) == 0.0
 
     def test_pure_squeezed_5050_half_bit(self):
         p = ScenarioParams(0.25, 1.0, 0.0, math.pi / 4)
-        rho1 = fock_squeezed_thermal(p.spec(), CFG)
-        rho2 = fock_thermal(0.0, CFG)
-        raw = _oracle_log_negativity(rho1, rho2, p.splitter(), CFG)
+        rho1 = fock_squeezed_thermal(p.spec(), CFG.dim)
+        rho2 = thermal(0.0, CFG.dim)
+        raw = _oracle_log_negativity(rho1, rho2, p.splitter())
         assert max(0.0, raw) == pytest.approx(0.5, abs=1e-3)
 
     def test_zero_at_critical_point(self):
         p = ScenarioParams(0.3, 1.0, 0.75, math.pi / 12)
-        cfg = OracleConfig(dim=40, tol_trace=1e-6)
-        rho1 = fock_squeezed_thermal(p.spec(), cfg)
-        rho2 = fock_thermal(0.75, cfg)
-        raw = _oracle_log_negativity(rho1, rho2, p.splitter(), cfg)
+        rho1 = fock_squeezed_thermal(p.spec(), 40)
+        rho2 = thermal(0.75, 40)
+        raw = _oracle_log_negativity(rho1, rho2, p.splitter())
         assert max(0.0, raw) == pytest.approx(0.0, abs=1e-3)
 
     def test_raw_value_reported(self):
-        rho1 = fock_thermal(0.2, CFG)
-        rho2 = fock_thermal(0.4, CFG)
-        raw = _oracle_log_negativity(rho1, rho2, BeamSplitter(0.5), CFG)
+        rho1 = thermal(0.2, CFG.dim)
+        rho2 = thermal(0.4, CFG.dim)
+        raw = _oracle_log_negativity(rho1, rho2, BeamSplitter(0.5))
         assert raw <= 1e-12
         assert max(0.0, raw) <= 1e-12
 
@@ -255,7 +248,7 @@ class TestPartialTransposeAndNegativity:
         data = np.zeros((9, 9), dtype=complex)
         data[0, 1] = 1.0
         with pytest.raises(DomainError):
-            FockDensityMatrix(data)
+            _hermitize(data)
 
 
 class TestComparisonHarness:
@@ -300,25 +293,54 @@ class TestComparisonHarness:
         )
         assert res.status == "fail"
 
+    def test_thermal_tail_over_budget_skips(self):
+        # nbar = 10 loses (10/11)^W of the thermal input at the window W,
+        # 1.1e-5 at W = 120, while the pure squeezed window is well inside
+        res = compare_with_gaussian(
+            ScenarioParams(0.1, 1.0, 10.0, math.pi / 8),
+            OracleConfig(dim=120, tol_trace=1e-8),
+        )
+        assert res.status == "skip"
+        assert res.dim_used == 120
+        assert res.note == "leakage 1.079e-05 above budget at dim=120"
+        assert math.isnan(res.n_fock)
+
+    def test_output_trace_over_budget_escalates(self, monkeypatch):
+        windows = []
+
+        def leaky_once(rho1, rho2, bs):
+            windows.append(rho1.shape[0])
+            mats, leakage = _output_classes(rho1, rho2, bs)
+            return mats, (1e-3 if len(windows) == 1 else leakage)
+
+        monkeypatch.setattr(fock, "_output_classes", leaky_once)
+        res = compare_with_gaussian(
+            ScenarioParams(0.2, 0.8, 0.1, math.pi / 4), OracleConfig(dim=30, tol_trace=1e-6)
+        )
+        assert len(windows) == 2 and windows[1] > windows[0]
+        assert res.status == "pass"
+        assert res.dim_used == 50
+        assert res.leakage <= 1e-6
+
 
 class TestDtypeFollowsPhases:
     ROTATIONS = ((0.0, 0.0), (0.7, 1.1))
 
     def _inputs(self, phi, phi_b):
         p = ScenarioParams(0.2, 0.9, 0.3, math.pi / 4, phi, phi_b)
-        return fock_squeezed_thermal(p.spec(), CFG), fock_thermal(p.nbar, CFG), p.splitter()
+        return fock_squeezed_thermal(p.spec(), CFG.dim), thermal(p.nbar, CFG.dim), p.splitter()
 
     def test_two_mode_dtype(self):
         _, pos = _layout(CFG.dim)
         for (phi, phi_b), dtype in zip(self.ROTATIONS, (np.float64, np.complex128)):
             rho1, rho2, bs = self._inputs(phi, phi_b)
-            mats, _ = _output_classes(rho1, rho2, bs, CFG)
+            mats, _ = _output_classes(rho1, rho2, bs)
             assert [mat.dtype for mat in mats] == [dtype, dtype]
             assert [_pt_block(mats, pos, q).dtype for q in (0, 1)] == [dtype, dtype]
 
     def test_log_negativity_same_in_both_dtypes(self):
         values = [
-            _oracle_log_negativity(*self._inputs(*phases), CFG) for phases in self.ROTATIONS
+            _oracle_log_negativity(*self._inputs(*phases)) for phases in self.ROTATIONS
         ]
         assert values[0] > 0.01
         assert values[1] == pytest.approx(values[0], abs=1e-9)
@@ -344,10 +366,6 @@ class TestDtypeFollowsPhases:
                     assert got.dtype == np.result_type(rho, u)
                     assert np.abs(got - expected[np.ix_(flat, flat)]).max() < 1e-12
 
-    def test_real_input_stays_real(self):
-        rho = FockDensityMatrix(np.diag([0.75, 0.25]))
-        assert rho.data.dtype == np.float64
-
 
 class TestParityClasses:
     @pytest.mark.parametrize("dim", [5, 12, 21])
@@ -366,12 +384,11 @@ class TestParityClasses:
     @pytest.mark.parametrize("phases", [(0.0, 0.0), (0.7, 1.1)])
     def test_parity_blocks_match_dense_partial_transpose(self, dim, phases):
         p = ScenarioParams(0.2, 0.8, 0.3, math.pi / 5, *phases)
-        cfg = OracleConfig(dim=dim, tol_trace=1.0)
-        rho1 = fock_squeezed_thermal(p.spec(), cfg)
-        rho2 = fock_thermal(p.nbar, cfg)
-        dense = dense_output(rho1.data, rho2.data, p.splitter())
+        rho1 = fock_squeezed_thermal(p.spec(), dim)
+        rho2 = thermal(p.nbar, dim)
+        dense = dense_output(rho1, rho2, p.splitter())
         expected = dense_pt_trace_norm(dense)
-        mats, _ = _output_classes(rho1, rho2, p.splitter(), cfg)
+        mats, _ = _output_classes(rho1, rho2, p.splitter())
         assert len(mats) == 2
         assert mats[0].dtype == dense.dtype
         assert _pt_trace_norm(mats, dim) == pytest.approx(expected, abs=1e-12)
@@ -387,7 +404,7 @@ class TestMemoryPrecheck:
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            mats, _ = _output_classes(rho1, rho2, bs, OracleConfig(dim=dim, tol_trace=1.0))
+            mats, _ = _output_classes(rho1, rho2, bs)
             _pt_trace_norm(mats, dim)
             return tracemalloc.get_traced_memory()[1] - base
         finally:
@@ -397,9 +414,8 @@ class TestMemoryPrecheck:
     def test_two_mode_stage_peak(self, phases):
         dim = 24
         p = ScenarioParams(0.2, 0.8, 0.3, math.pi / 5, *phases)
-        cfg = OracleConfig(dim=dim, tol_trace=1.0)
-        rho1 = fock_squeezed_thermal(p.spec(), cfg)
-        rho2 = fock_thermal(p.nbar, cfg)
+        rho1 = fock_squeezed_thermal(p.spec(), dim)
+        rho2 = thermal(p.nbar, dim)
         itemsize = 8 if phases == (0.0, 0.0) else 16
         peak = self._stage_peak(rho1, rho2, p.splitter(), dim)
         assert peak <= fock._LIVE_COPIES * itemsize * dim**4

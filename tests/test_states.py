@@ -345,6 +345,12 @@ class TestCovMat2Validation:
         with pytest.raises(DomainError):
             CovMat2(m)
 
+    def test_rejects_broken_mode_conjugation(self):
+        # Hermitian, but the diagonal of A must read (a, a): 1 and 2 break it
+        m = np.diag([1.0, 2.0, 1.0, 1.0]).astype(complex)
+        with pytest.raises(DomainError, match="mode conjugation"):
+            CovMat2(m)
+
     def test_rejects_unphysical(self):
         with pytest.raises(DomainError):
             CovMat2(0.1 * np.eye(4))
