@@ -391,14 +391,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_crit.set_defaults(**dict.fromkeys(_CRITICAL_GRID_DEFAULTS))
 
     p_oracle = sub.add_parser("oracle-check", help="Fock-space cross-check")
-    p_oracle.add_argument("--dim", type=int, default=40)
-    p_oracle.add_argument("--tol-trace", dest="tol_trace", type=float, default=1e-8)
-    p_oracle.add_argument("--tol-compare", dest="tol_compare", type=float, default=1e-3)
+    p_oracle.add_argument("--dim", type=int, default=OracleConfig.dim)
+    p_oracle.add_argument("--tol-trace", type=float, default=OracleConfig.tol_trace)
+    p_oracle.add_argument("--tol-compare", type=float, default=OracleConfig.tol_compare)
     p_oracle.add_argument("--tau-list", default="0.1,0.2,0.3")
     p_oracle.add_argument("--u-list", default="0.5,1")
     p_oracle.add_argument("--nbar-list", default="0,0.5,1")
     p_oracle.add_argument("--theta-list", default=f"{math.pi / 8!r},{math.pi / 4!r}")
-    p_oracle.add_argument("--max-tau", dest="max_tau", type=float, default=0.35)
+    p_oracle.add_argument("--max-tau", type=float, default=0.35)
     p_oracle.add_argument("-o", "--output", help="CSV report path")
     _add_input_flags(p_oracle)
     return parser

@@ -82,7 +82,7 @@ _CGROUP_MEMORY_FILES = (
 
 @dataclass(frozen=True)
 class OracleConfig:
-    """Cutoff and tolerances for the Fock-space checks."""
+    """Starting cutoff, 4 to 120, and tolerances for the Fock-space checks."""
 
     dim: int = 40
     tol_trace: float = 1e-8
@@ -91,6 +91,10 @@ class OracleConfig:
     def __post_init__(self):
         if int(self.dim) != self.dim or self.dim < 4:
             raise DomainError(f"cutoff dimension must be an integer >= 4, got {self.dim}")
+        if self.dim > _MAX_ESCALATION_DIM:
+            raise DomainError(
+                f"cutoff dimension {self.dim} exceeds the escalation cap {_MAX_ESCALATION_DIM}"
+            )
         if not (self.tol_trace > 0.0 and self.tol_compare > 0.0):
             raise DomainError("tolerances must be positive")
         object.__setattr__(self, "dim", int(self.dim))
@@ -132,10 +136,6 @@ def _rotated(real: np.ndarray, angle: float) -> np.ndarray:
 
 def _thermal_weights(nbar: float, dim: int) -> np.ndarray:
     n = np.arange(dim)
-    if nbar == 0.0:
-        weights = np.zeros(dim)
-        weights[0] = 1.0
-        return weights
     return (nbar / (nbar + 1.0)) ** n / (nbar + 1.0)
 
 
@@ -416,12 +416,8 @@ def compare_with_gaussian(params: ScenarioParams, cfg: OracleConfig) -> OracleCo
     entries (8 bytes an entry when both phases are zero, else 16) is
     compared with the memory still available; a point that does not fit
     is skipped with a note starting "memory", since wider windows would
-    need more.  A starting cutoff above 120 raises ``DomainError``.
+    need more.
     """
-    if cfg.dim > _MAX_ESCALATION_DIM:
-        raise DomainError(
-            f"cutoff dimension {cfg.dim} exceeds the escalation cap {_MAX_ESCALATION_DIM}"
-        )
     n_gaussian = negativity_closed_form(params)
     dims = list(range(cfg.dim, _MAX_ESCALATION_DIM + 1, _ESCALATION_STEP))
     if dims[-1] != _MAX_ESCALATION_DIM:

@@ -31,23 +31,13 @@ import numpy as np
 # boundary states such as pure squeezed states.
 BOUNDARY_TOL = 1e-9
 
-# Mode-wise change of basis from the (alpha, alpha*) amplitude pair to the
-# (x, p) quadrature pair.  Unitary, so physicality is basis independent.
-_MODE_BRIDGE = np.array([[1.0, -1.0], [-1.0j, -1.0j]]) / math.sqrt(2.0)
-_TWO_MODE_BRIDGE = np.kron(np.eye(2), _MODE_BRIDGE)
-# Matrix size -> B (x) B*, so that B m B^H is one product with the
-# flattened (row-major) m.
-_QUADRATURE_MAPS = {
-    2: np.kron(_MODE_BRIDGE, _MODE_BRIDGE.conj()),
-    4: np.kron(_TWO_MODE_BRIDGE, _TWO_MODE_BRIDGE.conj()),
-}
-
-# Flat indices of the two permutations of a two-mode amplitude matrix m
-# that a valid covariance maps onto conj(m): the transpose (Hermiticity)
-# and the swap of each mode's pair, (a1*, a1, a2*, a2) (mode conjugation).
-_TRANSPOSED = 4 * np.arange(4) + np.arange(4)[:, None]
-_SWAPPED_PAIRS = np.array([1, 0, 3, 2])
-_SYMMETRY_ORDERS = np.stack((_TRANSPOSED, 4 * _SWAPPED_PAIRS[:, None] + _SWAPPED_PAIRS))
+# Mode-wise change of basis B from the (alpha, alpha*) amplitude pair to the
+# (x, p) quadrature pair, per matrix size: q = B m B^H and m = B^H q B.  B is
+# unitary, so physicality is basis independent, and B^H conj(B) = -P with P the
+# swap of each pair, so a Hermitian m gives a real q exactly when it is
+# mode-conjugation symmetric, P m P = conj(m) (Simon, Mukunda & Dutta, PRA 49, 1567 (1994)).
+_BRIDGES = {2: np.array([[1.0, -1.0], [-1.0j, -1.0j]]) / math.sqrt(2.0)}
+_BRIDGES[4] = np.kron(np.eye(2), _BRIDGES[2])
 
 # Exact SI values (2019): Planck constant h in J s and Boltzmann constant in J/K.
 _HBAR = 6.62607015e-34 / (2.0 * math.pi)
@@ -169,13 +159,12 @@ class BlockInvariants(NamedTuple):
 class CovMat2:
     """Two-mode covariance [[A, C], [C^, B]] as a 4x4 complex matrix.
 
-    Blocks A and B carry the one-mode structure [[a, b], [b*, a]]; the
-    intermodal block C satisfies C[1,1] = C[0,0]* and C[1,0] = C[0,1]*,
-    which is what makes the matrix the covariance of a valid (real-valued
-    quadrature) state rather than merely Hermitian.  A physical covariance
-    is positive definite with both symplectic eigenvalues at least 1/2;
-    the block determinants it is checked with stay on the instance as
-    ``invariants``.
+    A valid matrix is Hermitian and real in the quadrature basis, which
+    for a Hermitian matrix is mode-conjugation symmetry: A and B read
+    [[a, b], [b*, a]], C[1,1] = C[0,0]* and C[1,0] = C[0,1]*.  A physical
+    covariance is also positive definite with both symplectic eigenvalues
+    at least 1/2; the block determinants it is checked with stay on the
+    instance as ``invariants``.
     """
 
     matrix: np.ndarray
@@ -185,16 +174,10 @@ class CovMat2:
         m = np.asarray(self.matrix, dtype=complex)
         if m.shape != (4, 4):
             raise DomainError(f"two-mode covariance must be 4x4, got shape {m.shape}")
-        scale = max(float(np.abs(m).max()), 1.0)
-        m_conj = m.conj()
-        hermitian, conjugation = np.abs(m.take(_SYMMETRY_ORDERS) - m_conj).max(axis=(1, 2))
-        if hermitian > BOUNDARY_TOL * scale:
+        m_h = m.conj().T
+        if np.abs(m - m_h).max() > BOUNDARY_TOL * max(float(np.abs(m).max()), 1.0):
             raise DomainError("two-mode covariance must be Hermitian")
-        if conjugation > BOUNDARY_TOL * scale:
-            raise DomainError(
-                "two-mode covariance must satisfy mode conjugation symmetry"
-            )
-        m = 0.5 * (m + m_conj.T)
+        m = 0.5 * (m + m_h)
         q = _quadrature_matrix(m)
         rows = q.tolist()
         (q00, q01, q02, q03), (_, q11, q12, q13), (_, _, q22, q23), (*_, q33) = rows
@@ -221,28 +204,6 @@ class CovMat2:
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "invariants", inv)
-
-    @classmethod
-    def from_blocks(cls, block_a: CovMat1, block_b: CovMat1, block_c: np.ndarray) -> "CovMat2":
-        c = np.asarray(block_c, dtype=complex)
-        m = np.zeros((4, 4), dtype=complex)
-        m[:2, :2] = block_a.matrix
-        m[2:, 2:] = block_b.matrix
-        m[:2, 2:] = c
-        m[2:, :2] = c.conj().T
-        return cls(m)
-
-    @property
-    def block_a(self) -> CovMat1:
-        return CovMat1(self.matrix[0, 0].real, self.matrix[0, 1])
-
-    @property
-    def block_b(self) -> CovMat1:
-        return CovMat1(self.matrix[2, 2].real, self.matrix[2, 3])
-
-    @property
-    def block_c(self) -> np.ndarray:
-        return self.matrix[:2, 2:].copy()
 
 
 def covariance_from_spec(spec: GaussianSpec) -> CovMat1:
@@ -347,11 +308,12 @@ def _positive_definite_det(rows: list) -> float:
 
 
 def _quadrature_matrix(m: np.ndarray) -> np.ndarray:
-    n = m.shape[0]
-    q = (_QUADRATURE_MAPS[n] @ m.reshape(-1)).reshape(n, n)  # B m B^H
+    """B m B^H of a Hermitian m, real where m is mode-conjugation symmetric."""
+    bridge = _BRIDGES[m.shape[0]]
+    q = bridge @ m @ bridge.conj().T
     scale = max(float(np.abs(q).max()), 1.0)
     if np.abs(q.imag).max() > BOUNDARY_TOL * scale:
-        raise DomainError("covariance has no real quadrature representation")
+        raise DomainError("covariance must satisfy mode conjugation symmetry")
     q = q.real
     return 0.5 * (q + q.T)
 
@@ -364,12 +326,13 @@ def to_quadrature(v: CovMat1 | CovMat2) -> np.ndarray:
 def from_quadrature(m: np.ndarray) -> CovMat1 | CovMat2:
     """Inverse of ``to_quadrature``; dispatches on matrix size."""
     m = np.asarray(m, dtype=float)
+    if m.shape not in ((2, 2), (4, 4)):
+        raise DomainError(f"expected a 2x2 or 4x4 quadrature matrix, got shape {m.shape}")
+    bridge = _BRIDGES[m.shape[0]]
+    vc = bridge.conj().T @ m @ bridge
     if m.shape == (2, 2):
-        vc = _MODE_BRIDGE.conj().T @ m @ _MODE_BRIDGE
         return CovMat1(vc[0, 0].real, vc[0, 1])
-    if m.shape == (4, 4):
-        return CovMat2(_TWO_MODE_BRIDGE.conj().T @ m @ _TWO_MODE_BRIDGE)
-    raise DomainError(f"expected a 2x2 or 4x4 quadrature matrix, got shape {m.shape}")
+    return CovMat2(vc)
 
 
 def symplectic_form(n_modes: int) -> np.ndarray:

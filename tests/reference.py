@@ -10,9 +10,35 @@ from gaussbs.entanglement import (
     SymplecticPTSpectrum,
     _entanglement_margin,
 )
-from gaussbs.states import BeamSplitter, CovMat2, GaussianSpec, symplectic_eigenvalues, to_quadrature
+from gaussbs.states import (
+    BOUNDARY_TOL,
+    BeamSplitter,
+    CovMat2,
+    GaussianSpec,
+    symplectic_eigenvalues,
+    to_quadrature,
+)
 
 _PT_FLIP = np.diag([1.0, 1.0, 1.0, -1.0])
+# The swap of each mode's amplitude pair: (a1, a1*, a2, a2*) -> (a1*, a1, a2*, a2).
+SWAPPED_PAIRS = np.ix_([1, 0, 3, 2], [1, 0, 3, 2])
+
+
+def amplitude_format_error(m: np.ndarray) -> str | None:
+    """The amplitude-side definition of a well-formed two-mode covariance.
+
+    m is well-formed when m^T = conj(m) (Hermitian) and P m P = conj(m)
+    (mode-conjugation symmetric, P the pair swap), each within
+    BOUNDARY_TOL * max(max|m|, 1).  Returns None for a well-formed m,
+    else "Hermitian" or "mode conjugation", the first definition broken.
+    """
+    m = np.asarray(m, dtype=complex)
+    tol = BOUNDARY_TOL * max(float(np.abs(m).max()), 1.0)
+    if np.abs(m.T - m.conj()).max() > tol:
+        return "Hermitian"
+    if np.abs(m[SWAPPED_PAIRS] - m.conj()).max() > tol:
+        return "mode conjugation"
+    return None
 
 
 def pt_symplectic_spectrum_quadrature(v: CovMat2) -> SymplecticPTSpectrum:

@@ -55,9 +55,8 @@ class TestPTSpectrum:
         assert xi.xi_plus == pytest.approx(0.5, abs=1e-12)
 
     def test_uncorrelated_product(self):
-        out = CovMat2.from_blocks(
-            CovMat1(0.5, 0j), CovMat1(1.5, 0j), np.zeros((2, 2))
-        )
+        zero = np.zeros((2, 2))
+        out = CovMat2(np.block([[CovMat1(0.5, 0j).matrix, zero], [zero, CovMat1(1.5, 0j).matrix]]))
         xi = pt_symplectic_spectrum(out)
         assert xi.xi_minus == pytest.approx(0.5, abs=1e-12)
         assert xi.xi_plus == pytest.approx(1.5, abs=1e-12)
@@ -93,8 +92,9 @@ class TestPTSpectrum:
 
 class TestLogNegativity:
     def test_product_state_zero(self):
-        out = CovMat2.from_blocks(
-            CovMat1(0.7, 0.1 + 0.2j), CovMat1(2.0, 0j), np.zeros((2, 2))
+        zero = np.zeros((2, 2))
+        out = CovMat2(
+            np.block([[CovMat1(0.7, 0.1 + 0.2j).matrix, zero], [zero, CovMat1(2.0, 0j).matrix]])
         )
         assert log_negativity(out) == 0.0
 

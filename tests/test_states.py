@@ -2,8 +2,9 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from reference import SWAPPED_PAIRS, amplitude_format_error
 from scipy import constants
 from scipy.linalg import expm
 
@@ -201,27 +202,27 @@ class TestBeamSplitter:
         v1 = covariance_from_spec(GaussianSpec(0.2, 0.9, 0.4))
         v2 = thermal_covariance(ThermalParams(0.7))
         out = apply_beam_splitter(v1, v2, BeamSplitter(0.0, 0.9))
-        assert out.block_a.a == pytest.approx(v1.a, abs=1e-14)
-        assert out.block_a.b == pytest.approx(v1.b, abs=1e-14)
-        assert out.block_b.a == pytest.approx(v2.a, abs=1e-14)
-        assert np.abs(out.block_c).max() < 1e-14
+        assert out.matrix[0, 0].real == pytest.approx(v1.a, abs=1e-14)
+        assert out.matrix[0, 1] == pytest.approx(v1.b, abs=1e-14)
+        assert out.matrix[2, 2].real == pytest.approx(v2.a, abs=1e-14)
+        assert np.abs(out.matrix[:2, 2:]).max() < 1e-14
 
     def test_vacuum_pair_stays_uncorrelated(self):
         vac = CovMat1(0.5, 0j)
         for theta, phi in [(0.3, 0.0), (math.pi / 4, 1.1), (1.2, 4.0)]:
             out = apply_beam_splitter(vac, vac, BeamSplitter(theta, phi))
-            assert np.abs(out.block_c).max() < 1e-15
-            assert out.block_a.a == pytest.approx(0.5, abs=1e-15)
-            assert out.block_b.a == pytest.approx(0.5, abs=1e-15)
+            assert np.abs(out.matrix[:2, 2:]).max() < 1e-15
+            assert out.matrix[0, 0].real == pytest.approx(0.5, abs=1e-15)
+            assert out.matrix[2, 2].real == pytest.approx(0.5, abs=1e-15)
 
     def test_congruence_matches_explicit_blocks(self):
         v1 = covariance_from_spec(GaussianSpec(0.2, 1.0, 0.0))
         v2 = thermal_covariance(ThermalParams(0.5))
         out = apply_beam_splitter(v1, v2, BeamSplitter(math.pi / 4, 0.0))
         ba, bb, bc = _paper_blocks(v1.a, v1.b, 0.5, math.pi / 4, 0.0)
-        assert np.abs(out.block_a.matrix - ba).max() < 1e-12
-        assert np.abs(out.block_b.matrix - bb).max() < 1e-12
-        assert np.abs(out.block_c - bc).max() < 1e-12
+        assert np.abs(out.matrix[:2, :2] - ba).max() < 1e-12
+        assert np.abs(out.matrix[2:, 2:] - bb).max() < 1e-12
+        assert np.abs(out.matrix[:2, 2:] - bc).max() < 1e-12
 
     def test_congruence_matches_explicit_blocks_grid(self):
         rng = np.random.default_rng(7)
@@ -392,13 +393,6 @@ class TestCovMat2Validation:
             nu = seralian_roots(det_a + det_b + 2.0 * det_c, det_v)[:2]
             assert nu == pytest.approx(symplectic_eigenvalues(to_quadrature(out)), abs=1e-10)
 
-    def test_from_blocks_round_trip(self):
-        v1 = covariance_from_spec(GaussianSpec(0.1, 0.8, 0.0))
-        v2 = thermal_covariance(ThermalParams(0.3))
-        out = apply_beam_splitter(v1, v2, BeamSplitter(0.7, 0.2))
-        rebuilt = CovMat2.from_blocks(out.block_a, out.block_b, out.block_c)
-        assert np.abs(rebuilt.matrix - out.matrix).max() < 1e-12
-
     def test_matrix_read_only(self):
         out = apply_beam_splitter(
             CovMat1(0.5, 0j), CovMat1(0.5, 0j), BeamSplitter(0.3)
@@ -457,3 +451,46 @@ def test_validation_is_the_robertson_schroedinger_check(vq):
     except DomainError:
         accepted = False
     assert accepted == _robertson_schroedinger(vq)
+
+
+@st.composite
+def perturbed_outputs(draw):
+    """A valid ``apply_beam_splitter`` output plus no perturbation, an
+    anti-Hermitian one, or a Hermitian one that breaks mode conjugation.
+
+    The perturbation's largest entry is at most 1e-12 or at least 1e-6
+    times max(max|m|, 1), far on either side of the BOUNDARY_TOL edge.
+    """
+    angle = st.floats(0.0, 2 * math.pi)
+    spec = GaussianSpec(draw(st.floats(0.0, 0.49)), draw(st.floats(0.05, 1.0)), draw(angle))
+    v2 = thermal_covariance(ThermalParams(draw(st.floats(0.0, 3.0))))
+    bs = BeamSplitter(draw(st.floats(0.0, math.pi / 2)), draw(angle))
+    m = apply_beam_splitter(covariance_from_spec(spec), v2, bs).matrix
+    kind = draw(st.sampled_from(["none", "anti-Hermitian", "conjugation-breaking"]))
+    if kind == "none":
+        return m
+    parts = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=32, max_size=32)))
+    g = (parts[:16] + 1j * parts[16:]).reshape(4, 4)
+    if kind == "anti-Hermitian":
+        e = g - g.conj().T
+    else:
+        h = g + g.conj().T
+        e = h - h.conj()[SWAPPED_PAIRS]  # Hermitian, and P e P = -conj(e)
+    peak = float(np.abs(e).max())
+    assume(peak > 1e-6)
+    size = draw(st.one_of(st.floats(0.0, 1e-12), st.floats(1e-6, 1.0)))
+    return m + (size * max(float(np.abs(m).max()), 1.0) / peak) * e
+
+
+@settings(max_examples=300, deadline=None)
+@given(m=perturbed_outputs())
+def test_format_check_is_the_amplitude_definition(m):
+    # The Hermitian check plus a real quadrature matrix is the amplitude
+    # definition: Hermitian and mode-conjugation symmetric.
+    expected = amplitude_format_error(m)
+    try:
+        CovMat2(m)
+    except DomainError as err:
+        assert expected is not None and expected in str(err), str(err)
+    else:
+        assert expected is None
