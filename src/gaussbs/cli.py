@@ -264,26 +264,37 @@ def format_number(value) -> str:
     return f"{value:.12g}"
 
 
+def _json_number(text: str) -> str:
+    """repr(float(text)) for the %.12g text of a finite value: the text itself,
+    but integral values need ".0", repr writes exponents 12 to 15 positionally,
+    and at 1e-308 and below a subnormal's shortest repr can be shorter."""
+    if "e" not in text:
+        return text if "." in text else text + ".0"
+    if -308 < int(text[text.index("e") + 1 :]) < 12:
+        return text
+    return repr(float(text))
+
+
 def _json_cell(value) -> str:
     if isinstance(value, (bool, int)):
         return str(int(value))
-    if math.isinf(value):
-        return '"inf"'
-    return json.dumps(float(format_number(value)))
+    if math.isfinite(value):
+        return _json_number(format_number(value))
+    return '"inf"' if math.isinf(value) else "NaN"  # NaN as json.dumps writes it
 
 
 def _cells(values, fmt: str) -> list[str]:
     """Each value serialized: 12 significant digits, flags as 0/1, inf as "inf".
 
-    CSV passes strings through.  A float64 array is formatted in one pass;
-    its non-finite entries and all other values go through format_number
-    (CSV) or its JSON counterpart.
+    CSV passes strings through.  A float64 array is formatted in one pass,
+    JSON lines by _json_number on its %.12g text; its non-finite entries and
+    all other values go through format_number (CSV) or _json_cell.
     """
     cell = format_number if fmt == "csv" else _json_cell
-    if isinstance(values, np.ndarray) and values.dtype == np.float64:
+    if getattr(values, "dtype", None) == np.float64:
         cells = [f"{v:.12g}" for v in values.tolist()]
         if fmt == "jsonl":
-            cells = [repr(float(c)) for c in cells]
+            cells = [_json_number(c) for c in cells]  # "inf" and "nan" are replaced below
         for i in np.flatnonzero(~np.isfinite(values)).tolist():
             cells[i] = cell(values[i].item())
         return cells
@@ -293,9 +304,10 @@ def _cells(values, fmt: str) -> list[str]:
 def write_chunks(path: str, columns: list[str], chunks, fmt: str) -> int:
     """Write (rows, {name: Column}) chunks as CSV or JSON lines; return the row count.
 
-    Each distinct value of a column is formatted once per chunk.  The first
-    chunk is taken before the file is opened, so that a grid which fails in
-    its first chunk leaves no file behind.
+    Each distinct value of a column is formatted once per chunk: each bit
+    pattern of a float64 array, so that 0.0 and -0.0 (and NaN payloads) stay
+    apart.  The first chunk is taken before the file is opened, so that a
+    grid which fails in its first chunk leaves no file behind.
     """
     chunks = iter(chunks)
     first = next(chunks)
@@ -308,12 +320,16 @@ def write_chunks(path: str, columns: list[str], chunks, fmt: str) -> int:
             for rows, chunk in itertools.chain([first], chunks):
                 cells = []
                 for name, key in zip(columns, keys):
-                    column = chunk[name]
-                    formatted = _cells(column.values, fmt)
+                    values, index = chunk[name]
+                    if getattr(values, "dtype", None) == np.float64 and values.size > 1:
+                        bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
+                        values = bits.view(np.float64)
+                        index = inverse if index is None else inverse[index]
+                    formatted = _cells(values, fmt)
                     if key:
                         formatted = [key + c for c in formatted]
-                    if column.index is not None:
-                        formatted = [formatted[i] for i in column.index.tolist()]
+                    if index is not None:
+                        formatted = [formatted[i] for i in index.tolist()]
                     elif len(formatted) == 1:
                         formatted = itertools.repeat(formatted[0], rows)
                     cells.append(formatted)

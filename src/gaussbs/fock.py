@@ -89,14 +89,16 @@ class OracleConfig:
     tol_compare: float = 1e-3
 
     def __post_init__(self):
-        if int(self.dim) != self.dim or self.dim < 4:
-            raise DomainError(f"cutoff dimension must be an integer >= 4, got {self.dim}")
+        number = isinstance(self.dim, (int, float, np.integer)) and math.isfinite(self.dim)
+        if not number or int(self.dim) != self.dim or self.dim < 4:
+            raise DomainError(f"cutoff dimension must be an integer >= 4, got {self.dim!r}")
         if self.dim > _MAX_ESCALATION_DIM:
             raise DomainError(
                 f"cutoff dimension {self.dim} exceeds the escalation cap {_MAX_ESCALATION_DIM}"
             )
-        if not (self.tol_trace > 0.0 and self.tol_compare > 0.0):
-            raise DomainError("tolerances must be positive")
+        for name in ("tol_trace", "tol_compare"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise DomainError(f"{name} must be positive and finite, got {getattr(self, name)!r}")
         object.__setattr__(self, "dim", int(self.dim))
 
 

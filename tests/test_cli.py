@@ -425,6 +425,7 @@ class TestConfigFile:
             ("sweep", "tau=abc"),
             ("sweep", "nx=abc"),
             ("oracle-check", "dim=3.5"),
+            ("oracle-check", "dim=inf"),
         ],
     )
     def test_bad_value_is_a_usage_error(self, tmp_path, capsys, command, line):
@@ -537,6 +538,17 @@ class TestOracleCheckCommand:
     def test_validity_guard(self, capsys):
         assert run("oracle-check", "--tau-list", "0.45") == 2
         assert "validity" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--tol-trace", "--tol-compare"])
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    def test_tolerance_not_finite_exits_2(self, capsys, flag, value):
+        # an infinite --tol-compare passed every point, an infinite --tol-trace
+        # switched off the leakage budget
+        assert run("oracle-check", flag, value) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        name = flag[2:].replace("-", "_")
+        assert captured.err == f"error: {name} must be positive and finite, got {value}\n"
 
     def test_cutoff_above_escalation_cap_exits_2(self, capsys):
         assert run("oracle-check", "--dim", "130") == 2

@@ -1,5 +1,6 @@
 import cmath
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -473,3 +474,17 @@ class TestConfigValidation:
             OracleConfig(dim=10, tol_trace=0.0)
         with pytest.raises(DomainError):
             OracleConfig(dim=10, tol_compare=-1.0)
+
+    @pytest.mark.parametrize("dim", [math.inf, math.nan, None, "40", 40.5, True])
+    def test_dim_not_a_finite_integer(self, dim):
+        with pytest.raises(DomainError, match=f"integer >= 4, got {re.escape(repr(dim))}$"):
+            OracleConfig(dim=dim)
+
+    def test_integral_dim_accepted(self):
+        assert OracleConfig(dim=40.0).dim == 40 and type(OracleConfig(dim=np.int64(40)).dim) is int
+
+    @pytest.mark.parametrize("name", ["tol_trace", "tol_compare"])
+    @pytest.mark.parametrize("tol", [math.inf, math.nan])
+    def test_tolerances_must_be_finite(self, name, tol):
+        with pytest.raises(DomainError, match=f"{name} must be positive and finite, got {tol!r}"):
+            OracleConfig(dim=10, **{name: tol})

@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import json
 import math
+import struct
 from unittest import mock
 
 import numpy as np
@@ -181,6 +182,85 @@ class TestChunks:
         assert next(grid.points())["nbar"] == 0.0
         rows, columns = next(cli.evaluated_chunks(grid, False))
         assert rows == cli.CHUNK and len(columns["N"].values) == cli.CHUNK
+
+
+def bits_to_float(bits: int) -> float:
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
+# Every finite double: by value, and by uniform bit pattern, which reaches the
+# subnormals and the largest exponents as often as the unit interval.
+FINITE_FLOATS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.integers(0, 2**64 - 1).map(bits_to_float).filter(math.isfinite),
+)
+TOKEN_EDGES = [
+    9.999999999995e11, 1e12, 1.5e15, 9.99999999999e15, 1e16, 1e11, 123456789012.0,
+    5e-324, 1e-322, 2.2250738585072014e-308, 2.225073858507e-308, 1e-307, 1e-5, 1e-4,
+    0.0, -0.0, 3.0, -3.0, 0.75, 1.7976931348623157e308,
+]  # fmt: skip
+
+
+def old_json_cell(value) -> str:
+    """The JSON cell as the writer produced it by a float round trip."""
+    if isinstance(value, (bool, int)):
+        return str(int(value))
+    if math.isinf(value):
+        return '"inf"'
+    return json.dumps(float(format_number(value)))
+
+
+class TestJsonTokens:
+    @settings(max_examples=3000, deadline=None)
+    @given(value=FINITE_FLOATS)
+    def test_token_is_the_repr_of_the_twelve_digit_value(self, value):
+        text = f"{value:.12g}"
+        assert cli._json_number(text) == repr(float(text))
+        assert cli._json_cell(value) == old_json_cell(value)
+
+    @pytest.mark.parametrize("value", TOKEN_EDGES + [-v for v in TOKEN_EDGES])
+    def test_edges(self, value):
+        text = f"{value:.12g}"
+        assert cli._json_number(text) == repr(float(text))
+        assert cli._cells(np.array([value]), "jsonl") == [old_json_cell(value)]
+
+    def test_sweep_through_both_parse_back_branches(self, tmp_path):
+        # nbar from 1e12 is positional in repr up to 1e16; theta is subnormal
+        out = tmp_path / "edges.jsonl"
+        argv = ["sweep", "--axis", "nbar:1e12:1e15:7", "--axis", "theta:0:1e-322:3",
+                "--tau", "0.3", "--u", "0.6", "--format", "jsonl", "-o", str(out)]  # fmt: skip
+        assert main(argv) == 0
+        fixed = {"tau": 0.3, "u": 0.6, "phi": 0.0, "phi_b": 0.0}
+        grid = SweepGrid((Axis("nbar", 1e12, 1e15, 7), Axis("theta", 0.0, 1e-322, 3)), fixed)
+        records = [legacy_record(point, False) for point in legacy_points(grid)]
+        text = out.read_text()
+        assert text == legacy_text(records, list(PARAM_NAMES) + ["N", "xi_minus"], "jsonl")
+        assert '"nbar": 1000000000000.0' in text and '"theta": 5e-323' in text
+
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    def test_repeated_values_in_one_chunk(self, tmp_path, fmt):
+        values = [0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 1.0, 1.0, 5e-324, 0.0]
+        values += [1e12, -0.0, 0.1, 1e12, math.nan, 3.0]
+        size = len(values)
+        index = np.arange(size)[::-1] % 5
+        chunk = {
+            "x": cli.Column(np.array(values)),
+            "y": cli.Column(np.array(values[:5]), index),
+            "z": cli.Column(np.array([-0.0])),
+            "flag": cli.Column([False, True], index % 2),
+        }
+        out = tmp_path / f"repeats.{fmt}"
+        assert cli.write_chunks(str(out), list(chunk), [(size, chunk)], fmt) == size
+        records = [
+            {"x": x, "y": values[i], "z": -0.0, "flag": bool(i % 2)}
+            for x, i in zip(values, index.tolist())
+        ]
+        assert out.read_text() == legacy_text(records, list(chunk), fmt)
+        if fmt == "jsonl":  # 0.0 and -0.0 share no cell
+            assert out.read_text().splitlines()[:2] == [
+                '{"x": 0.0, "y": 0.0, "z": -0.0, "flag": 0}',
+                '{"x": -0.0, "y": "inf", "z": -0.0, "flag": 0}',
+            ]
 
 
 class TestErrors:
