@@ -632,7 +632,7 @@ def _cmd_oracle_check(args) -> int:
         f"checked {len(records)} points: {len(records) - failures - skipped} passed, "
         f"{failures} failed, {skipped} skipped"
     )
-    if skipped and not failures:
+    if skipped:
         reasons = [
             f"{skips[reason]} {text}"
             for reason, text in (

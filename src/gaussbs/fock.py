@@ -21,12 +21,16 @@ The two-mode state is never held in the product basis.  The squeezed and
 thermal inputs couple only Fock numbers of equal parity, by construction,
 and the beam splitter conserves total photon number, so the output couples
 only states of equal total parity.  It is built as two class matrices,
-total number even and odd, in sector order, straight from the one-mode
-inputs.  Its partial transpose splits into the same two classes and is
-written one class block at a time and diagonalized in place, so the stage
-peaks at about 3/4 of a matrix of ``W^4`` entries (``_LIVE_COPIES``,
-rounded up).  A point whose window would not fit in the memory still
-available is skipped with the note "memory" instead of being allocated.
+total number even and odd, straight from the squeezed state and the
+thermal weights.  Within a class the states run by parity quadrant
+(n1 mod 2, n2 mod 2), then by (n1 // 2, n2 // 2) (``_quadrants``).  In that
+layout the partial transpose sends each block between two quadrants to
+exactly one such block, so it is written over the class matrices
+themselves, one slice at a time, and each of its two class blocks is then
+diagonalized in place.  At W = 40 the stage peaks at about 0.57 of a
+matrix of ``W^4`` entries (``_LIVE_COPIES``, rounded up).  A point whose
+window would not fit in the memory still available is skipped with the
+note "memory" instead of being allocated.
 
 Truncation is handled honestly, never by renormalizing: the comparison
 harness checks the mass lost by the squeezed window, the thermal tail and
@@ -69,9 +73,10 @@ _COMPARE_GUARDS = (0, 8, 16, 24)
 _GUARD_SAFETY = 300.0
 # Peak of the two-mode stage of one oracle point, in matrices of W^4
 # entries of the working dtype, rounded up: the two parity class matrices
-# (half a matrix) and one partial-transpose block (a quarter), which the
-# eigensolve overwrites.  tracemalloc at W = 24 measured 0.79 (real) and
-# 0.80 (complex).
+# (half a matrix), which the partial transpose and then the eigensolve
+# overwrite, plus temporaries of about W^3 entries.  tracemalloc measured
+# 0.68 (real) and 0.74 (complex) at W = 24, 0.57 and 0.57 at W = 40, and
+# 0.54 (real) at W = 60.
 _LIVE_COPIES = 1
 # Memory cgroup (limit, usage) files, v2 then v1 layout.
 _CGROUP_MEMORY_FILES = (
@@ -234,98 +239,124 @@ def _beam_splitter_sectors(theta: float, phi: float, dim: int) -> tuple:
     return tuple(blocks)
 
 
-def _layout(dim: int):
-    """Where each two-mode state sits in the two class matrices.
+def _quadrants(dim: int) -> dict:
+    """Where each parity quadrant of two-mode states sits in its class matrix.
 
-    A state (n1, n2) belongs to class (n1 + n2) mod 2; within its class the
-    states are in sector order (by total n1 + n2, then by n1).  Returns
-    ``(flats, pos)``: ``flats[c]`` lists the flat product-basis indices
-    n1 * dim + n2 of class ``c`` in that order, and ``pos[n1, n2]`` is the
-    state's index in its class.
+    A state (n1, n2) belongs to class (n1 + n2) mod 2.  Within class ``c``
+    the states run by quadrant (n1 mod 2, n2 mod 2), (0, c) before
+    (1, 1 - c), and within a quadrant by (n1 // 2, n2 // 2) in row-major
+    order.  Maps each quadrant (p1, p2) to ``(offset, h1, h2)``: its first
+    index in the class matrix and its extents in n1 // 2 and n2 // 2.
     """
-    n1, n2 = np.divmod(np.arange(dim * dim), dim)
-    total = n1 + n2
-    order = np.lexsort((n1, total, total % 2))
-    flats = np.split(order, [np.count_nonzero(total % 2 == 0)])
-    pos = np.empty(dim * dim, dtype=np.intp)
-    for flat in flats:
-        pos[flat] = np.arange(flat.size)
-    return flats, pos.reshape(dim, dim)
+    h = ((dim + 1) // 2, dim // 2)
+    return {(p1, p2): (p1 * h[0] * h[1 - p2], h[p1], h[p2]) for p1 in (0, 1) for p2 in (0, 1)}
 
 
-def _conjugated_classes(rho1: np.ndarray, rho2: np.ndarray, blocks) -> list:
-    """U (rho1 x rho2) U^ as its two class matrices (see ``_layout``).
+def _output_class(rho1: np.ndarray, weights: np.ndarray, blocks, c: int) -> np.ndarray:
+    """Class ``c`` of U (rho1 x diag(weights)) U^ in the quadrant layout (see ``_quadrants``).
 
-    Each class matrix is built straight from the one-mode inputs: the rows
-    of one sector at a time are gathered from rho1 x rho2 and multiplied by
-    the sector's block, then each sector's columns by the block's adjoint.
-    Both inputs couple only Fock numbers of equal parity and U conserves
-    total photon number, so the couplings between the classes are zero and
-    never formed.
+    First Y = (rho1 x diag(weights)) U^: U conserves total photon number, so
+    Y[(a, b), (c1, c2)] = weights[b] rho1[a, t - b] conj(U[(c1, c2), (t - b, b)])
+    with t = c1 + c2, and zero where t - b is not a Fock number of the
+    window.  The rows of one b are evenly strided in the class matrix and
+    are written in one gather from rho1 and the sector blocks.  Then U Y,
+    in place, one sector at a time: the rows of sector t, the states
+    (n1, t - n1), form two evenly strided row sets, one per parity of n1,
+    so each sector is four products of the block's parity parts with
+    strided row views.  rho1 couples only Fock numbers of equal parity, so
+    Y, like the output, couples no two states of different class.
     """
     dim = rho1.shape[0]
-    flats, _ = _layout(dim)
-    dtype = np.result_type(rho1, rho2, blocks[0])
-    out = []
-    for c, flat in enumerate(flats):
-        n1, n2 = np.divmod(flat, dim)
-        mat = np.empty((flat.size, flat.size), dtype)
-        spans = []
-        lo = 0
-        for block in blocks[c::2]:
-            hi = lo + block.shape[0]
-            slab = rho1[n1[lo:hi, None], n1] * rho2[n2[lo:hi, None], n2]
-            mat[lo:hi] = block @ slab
-            spans.append((lo, hi, block))
-            lo = hi
-        for lo, hi, block in spans:
-            mat[:, lo:hi] = mat[:, lo:hi] @ block.conj().T
-        out.append(mat)
-    return out
+    quads = _quadrants(dim)
+    n1, total = [], []  # of the columns (c1, c2), in class order
+    for p1 in (0, 1):
+        _, h1, h2 = quads[p1, c ^ p1]
+        i1, i2 = np.divmod(np.arange(h1 * h2), h2)
+        n1.append(p1 + 2 * i1)
+        total.append(p1 + (c ^ p1) + 2 * (i1 + i2))
+    n1, total = np.concatenate(n1), np.concatenate(total)
+    sectors = blocks[c::2]
+    sizes = np.array([block.shape[0] for block in sectors])
+    starts = np.cumsum(sizes**2) - sizes**2
+    lo = np.maximum(0, total - dim + 1)
+    # flat[base + a] is conj(U[(c1, c2), (a, t - a)]) for every column (c1, c2).
+    flat = np.concatenate([block.conj().ravel() for block in sectors])
+    base = starts[total // 2] + (n1 - lo) * sizes[total // 2] - lo
+    mat = np.empty((total.size, total.size), np.result_type(rho1, weights, blocks[0]))
+    for b in range(dim):
+        a = total - b
+        inside = (a >= 0) & (a < dim)
+        factor = np.where(inside, flat[np.where(inside, base + a, 0)], 0.0) * weights[b]
+        pa = c ^ (b & 1)
+        offset, h1, h2 = quads[pa, b & 1]
+        rows = mat[offset + b // 2 : offset + h1 * h2 : h2]
+        np.multiply(rho1[pa::2].take(a, axis=1, mode="clip"), factor, out=rows)
+    for t, block in zip(range(c, 2 * dim - 1, 2), sectors):
+        first = max(0, t - dim + 1)
+        parts = []
+        for p1 in (0, 1):
+            n1_first = first + ((first ^ p1) & 1)
+            count = len(range(n1_first, min(t, dim - 1) + 1, 2))
+            offset, _, h2 = quads[p1, (t - p1) & 1]
+            row = offset + (n1_first // 2) * h2 + (t - n1_first) // 2
+            step = max(h2 - 1, 1)  # n1 up by 2 and n2 down by 2
+            parts.append((slice(n1_first - first, None, 2), mat[row : row + step * count : step]))
+        (even, y_even), (odd, y_odd) = parts
+        # Contiguous parity parts, so that the products run in BLAS.
+        new_even, new_odd = (
+            np.ascontiguousarray(block[p, even]) @ y_even
+            + np.ascontiguousarray(block[p, odd]) @ y_odd
+            for p in (even, odd)
+        )
+        y_even[...], y_odd[...] = new_even, new_odd
+    return mat
 
 
-def _output_classes(rho1: np.ndarray, rho2: np.ndarray, bs: BeamSplitter) -> tuple[list, float]:
-    """U (rho1 x rho2) U^ as its two class matrices, Hermitian averaged.
+def _output_classes(rho1: np.ndarray, weights: np.ndarray, bs: BeamSplitter) -> tuple[list, float]:
+    """U (rho1 x diag(weights)) U^ as its two class matrices, Hermitian averaged.
 
-    Returns the matrices and their leakage, |1 - total trace|; comparing it
-    with a budget is the caller's decision.
+    ``weights`` is the diagonal of the second input.  Returns the matrices
+    and their leakage, |1 - total trace|; comparing it with a budget is the
+    caller's decision.
     """
     sectors = _beam_splitter_sectors(bs.theta, bs.phi, rho1.shape[0])
-    mats = _conjugated_classes(rho1, rho2, sectors)
+    mats = [_output_class(rho1, weights, sectors, c) for c in (0, 1)]
     for mat in mats:
         _hermitize(mat)
     leakage = abs(1.0 - sum(np.trace(mat).real for mat in mats))
     return mats, leakage
 
 
-def _pt_block(mats: list, pos: np.ndarray, q: int) -> np.ndarray:
-    """Class ``q`` block of the partial transpose, written from the class matrices.
+def _partial_transpose(mats: list, dim: int) -> None:
+    """Overwrite the class matrices of a state with the class blocks of its partial transpose.
 
-    Its basis, the states (n1, n2) with n1 + n2 = q mod 2, runs in groups
-    by the parity of n2, each ordered by n1, then n2.  The rows of one m1
-    are then contiguous, and against each group of columns they read one
-    class matrix.
+    The partial transpose takes the block between quadrants (a1, a2) and
+    (b1, b2) from the state's block between (a1, b2) and (b1, a2), with the
+    axis swap (m1, n2, n1, m2) -> (m1, m2, n1, n2) of its 4-index view.  A
+    diagonal block is its own source and is transposed inside its buffer;
+    the off-diagonal blocks of the two classes are each other's source and
+    are swapped.  Either way one slice of fixed m1 moves at a time, so no
+    block-sized temporary exists.  Afterwards ``mats[q]`` holds class q of
+    the partial transpose, the states with m1 + m2 = q mod 2, in the same
+    layout.
     """
-    x = np.arange(pos.shape[0])
-    groups = [(x[(x + g - q) % 2 == 0], x[x % 2 == g]) for g in (0, 1)]
-    size = sum(n1s.size * n2s.size for n1s, n2s in groups)
-    block = np.empty((size, size), mats[0].dtype)
-    row = 0
-    for m1s, m2s in groups:
-        col = 0
-        for g, (n1s, n2s) in enumerate(groups):
-            width = n1s.size * n2s.size
-            # block[(m1, m2), (n1, n2)] = state[(m1, n2), (n1, m2)]: the
-            # column of the state runs over (n1, m2), its row over n2.
-            state_cols = np.repeat(pos[n1s, m2s[:, None]], n2s.size, axis=1)
-            for i, m1 in enumerate(m1s):
-                lo = row + i * m2s.size
-                state_rows = np.tile(pos[m1, n2s], n1s.size)
-                mat = mats[(m1 + g) % 2]
-                block[lo : lo + m2s.size, col : col + width] = mat[state_rows, state_cols]
-            col += width
-        row += m1s.size * m2s.size
-    return block
+    quads = _quadrants(dim)
+
+    def view(a, b):
+        (row, h1, h2), (col, k1, k2) = quads[a], quads[b]
+        block = mats[sum(a) % 2][row : row + h1 * h2, col : col + k1 * k2]
+        return block.reshape(h1, h2, k1, k2)  # a view: splitting axes never copies
+
+    for quad in quads:
+        block = view(quad, quad)
+        for i in range(block.shape[0]):
+            block[i] = block[i].transpose(2, 1, 0).copy()
+    for p in (0, 1):
+        x, y = view((p, p), (1 - p, 1 - p)), view((p, 1 - p), (1 - p, p))
+        for i in range(x.shape[0]):
+            keep = x[i].copy()
+            x[i] = y[i].transpose(2, 1, 0)
+            y[i] = keep.transpose(2, 1, 0)
 
 
 def _pt_trace_norm(mats: list, dim: int) -> float:
@@ -333,20 +364,18 @@ def _pt_trace_norm(mats: list, dim: int) -> float:
 
     The partial transpose couples (m1, m2) with (n1, n2) only where the
     state couples (m1, n2) with (n1, m2), so it splits into the same
-    classes by m1 + m2.  Its blocks are written one at a time and
-    diagonalized in place, so the peak is the state and one block.
+    classes by m1 + m2.  It is written over the class matrices, which are
+    consumed, and each block is diagonalized in place.
     """
     from scipy.linalg import eigh
 
-    _, pos = _layout(dim)
+    _partial_transpose(mats, dim)
     norm = 0.0
-    for q in (0, 1):
-        block = _pt_block(mats, pos, q)
+    for block in mats:
         # block.T is the Fortran-ordered view of a Hermitian matrix; its
         # eigenvalues are those of the block, and LAPACK works on it in place.
         eigenvalues = eigh(block.T, eigvals_only=True, overwrite_a=True, check_finite=False)
         norm += float(np.abs(eigenvalues).sum())
-        del block  # before the next one is allocated
     return norm
 
 
@@ -439,10 +468,10 @@ def compare_with_gaussian(params: ScenarioParams, cfg: OracleConfig) -> OracleCo
             return OracleComparison(
                 params, n_gaussian, math.nan, math.nan, _leakage(rho1), dim, "skip", note
             )
-        rho2 = np.diag(_thermal_weights(params.nbar, window))
-        leakages = [_leakage(rho1), _leakage(rho2)]
+        weights = _thermal_weights(params.nbar, window)
+        leakages = [_leakage(rho1), _leakage(np.diag(weights))]
         if not any(leakage > cfg.tol_trace for leakage in leakages):
-            mats, out_leakage = _output_classes(rho1, rho2, params.splitter())
+            mats, out_leakage = _output_classes(rho1, weights, params.splitter())
             leakages.append(out_leakage)
         over = [leakage for leakage in leakages if leakage > cfg.tol_trace]
         if over:

@@ -611,6 +611,23 @@ class TestOracleCheckCommand:
             "escalation; 2 whose window would not fit in the available memory"
         )
 
+    def test_skip_reasons_shown_beside_a_failure(self, monkeypatch, capsys):
+        results = iter([(0.2, "fail", ""), (math.nan, "skip", "memory: window 64 needs 99 MiB")])
+
+        def mixed(params, cfg):
+            n_fock, status, note = next(results)
+            return OracleComparison(params, 0.1, n_fock, abs(0.1 - n_fock), 1e-9, 40, status, note)
+
+        monkeypatch.setattr(cli, "compare_with_gaussian", mixed)
+        code = run("oracle-check", "--tau-list", "0.2", "--u-list", "1", "--nbar-list", "0,0.5",
+                   "--theta-list", PI_4)  # fmt: skip
+        out = capsys.readouterr().out
+        assert code == 1
+        assert "checked 2 points: 0 passed, 1 failed, 1 skipped" in out
+        assert out.splitlines()[-1] == (
+            "warning: some points were skipped: 1 whose window would not fit in the available memory"
+        )
+
 
 class TestInternalErrors:
     def test_unexpected_exception_exits_4(self, monkeypatch, capsys):

@@ -22,13 +22,12 @@ from gaussbs.entanglement import ScenarioParams, negativity_closed_form
 from gaussbs.fock import OracleConfig, compare_with_gaussian, fock_squeezed_thermal
 from gaussbs.fock import (
     _beam_splitter_sectors,
-    _conjugated_classes,
     _hermitize,
-    _layout,
     _leakage,
     _output_classes,
-    _pt_block,
+    _partial_transpose,
     _pt_trace_norm,
+    _thermal_weights,
 )
 from gaussbs.states import (
     BeamSplitter,
@@ -40,10 +39,26 @@ from gaussbs.states import (
 CFG = OracleConfig(dim=30, tol_trace=1e-6)
 
 
-def _oracle_log_negativity(rho1, rho2, bs) -> float:
-    """The oracle's log2 trace norm of the partial transpose of U (rho1 x rho2) U^, unclamped."""
-    mats, _ = _output_classes(rho1, rho2, bs)
+def _oracle_log_negativity(rho1, weights, bs) -> float:
+    """The oracle's unclamped log2 trace norm of the partial transpose of U (rho1 x diag p) U^."""
+    mats, _ = _output_classes(rho1, weights, bs)
     return math.log2(_pt_trace_norm(mats, rho1.shape[0]))
+
+
+def _quadrant_order(dim: int, c: int) -> np.ndarray:
+    """Product-basis indices n1 * dim + n2 of class c, in the oracle's quadrant layout."""
+    n1, n2 = np.divmod(np.arange(dim * dim), dim)
+    flat = np.flatnonzero((n1 + n2) % 2 == c)
+    return flat[np.lexsort((n2[flat] // 2, n1[flat] // 2, n2[flat] % 2, n1[flat] % 2))]
+
+
+def _random_inputs(rng, dim: int, dtype):
+    """A Hermitian rho1 with only equal-parity couplings, and positive weights."""
+    z = rng.standard_normal((dim, dim))
+    if dtype == np.complex128:
+        z = z + 1j * rng.standard_normal((dim, dim))
+    n = np.arange(dim)
+    return (z + z.conj().T) * ((n[:, None] - n) % 2 == 0), rng.uniform(0.1, 1.0, dim)
 
 
 class TestStateBuilders:
@@ -227,21 +242,18 @@ class TestPartialTransposeAndNegativity:
     def test_pure_squeezed_5050_half_bit(self):
         p = ScenarioParams(0.25, 1.0, 0.0, math.pi / 4)
         rho1 = fock_squeezed_thermal(p.spec(), CFG.dim)
-        rho2 = thermal(0.0, CFG.dim)
-        raw = _oracle_log_negativity(rho1, rho2, p.splitter())
+        raw = _oracle_log_negativity(rho1, _thermal_weights(0.0, CFG.dim), p.splitter())
         assert max(0.0, raw) == pytest.approx(0.5, abs=1e-3)
 
     def test_zero_at_critical_point(self):
         p = ScenarioParams(0.3, 1.0, 0.75, math.pi / 12)
         rho1 = fock_squeezed_thermal(p.spec(), 40)
-        rho2 = thermal(0.75, 40)
-        raw = _oracle_log_negativity(rho1, rho2, p.splitter())
+        raw = _oracle_log_negativity(rho1, _thermal_weights(0.75, 40), p.splitter())
         assert max(0.0, raw) == pytest.approx(0.0, abs=1e-3)
 
     def test_raw_value_reported(self):
         rho1 = thermal(0.2, CFG.dim)
-        rho2 = thermal(0.4, CFG.dim)
-        raw = _oracle_log_negativity(rho1, rho2, BeamSplitter(0.5))
+        raw = _oracle_log_negativity(rho1, _thermal_weights(0.4, CFG.dim), BeamSplitter(0.5))
         assert raw <= 1e-12
         assert max(0.0, raw) <= 1e-12
 
@@ -250,6 +262,12 @@ class TestPartialTransposeAndNegativity:
         data[0, 1] = 1.0
         with pytest.raises(DomainError):
             _hermitize(data)
+
+    def test_non_hermitian_input_rejected_by_the_build(self):
+        rho1, weights = _random_inputs(np.random.default_rng(5), 8, np.complex128)
+        rho1[0, 2] += 0.5
+        with pytest.raises(DomainError, match="Hermitian"):
+            _output_classes(rho1, weights, BeamSplitter(0.7, 0.4))
 
 
 class TestComparisonHarness:
@@ -309,9 +327,9 @@ class TestComparisonHarness:
     def test_output_trace_over_budget_escalates(self, monkeypatch):
         windows = []
 
-        def leaky_once(rho1, rho2, bs):
+        def leaky_once(rho1, weights, bs):
             windows.append(rho1.shape[0])
-            mats, leakage = _output_classes(rho1, rho2, bs)
+            mats, leakage = _output_classes(rho1, weights, bs)
             return mats, (1e-3 if len(windows) == 1 else leakage)
 
         monkeypatch.setattr(fock, "_output_classes", leaky_once)
@@ -329,15 +347,16 @@ class TestDtypeFollowsPhases:
 
     def _inputs(self, phi, phi_b):
         p = ScenarioParams(0.2, 0.9, 0.3, math.pi / 4, phi, phi_b)
-        return fock_squeezed_thermal(p.spec(), CFG.dim), thermal(p.nbar, CFG.dim), p.splitter()
+        weights = _thermal_weights(p.nbar, CFG.dim)
+        return fock_squeezed_thermal(p.spec(), CFG.dim), weights, p.splitter()
 
     def test_two_mode_dtype(self):
-        _, pos = _layout(CFG.dim)
         for (phi, phi_b), dtype in zip(self.ROTATIONS, (np.float64, np.complex128)):
-            rho1, rho2, bs = self._inputs(phi, phi_b)
-            mats, _ = _output_classes(rho1, rho2, bs)
+            rho1, weights, bs = self._inputs(phi, phi_b)
+            mats, _ = _output_classes(rho1, weights, bs)
             assert [mat.dtype for mat in mats] == [dtype, dtype]
-            assert [_pt_block(mats, pos, q).dtype for q in (0, 1)] == [dtype, dtype]
+            _partial_transpose(mats, CFG.dim)
+            assert [mat.dtype for mat in mats] == [dtype, dtype]
 
     def test_log_negativity_same_in_both_dtypes(self):
         values = [
@@ -347,25 +366,20 @@ class TestDtypeFollowsPhases:
         assert values[1] == pytest.approx(values[0], abs=1e-9)
 
     def test_sector_conjugate_matches_dense(self):
-        # Hermitian inputs with only even-parity couplings, real and complex.
-        dim = 8
+        # Hermitian parity-masked rho1 and positive weights, real and complex.
         rng = np.random.default_rng(7)
-        n = np.arange(dim)
-        parity_mask = (n[:, None] - n) % 2 == 0
-        z = rng.standard_normal((2, dim, dim)) + 1j * rng.standard_normal((2, dim, dim))
-        flats, _ = _layout(dim)
-        for pair in (z.real + z.real.swapaxes(1, 2), z + z.conj().swapaxes(1, 2)):
-            rho1, rho2 = pair * parity_mask
-            rho = np.kron(rho1, rho2)
-            for phi in (0.0, 0.4):
-                u = _beam_splitter_unitary(0.7, phi, dim)
-                blocks = _beam_splitter_sectors(0.7, phi, dim)
-                mats = _conjugated_classes(rho1, rho2, blocks)
-                expected = u @ rho @ u.conj().T
-                assert np.abs(expected[np.ix_(flats[0], flats[1])]).max() < 1e-12
-                for flat, got in zip(flats, mats):
-                    assert got.dtype == np.result_type(rho, u)
-                    assert np.abs(got - expected[np.ix_(flat, flat)]).max() < 1e-12
+        for dim in (8, 9):
+            flats = [_quadrant_order(dim, c) for c in (0, 1)]
+            for dtype in (np.float64, np.complex128):
+                rho1, weights = _random_inputs(rng, dim, dtype)
+                for phi in (0.0, 0.4):
+                    bs = BeamSplitter(0.7, phi)
+                    expected = dense_output(rho1, np.diag(weights), bs)
+                    assert np.abs(expected[np.ix_(flats[0], flats[1])]).max() < 1e-12
+                    mats, _ = _output_classes(rho1, weights, bs)
+                    for flat, got in zip(flats, mats):
+                        assert got.dtype == expected.dtype
+                        assert np.abs(got - expected[np.ix_(flat, flat)]).max() < 1e-12
 
 
 class TestParityClasses:
@@ -381,31 +395,51 @@ class TestParityClasses:
                     generator = np.diag(hop, -1) - np.diag(hop.conj(), 1)
                     assert np.abs(block - expm(generator)).max() < 1e-13
 
-    @pytest.mark.parametrize("dim", [9, 10])
+    @pytest.mark.parametrize("dim", [8, 9, 10, 11])
     @pytest.mark.parametrize("phases", [(0.0, 0.0), (0.7, 1.1)])
     def test_parity_blocks_match_dense_partial_transpose(self, dim, phases):
         p = ScenarioParams(0.2, 0.8, 0.3, math.pi / 5, *phases)
         rho1 = fock_squeezed_thermal(p.spec(), dim)
-        rho2 = thermal(p.nbar, dim)
-        dense = dense_output(rho1, rho2, p.splitter())
+        weights = _thermal_weights(p.nbar, dim)
+        dense = dense_output(rho1, np.diag(weights), p.splitter())
         expected = dense_pt_trace_norm(dense)
-        mats, _ = _output_classes(rho1, rho2, p.splitter())
+        mats, _ = _output_classes(rho1, weights, p.splitter())
         assert len(mats) == 2
         assert mats[0].dtype == dense.dtype
         assert _pt_trace_norm(mats, dim) == pytest.approx(expected, abs=1e-12)
+
+    @pytest.mark.parametrize("dim", [8, 9, 10, 11])
+    def test_partial_transpose_blocks_match_dense(self, dim):
+        # An odd dim gives quadrants of unequal size.
+        rng = np.random.default_rng(dim)
+        flats = [_quadrant_order(dim, q) for q in (0, 1)]
+        for dtype in (np.float64, np.complex128):
+            rho1, weights = _random_inputs(rng, dim, dtype)
+            for phi in (0.0, 0.4):
+                bs = BeamSplitter(0.7, phi)
+                pt = partial_transpose(dense_output(rho1, np.diag(weights), bs))
+                assert np.abs(pt[np.ix_(flats[0], flats[1])]).max() < 1e-12
+                mats, _ = _output_classes(rho1, weights, bs)
+                _partial_transpose(mats, dim)
+                for flat, got in zip(flats, mats):
+                    expected = pt[np.ix_(flat, flat)]
+                    assert got.dtype == expected.dtype
+                    assert np.abs(got - expected).max() < 1e-12
+                    got_eigs, expected_eigs = np.linalg.eigvalsh(got), np.linalg.eigvalsh(expected)
+                    assert np.abs(got_eigs - expected_eigs).max() < 1e-12
 
 
 class TestMemoryPrecheck:
     POINT = ScenarioParams(0.2, 0.8, 0.1, math.pi / 4)
 
     @staticmethod
-    def _stage_peak(rho1, rho2, bs, dim):
+    def _stage_peak(rho1, weights, bs, dim):
         """Peak bytes traced over the two-mode stage, cold sector cache included."""
         _beam_splitter_sectors.cache_clear()
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            mats, _ = _output_classes(rho1, rho2, bs)
+            mats, _ = _output_classes(rho1, weights, bs)
             _pt_trace_norm(mats, dim)
             return tracemalloc.get_traced_memory()[1] - base
         finally:
@@ -413,13 +447,13 @@ class TestMemoryPrecheck:
 
     @pytest.mark.parametrize("phases", [(0.0, 0.0), (0.7, 1.1)])
     def test_two_mode_stage_peak(self, phases):
-        dim = 24
         p = ScenarioParams(0.2, 0.8, 0.3, math.pi / 5, *phases)
-        rho1 = fock_squeezed_thermal(p.spec(), dim)
-        rho2 = thermal(p.nbar, dim)
         itemsize = 8 if phases == (0.0, 0.0) else 16
-        peak = self._stage_peak(rho1, rho2, p.splitter(), dim)
-        assert peak <= fock._LIVE_COPIES * itemsize * dim**4
+        for dim, copies in ((24, fock._LIVE_COPIES), (40, 0.65)):
+            rho1 = fock_squeezed_thermal(p.spec(), dim)
+            weights = _thermal_weights(p.nbar, dim)
+            peak = self._stage_peak(rho1, weights, p.splitter(), dim)
+            assert peak <= copies * itemsize * dim**4, dim
 
     def test_skip_before_allocating(self, monkeypatch):
         def no_allocation(*args):
