@@ -28,7 +28,10 @@ layout the partial transpose sends each block between two quadrants to
 exactly one such block, so it is written over the class matrices
 themselves, one slice at a time, and each of its two class blocks is then
 diagonalized in place.  At W = 40 the stage peaks at about 0.57 of a
-matrix of ``W^4`` entries (``_LIVE_COPIES``, rounded up).  A point whose
+matrix of ``W^4`` entries (``_LIVE_COPIES``, rounded up).  The class
+matrices each live in an anonymous memory map of their own
+(``_mapped_matrix``), so that the resident peak of a point does not depend
+on the points run before it in the same process.  A point whose
 window would not fit in the memory still available is skipped with the
 note "memory" instead of being allocated.
 
@@ -42,6 +45,7 @@ and records a skip if even that is not enough.
 from __future__ import annotations
 
 import math
+import mmap
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -239,6 +243,20 @@ def _beam_splitter_sectors(theta: float, phi: float, dim: int) -> tuple:
     return tuple(blocks)
 
 
+def _mapped_matrix(n: int, dtype) -> np.ndarray:
+    """An uninitialized n x n array in an anonymous memory map of its own.
+
+    glibc's malloc serves a block below its mmap threshold from the heap,
+    which keeps freed memory resident, and raises that threshold to the size
+    of each mapped block it frees.  From malloc, where a class matrix lands,
+    and so the process's resident peak, would depend on which window sizes
+    ran before.  A map of its own is returned to the system as soon as the
+    array is released.
+    """
+    dtype = np.dtype(dtype)
+    return np.frombuffer(mmap.mmap(-1, n * n * dtype.itemsize), dtype).reshape(n, n)
+
+
 def _quadrants(dim: int) -> dict:
     """Where each parity quadrant of two-mode states sits in its class matrix.
 
@@ -282,7 +300,7 @@ def _output_class(rho1: np.ndarray, weights: np.ndarray, blocks, c: int) -> np.n
     # flat[base + a] is conj(U[(c1, c2), (a, t - a)]) for every column (c1, c2).
     flat = np.concatenate([block.conj().ravel() for block in sectors])
     base = starts[total // 2] + (n1 - lo) * sizes[total // 2] - lo
-    mat = np.empty((total.size, total.size), np.result_type(rho1, weights, blocks[0]))
+    mat = _mapped_matrix(total.size, np.result_type(rho1, weights, blocks[0]))
     for b in range(dim):
         a = total - b
         inside = (a >= 0) & (a < dim)

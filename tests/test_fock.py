@@ -433,8 +433,13 @@ class TestMemoryPrecheck:
     POINT = ScenarioParams(0.2, 0.8, 0.1, math.pi / 4)
 
     @staticmethod
-    def _stage_peak(rho1, weights, bs, dim):
-        """Peak bytes traced over the two-mode stage, cold sector cache included."""
+    def _stage_peak(rho1, weights, bs, dim, monkeypatch):
+        """Peak bytes traced over the two-mode stage, cold sector cache included.
+
+        The class matrices are allocated by numpy here, where tracemalloc
+        sees them, rather than in their own memory maps.
+        """
+        monkeypatch.setattr(fock, "_mapped_matrix", lambda n, dtype: np.empty((n, n), dtype))
         _beam_splitter_sectors.cache_clear()
         tracemalloc.start()
         try:
@@ -446,14 +451,26 @@ class TestMemoryPrecheck:
             tracemalloc.stop()
 
     @pytest.mark.parametrize("phases", [(0.0, 0.0), (0.7, 1.1)])
-    def test_two_mode_stage_peak(self, phases):
+    def test_two_mode_stage_peak(self, phases, monkeypatch):
         p = ScenarioParams(0.2, 0.8, 0.3, math.pi / 5, *phases)
         itemsize = 8 if phases == (0.0, 0.0) else 16
         for dim, copies in ((24, fock._LIVE_COPIES), (40, 0.65)):
             rho1 = fock_squeezed_thermal(p.spec(), dim)
             weights = _thermal_weights(p.nbar, dim)
-            peak = self._stage_peak(rho1, weights, p.splitter(), dim)
+            peak = self._stage_peak(rho1, weights, p.splitter(), dim, monkeypatch)
             assert peak <= copies * itemsize * dim**4, dim
+
+    def test_class_matrices_bypass_the_heap(self):
+        p = ScenarioParams(0.2, 0.8, 0.3, math.pi / 5)
+        rho1, weights = fock_squeezed_thermal(p.spec(), 24), _thermal_weights(p.nbar, 24)
+        tracemalloc.start()
+        try:
+            mats, _ = _output_classes(rho1, weights, p.splitter())
+            traced = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert sum(mat.nbytes for mat in mats) == 8 * 24**4 // 2
+        assert traced < 0.1 * 8 * 24**4
 
     def test_skip_before_allocating(self, monkeypatch):
         def no_allocation(*args):
