@@ -56,6 +56,7 @@ from .entanglement import (
     optimal_angle,
     output_covariance,
     pt_symplectic_spectrum,
+    _two_xi_minus_sq,
 )
 from .fock import OracleConfig, compare_with_gaussian
 from .states import DomainError
@@ -191,10 +192,6 @@ class SweepGrid:
                 seen[k] = max(seen[k], min(last + 1, axis.count))
             yield hi - lo, columns, new
 
-    def points(self):
-        for rows, columns, _ in self.chunks():
-            yield from _point_dicts(rows, columns)
-
 
 def _point_dicts(rows: int, columns: dict):
     names = list(columns)
@@ -226,31 +223,39 @@ def _evaluate(rows: int, columns: dict, with_threshold: bool) -> dict:
 def evaluated_chunks(grid: SweepGrid, with_threshold: bool):
     """Each chunk of the grid with its computed columns added.
 
-    Every axis and fixed value is validated once.  A chunk that raises is
-    replayed point by point, so that the error is the one that the first
-    failing point raises on its own.
+    Every axis and fixed value is validated once, and the chunk is computed
+    column-wise with numpy's division, overflow and invalid flags raising.
+    A chunk with an invalid value or a flagged operation is evaluated row by
+    row through ``evaluate_point`` instead, so that the first row that
+    raises decides the error, and rows that do not raise get the scalar
+    API's values.
     """
     for rows, columns, new in grid.chunks(CHUNK):
         try:
             for name, values in new.items():
                 for value in values:
                     ScenarioParams(**{**_VALID_POINT, name: value})
-            computed = _evaluate(rows, columns, with_threshold)
-        except Exception:
-            for point in _point_dicts(rows, columns):
-                evaluate_point(point, with_threshold)
-            raise
+            with np.errstate(divide="raise", over="raise", invalid="raise"):
+                computed = _evaluate(rows, columns, with_threshold)
+        except (DomainError, FloatingPointError):
+            records = [evaluate_point(p, with_threshold) for p in _point_dicts(rows, columns)]
+            computed = {n: Column([r[n] for r in records]) for n in records[0] if n not in columns}
         columns.update(computed)
         yield rows, columns
 
 
 def evaluate_point(point: dict, with_threshold: bool) -> dict:
-    """One output record, as a one-row chunk; ScenarioParams validates the point."""
-    ScenarioParams(**point)
-    columns = {name: Column(np.array([point[name]], dtype=float)) for name in PARAM_NAMES}
+    """One output record from the scalar API; ScenarioParams validates the point."""
+    params = ScenarioParams(**point)
+    s = closed_form_terms(params.tau, params.u, params.nbar, params.theta).s
+    two_xi_minus_sq = _two_xi_minus_sq(s, 2.0 * params.nbar + 1.0, params.u)
     record = {name: point[name] for name in PARAM_NAMES}
-    for name, column in _evaluate(1, columns, with_threshold).items():
-        record[name] = column.rows(1).tolist()[0]
+    record["N"] = negativity_closed_form(params)
+    record["xi_minus"] = 0.5 * math.sqrt(two_xi_minus_sq)
+    if with_threshold:
+        threshold = critical_noise(params.tau, params.u, params.theta)
+        values = (threshold.value, threshold.never_entangled, threshold.infinite)
+        record.update(zip(THRESHOLD_COLUMNS, values))
     return record
 
 

@@ -12,15 +12,15 @@ critical thermal occupation at which N reaches zero (analytic), the
 optimal-angle dichotomy, and the small-deviation expansion of the
 threshold around the 50:50 setting.  The closed form and
 the threshold are also evaluated elementwise over numpy arrays
-(``negativity_columns``, ``critical_noise_columns``), bit for bit equal to
-the scalar functions, for the CLI's sweeps.
+(``negativity_columns``, ``critical_noise_columns``) for the CLI's sweeps:
+bit for bit equal to the scalar functions on every element whose
+evaluation sets no floating-point flag, and following the caller's
+``np.errstate`` on the others.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
-import operator
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -159,8 +159,10 @@ def negativity_closed_form(p: ScenarioParams) -> float:
     m = 2.0 * p.nbar + 1.0
     if _entanglement_margin(p.tau, p.u, cos4t, m) <= 0.0:
         return 0.0
-    terms = _terms(p.tau, p.u, p.nbar, cos4t)
-    return _negativity(_two_xi_minus_sq(terms.s, m, p.u))
+    two_xi_minus_sq = _two_xi_minus_sq(_terms(p.tau, p.u, p.nbar, cos4t).s, m, p.u)
+    if two_xi_minus_sq <= 0.0:
+        raise ValueError("math domain error")  # as math.log2 raises; np.log2 warns
+    return float(_negativity(two_xi_minus_sq))
 
 
 def negativity_5050(tau: float, nbar: float) -> float:
@@ -208,18 +210,18 @@ def critical_noise(tau: float, u: float, theta: float) -> CriticalNoise:
 
 # The formulas below are written once and evaluated two ways: on Python
 # floats by the scalar API above, and elementwise on numpy arrays by the
-# column evaluators further down.  Both give the same bits: + - * / and
-# sqrt are correctly rounded in both, and the operations where numpy and
-# Python differ are parameters whose defaults are the Python ones (default
-# arguments keep the scalar cost).  The column evaluators pass array
-# versions that call libm pow and log2 per element (numpy's differ in the
-# last bit on some inputs), keep Python's max (np.maximum(0.0, -0.0) is
-# -0.0), and raise where Python raises.
+# column evaluators further down.  Where no floating-point flag is set,
+# both give the same bits: + - * / and sqrt are correctly rounded in both,
+# a square is libm pow in both (Python's ** and np.float_power; numpy's
+# x**2 is x*x, which differs in the last bit on some inputs), both take
+# np.log2, and a maximum keeps Python's max (np.maximum(0.0, -0.0) is
+# -0.0).  Where a flag is set, Python raises or returns inf or nan
+# silently, and the column evaluators follow the caller's np.errstate.
 
 
-def _terms(tau, u, nbar, cos4t, div=operator.truediv) -> ClosedFormTerms:
+def _terms(tau, u, nbar, cos4t) -> ClosedFormTerms:
     w = 1.0 - 2.0 * tau
-    g = div(1.0, u * u * w)
+    g = 1.0 / (u * u * w)
     m = 2.0 * nbar + 1.0
     s_plus = g + m
     s_minus = g - m
@@ -227,68 +229,41 @@ def _terms(tau, u, nbar, cos4t, div=operator.truediv) -> ClosedFormTerms:
     return ClosedFormTerms(s, s_plus, s_minus)
 
 
-def _margin_coefficients(tau, u, cos4t, div=operator.truediv):
+def _margin_coefficients(tau, u, cos4t):
     """alpha, beta, gamma of the entanglement margin, quadratic in m = 2 nbar + 1.
 
     alpha m^2 + beta m + gamma = 2 (2 s - 1 - m^2/u^2); alpha < 0 for
     u <= 1 and cos4t < 1, and beta > 0.
     """
     w = 1.0 - 2.0 * tau
-    g = div(1.0, u * u * w)
-    alpha = (1.0 + cos4t) - div(2.0, u * u)
+    g = 1.0 / (u * u * w)
+    alpha = (1.0 + cos4t) - 2.0 / (u * u)
     beta = (1.0 - cos4t) * (g + w)
-    gamma = div(1.0 + cos4t, u * u) - 2.0
+    gamma = (1.0 + cos4t) / (u * u) - 2.0
     return alpha, beta, gamma
 
 
-def _entanglement_margin(tau, u, cos4t, m, div=operator.truediv):
+def _entanglement_margin(tau, u, cos4t, m):
     """Positive exactly when the output with 2 nbar + 1 = m is entangled."""
-    alpha, beta, gamma = _margin_coefficients(tau, u, cos4t, div)
+    alpha, beta, gamma = _margin_coefficients(tau, u, cos4t)
     return alpha * m * m + beta * m + gamma
 
 
-def _two_xi_minus_sq(s, m, u, div=operator.truediv, pow=pow, sqrt=math.sqrt, max=max):
+def _two_xi_minus_sq(s, m, u, pow=pow, sqrt=math.sqrt, max=max):
     """(2 xi_-)^2 = s - sqrt(s^2 - k^2) with k = m/u, in cancellation-free form."""
     k_sq = pow(m / u, 2)
-    return div(k_sq, s + sqrt(max(s * s - k_sq, 0.0)))
+    return k_sq / (s + sqrt(max(s * s - k_sq, 0.0)))
 
 
-def _negativity(two_xi_minus_sq, log2=math.log2, max=max):
-    return max(0.0, -0.5 * log2(two_xi_minus_sq))
+def _negativity(two_xi_minus_sq, max=max):
+    return max(0.0, -0.5 * np.log2(two_xi_minus_sq))
 
 
-def _upper_root(alpha, beta, gamma, div=operator.truediv, sqrt=math.sqrt, max=max):
+def _upper_root(alpha, beta, gamma, sqrt=math.sqrt, max=max):
     """The root of the margin above m = 1, from the stable quadratic pivot."""
     disc = beta * beta - 4.0 * alpha * gamma
     q = -0.5 * (beta + sqrt(disc))  # beta > 0, so q is the stable pivot
-    return max(div(q, alpha), div(gamma, q))
-
-
-def _each(f, x, *args) -> np.ndarray:
-    """f(element, *args) for every element of x, on Python floats."""
-    x = np.asarray(x, dtype=float)
-    values = map(f, x.ravel().tolist(), *map(itertools.repeat, args))
-    return np.fromiter(values, float, x.size).reshape(x.shape)
-
-
-def _array_div(a, b):
-    if not np.all(b):
-        raise ZeroDivisionError("float division by zero")
-    return a / b
-
-
-def _array_pow(x, exponent):
-    return _each(pow, x, exponent)
-
-
-def _array_log2(x):
-    return _each(math.log2, x)
-
-
-def _array_sqrt(x):
-    if np.any(x < 0.0):
-        raise ValueError("math domain error")
-    return np.sqrt(x)
+    return max(q / alpha, gamma / q)
 
 
 def _array_max(a, b):
@@ -315,27 +290,27 @@ def cos4(theta) -> np.ndarray:
 
     Evaluate it on the distinct angles of a grid and index the result.
     """
-    return _each(lambda t: math.cos(4.0 * t), theta)
+    theta = np.asarray(theta, dtype=float)
+    return np.array([math.cos(4.0 * t) for t in theta.ravel().tolist()]).reshape(theta.shape)
 
 
 def negativity_columns(tau, u, nbar, cos4t) -> NegativityColumns:
     """N and xi_minus at every element of the broadcast parameter arrays.
 
     cos4t is cos(4 theta) (see ``cos4``).  Inputs are assumed validated.
-    Each element equals ``negativity_closed_form`` bit for bit, and an
-    element on which the scalar formulas raise makes this raise too.
+    An element equals ``negativity_closed_form`` bit for bit unless its
+    evaluation sets a floating-point flag (a zero divisor, an overflow, an
+    invalid operation), which is handled as the caller's ``np.errstate``
+    says; under ``np.errstate(all="raise")`` it raises FloatingPointError.
     """
     tau, u, nbar, cos4t = _float_arrays(tau, u, nbar, cos4t)
-    with np.errstate(all="ignore"):
-        m = 2.0 * nbar + 1.0
-        s = _terms(tau, u, nbar, cos4t, _array_div).s
-        two_xi_minus_sq = _two_xi_minus_sq(
-            s, m, u, _array_div, _array_pow, _array_sqrt, _array_max
-        )
-        n = np.zeros(tau.shape)
-        entangled = ~(_entanglement_margin(tau, u, cos4t, m, _array_div) <= 0.0)
-        n[entangled] = _negativity(two_xi_minus_sq[entangled], _array_log2, _array_max)
-        return NegativityColumns(n, 0.5 * _array_sqrt(two_xi_minus_sq))
+    m = 2.0 * nbar + 1.0
+    s = _terms(tau, u, nbar, cos4t).s
+    two_xi_minus_sq = _two_xi_minus_sq(s, m, u, np.float_power, np.sqrt, _array_max)
+    n = np.zeros(tau.shape)
+    entangled = ~(_entanglement_margin(tau, u, cos4t, m) <= 0.0)
+    n[entangled] = _negativity(two_xi_minus_sq[entangled], _array_max)
+    return NegativityColumns(n, 0.5 * np.sqrt(two_xi_minus_sq))
 
 
 def critical_noise_columns(tau, u, cos4t) -> ThresholdColumns:
@@ -343,18 +318,19 @@ def critical_noise_columns(tau, u, cos4t) -> ThresholdColumns:
 
     The value is 0 with never_entangled set for classical inputs and
     unmixed angles, and inf with infinite set past every occupation.
-    Inputs are assumed validated.
+    Inputs are assumed validated.  As in ``negativity_columns``, an element
+    whose evaluation sets a floating-point flag follows the caller's
+    ``np.errstate``; every other element equals the scalar result.
     """
     tau, u, cos4t = _float_arrays(tau, u, cos4t)
     never = (tau == 0.0) | (cos4t >= _NO_MIXING_COS)
     value = np.zeros(tau.shape)
     infinite = np.zeros(tau.shape, dtype=bool)
     mixed = ~never
-    with np.errstate(all="ignore"):
-        coefficients = _margin_coefficients(tau[mixed], u[mixed], cos4t[mixed], _array_div)
-        m_star = _upper_root(*coefficients, _array_div, _array_sqrt, _array_max)
-        finite = np.isfinite(m_star)
-        value[mixed] = np.where(finite, 0.5 * (m_star - 1.0), math.inf)
+    coefficients = _margin_coefficients(tau[mixed], u[mixed], cos4t[mixed])
+    m_star = _upper_root(*coefficients, np.sqrt, _array_max)
+    finite = np.isfinite(m_star)
+    value[mixed] = np.where(finite, 0.5 * (m_star - 1.0), math.inf)
     infinite[mixed] = ~finite
     return ThresholdColumns(value, never, infinite)
 

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 
+from gaussbs.cli import _point_dicts
 from gaussbs.fock import _beam_splitter_sectors, _thermal_weights
 from gaussbs.states import BeamSplitter, CovMat1
 
@@ -69,3 +70,9 @@ def covariance_from_fock(rho: np.ndarray) -> CovMat1:
 
 def min_eigenvalue(rho: np.ndarray) -> float:
     return float(np.linalg.eigvalsh(rho).min())
+
+
+def grid_points(grid):
+    """The points of a sweep grid as parameter dicts, in row-major order."""
+    for rows, columns, _ in grid.chunks():
+        yield from _point_dicts(rows, columns)

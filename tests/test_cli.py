@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import grid_points
 
 from gaussbs import cli, fock
 from gaussbs.cli import (
@@ -755,7 +756,7 @@ class TestGridTypes:
             (Axis("nbar", 0.0, 1.0, 3), Axis("theta", 0.0, 1.0, 4)),
             {"tau": 0.2, "u": 1.0, "phi": 0.0, "phi_b": 0.0},
         )
-        points = list(grid.points())
+        points = list(grid_points(grid))
         assert grid.size() == 12 and len(points) == 12
         assert points[0]["nbar"] == 0.0 and points[-1]["nbar"] == 1.0
 

@@ -9,6 +9,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from conftest import grid_points
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -179,7 +180,7 @@ class TestChunks:
     def test_huge_axis_is_never_listed(self):
         fixed = {"tau": 0.3, "u": 1.0, "theta": 0.7, "phi": 0.0, "phi_b": 0.0}
         grid = SweepGrid((Axis("nbar", 0.0, 1.0, 10**8),), fixed)
-        assert next(grid.points())["nbar"] == 0.0
+        assert next(grid_points(grid))["nbar"] == 0.0
         rows, columns = next(cli.evaluated_chunks(grid, False))
         assert rows == cli.CHUNK and len(columns["N"].values) == cli.CHUNK
 
@@ -296,6 +297,90 @@ class TestErrors:
                 "--theta", "0.7", "-o", str(tmp_path / "x.csv")]  # fmt: skip
         assert main(argv) == cli.EXIT_INVALID
         assert capsys.readouterr().err == "error: thermal occupation must satisfy nbar >= 0, got nan\n"
+
+
+MAX_DOUBLE = 1.7976931348623157e308
+
+
+class TestFallback:
+    """A chunk that sets a floating-point flag is evaluated by the scalar API."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = []
+
+        def spy(point, with_threshold):
+            calls.append(point)
+            return evaluate_point(point, with_threshold)
+
+        monkeypatch.setattr(cli, "evaluate_point", spy)
+        return calls
+
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    def test_silent_rows_get_the_per_point_values(self, tmp_path, calls, fmt):
+        # 2 nbar + 1 overflows to inf at the largest nbar: Python goes on silently
+        out = tmp_path / f"huge.{fmt}"
+        argv = ["sweep", "--axis", f"nbar:0:{MAX_DOUBLE!r}:2", "--axis", "theta:0.1:1.4:5",
+                "--tau", "0.3", "--u", "0.6", "--format", fmt, "-o", str(out)]  # fmt: skip
+        assert main(argv) == 0
+        assert len(calls) == 10  # the one chunk went row by row
+        fixed = {"tau": 0.3, "u": 0.6, "phi": 0.0, "phi_b": 0.0}
+        grid = SweepGrid((Axis("nbar", 0.0, MAX_DOUBLE, 2), Axis("theta", 0.1, 1.4, 5)), fixed)
+        records = [legacy_record(point, False) for point in legacy_points(grid)]
+        assert out.read_text() == legacy_text(records, list(PARAM_NAMES) + ["N", "xi_minus"], fmt)
+        huge = [r for r in records if r["nbar"] == MAX_DOUBLE]
+        assert len(huge) == 5 and all(r["N"] == 0.0 and math.isnan(r["xi_minus"]) for r in huge)
+        assert all(r["N"] > 0.0 for r in records if r["nbar"] == 0.0)
+
+    @pytest.mark.parametrize(
+        "tau_axis,u,code,err",
+        [
+            ("tau:0.3:0.4999999999999999:2", "1e-154", cli.EXIT_INTERNAL,
+             "internal error: ZeroDivisionError: float division by zero\n"),
+            ("tau:0.3:0.9:2", "1", cli.EXIT_INVALID,
+             "error: nonclassical depth must satisfy 0 <= tau < 1/2, got tau=0.9\n"),
+        ],
+    )  # fmt: skip
+    def test_raising_row_after_a_silent_row_decides(self, tmp_path, capsys, tau_axis, u, code, err):
+        out = tmp_path / "x.csv"
+        argv = ["sweep", "--axis", tau_axis, "--u", u, "--nbar", repr(MAX_DOUBLE),
+                "--theta", "0.7", "-o", str(out)]  # fmt: skip
+        silent = dict(tau=0.3, u=float(u), nbar=MAX_DOUBLE, theta=0.7, phi=0.0, phi_b=0.0)
+        assert math.isnan(evaluate_point(silent, False)["xi_minus"])
+        assert main(argv) == code
+        assert capsys.readouterr().err == err
+        assert not out.exists()
+
+    def test_pinned_grids_stay_on_the_fast_path(self, tmp_path, calls):
+        pinned = TestByteIdentity()
+        for fig in FIGURE_DIGESTS:
+            pinned.test_figure_presets(tmp_path, fig)
+        for tau, nbar in CRITICAL_DIGESTS:
+            pinned.test_critical_grids(tmp_path, tau, nbar)
+        assert calls == []
+
+
+def spread_doubles(n: int = 10**5) -> np.ndarray:
+    """Seeded doubles of both signs over 2^-500 .. 2^500: their squares stay normal."""
+    rng = np.random.default_rng(5)
+    signs = rng.choice([-1.0, 1.0], n)
+    return signs * rng.uniform(1.0, 2.0, n) * np.exp2(rng.integers(-500, 500, n))
+
+
+class TestFastPathBits:
+    """The floating-point facts that give the column route the scalar route's bits."""
+
+    def test_float_power_is_pythons_square(self):
+        x = spread_doubles()
+        python = np.array([v**2 for v in x.tolist()])
+        assert np.array_equal(np.float_power(x, 2.0).view(np.int64), python.view(np.int64))
+        # the correctly rounded x*x is not libm pow: a square fast path would show here
+        assert not np.array_equal((x * x).view(np.int64), python.view(np.int64))
+
+    def test_log2_of_a_scalar_is_the_array_element(self):
+        x = np.abs(spread_doubles())
+        scalars = np.array([np.log2(v) for v in x.tolist()])
+        assert np.array_equal(scalars.view(np.int64), np.log2(x).view(np.int64))
 
 
 class TestColumnEvaluators:
