@@ -23,11 +23,13 @@ Exit codes: 0 success, 1 verification failure, 2 invalid input,
 unexpected exception, reported on one stderr line so that a crash never
 reads as a verification failure).
 Identical invocations produce byte-identical files:
-numbers are serialized with 12 significant digits, grids are walked in
-row-major order over the axes as declared, and an infinite threshold is
-written as the literal token "inf" next to its flag column.  Sweeps are
-evaluated column-wise and written in chunks of CHUNK rows, so their
-memory does not grow with the grid.
+numbers are serialized with 12 significant digits and grids are walked in
+row-major order over the axes as declared.  Sweeps are evaluated
+column-wise and written in chunks of CHUNK rows, so their memory does not
+grow with the grid.  A chunk whose computation sets a floating-point flag
+ends the sweep with exit 4, so a sweep never writes an inf threshold or a
+value computed through an overflow; a single critical point prints an
+infinite threshold as "inf".
 """
 
 from __future__ import annotations
@@ -56,7 +58,6 @@ from .entanglement import (
     optimal_angle,
     output_covariance,
     pt_symplectic_spectrum,
-    _two_xi_minus_sq,
 )
 from .fock import OracleConfig, compare_with_gaussian
 from .states import DomainError
@@ -129,7 +130,8 @@ class Column(NamedTuple):
     ``values`` broadcast over the rows when there is no index.
 
     A swept parameter holds the distinct axis values that its rows use, so
-    each value is validated and formatted once; a fixed one holds one value.
+    its range is read and each value formatted once; a fixed one holds one
+    value.
     """
 
     values: object  # np.ndarray, or a list of Python values
@@ -164,21 +166,17 @@ class SweepGrid:
     def chunks(self, size: int = CHUNK):
         """The grid in row-major runs of at most ``size`` rows.
 
-        Yields (rows, columns, new) per run: columns maps every parameter to
-        a Column, and new maps parameters to the values that first occur in
-        the run (the fixed values in the first run), so that a caller can
-        validate each value once.  Only the run's own axis values are
-        computed, never a list of the whole grid.
+        Yields (rows, columns) per run: columns maps every parameter to a
+        Column.  Only the run's own axis values are computed, never a list
+        of the whole grid.
         """
         strides = [math.prod(a.count for a in self.axes[k + 1 :]) for k in range(len(self.axes))]
-        seen = [0] * len(self.axes)  # leading positions of each axis already yielded
         total = self.size()
         for lo in range(0, total, size):
             hi = min(lo + size, total)
             flat = np.arange(lo, hi)
             columns = {name: Column(np.array([v], dtype=float)) for name, v in self.fixed.items()}
-            new = {name: [v] for name, v in self.fixed.items()} if lo == 0 else {}
-            for k, (axis, stride) in enumerate(zip(self.axes, strides)):
+            for axis, stride in zip(self.axes, strides):
                 first, last = lo // stride, (hi - 1) // stride
                 if last - first + 1 >= axis.count:  # the run visits every value
                     positions = np.arange(axis.count)
@@ -186,11 +184,8 @@ class SweepGrid:
                 else:
                     positions = np.arange(first, last + 1) % axis.count
                     index = flat // stride - first
-                values = axis.at(positions)
-                columns[axis.name] = Column(values, index)
-                new[axis.name] = values[positions >= seen[k]].tolist()
-                seen[k] = max(seen[k], min(last + 1, axis.count))
-            yield hi - lo, columns, new
+                columns[axis.name] = Column(axis.at(positions), index)
+            yield hi - lo, columns
 
 
 def _point_dicts(rows: int, columns: dict):
@@ -199,9 +194,6 @@ def _point_dicts(rows: int, columns: dict):
         yield dict(zip(names, combo))
 
 
-# A value passes the checks of ScenarioParams on its own exactly when it
-# passes them within any valid point: each check involves one parameter.
-_VALID_POINT = {"tau": 0.0, "u": 1.0, "nbar": 0.0, "theta": 0.0, "phi": 0.0, "phi_b": 0.0}
 _FLAGS = [False, True]
 
 
@@ -223,40 +215,26 @@ def _evaluate(rows: int, columns: dict, with_threshold: bool) -> dict:
 def evaluated_chunks(grid: SweepGrid, with_threshold: bool):
     """Each chunk of the grid with its computed columns added.
 
-    Every axis and fixed value is validated once, and the chunk is computed
-    column-wise with numpy's division, overflow and invalid flags raising.
-    A chunk with an invalid value or a flagged operation is evaluated row by
-    row through ``evaluate_point`` instead, so that the first row that
-    raises decides the error, and rows that do not raise get the scalar
-    API's values.
+    A chunk is validated by its column ranges: ScenarioParams is built at
+    the per-column minima and at the per-column maxima.  Every check bounds
+    one parameter to an interval, so both points pass exactly when every
+    row does, and a NaN makes np.min and np.max NaN and fails both.  When
+    one fails, the rows are validated in order, so that the first invalid
+    row names the error.  A valid chunk is computed column-wise with
+    numpy's division, overflow and invalid flags raising: a
+    FloatingPointError is a defect of the formulas and ends the sweep.
     """
-    for rows, columns, new in grid.chunks(CHUNK):
+    for rows, columns in grid.chunks(CHUNK):
         try:
-            for name, values in new.items():
-                for value in values:
-                    ScenarioParams(**{**_VALID_POINT, name: value})
-            with np.errstate(divide="raise", over="raise", invalid="raise"):
-                computed = _evaluate(rows, columns, with_threshold)
-        except (DomainError, FloatingPointError):
-            records = [evaluate_point(p, with_threshold) for p in _point_dicts(rows, columns)]
-            computed = {n: Column([r[n] for r in records]) for n in records[0] if n not in columns}
-        columns.update(computed)
+            for bound in (np.min, np.max):
+                ScenarioParams(**{name: bound(column.values) for name, column in columns.items()})
+        except DomainError:
+            for point in _point_dicts(rows, columns):
+                ScenarioParams(**point)
+            raise
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
+            columns.update(_evaluate(rows, columns, with_threshold))
         yield rows, columns
-
-
-def evaluate_point(point: dict, with_threshold: bool) -> dict:
-    """One output record from the scalar API; ScenarioParams validates the point."""
-    params = ScenarioParams(**point)
-    s = closed_form_terms(params.tau, params.u, params.nbar, params.theta).s
-    two_xi_minus_sq = _two_xi_minus_sq(s, 2.0 * params.nbar + 1.0, params.u)
-    record = {name: point[name] for name in PARAM_NAMES}
-    record["N"] = negativity_closed_form(params)
-    record["xi_minus"] = 0.5 * math.sqrt(two_xi_minus_sq)
-    if with_threshold:
-        threshold = critical_noise(params.tau, params.u, params.theta)
-        values = (threshold.value, threshold.never_entangled, threshold.infinite)
-        record.update(zip(THRESHOLD_COLUMNS, values))
-    return record
 
 
 def format_number(value) -> str:
@@ -521,13 +499,12 @@ def _cmd_negativity(args) -> int:
     spectrum = pt_symplectic_spectrum(v)
     terms = closed_form_terms(params.tau, params.u, params.nbar, params.theta)
     best = optimal_angle(params.tau, params.u, params.nbar)
-    det_v = (2.0 * params.nbar + 1.0) ** 2 / (16.0 * params.u * params.u)
     lines = [
         ("N", log_negativity(v)),
         ("N_closed_form", negativity_closed_form(params)),
         ("xi_minus", spectrum.xi_minus),
         ("xi_plus", spectrum.xi_plus),
-        ("det_V_out", det_v),
+        ("det_V_out", v.invariants.det_v),
         ("S", terms.s),
         ("S_plus", terms.s_plus),
         ("S_minus", terms.s_minus),

@@ -1,10 +1,17 @@
-"""Helpers that only the tests use: reference states and dense operators."""
+"""Helpers that only the tests use: reference states, dense operators and
+the per-point sweep record."""
 
 import math
 
 import numpy as np
 
-from gaussbs.cli import _point_dicts
+from gaussbs.cli import PARAM_NAMES, _point_dicts
+from gaussbs.entanglement import (
+    ScenarioParams,
+    closed_form_terms,
+    critical_noise,
+    negativity_closed_form,
+)
 from gaussbs.fock import _beam_splitter_sectors, _thermal_weights
 from gaussbs.states import BeamSplitter, CovMat1
 
@@ -74,5 +81,23 @@ def min_eigenvalue(rho: np.ndarray) -> float:
 
 def grid_points(grid):
     """The points of a sweep grid as parameter dicts, in row-major order."""
-    for rows, columns, _ in grid.chunks():
+    for rows, columns in grid.chunks():
         yield from _point_dicts(rows, columns)
+
+
+def legacy_record(point: dict, with_threshold: bool) -> dict:
+    """One record as the per-point sweep computed it, from the scalar API."""
+    params = ScenarioParams(**point)
+    terms = closed_form_terms(params.tau, params.u, params.nbar, params.theta)
+    k_sq = ((2.0 * params.nbar + 1.0) / params.u) ** 2
+    disc = max(terms.s * terms.s - k_sq, 0.0)
+    two_xi_minus_sq = k_sq / (terms.s + math.sqrt(disc))
+    record = {name: point[name] for name in PARAM_NAMES}
+    record["N"] = negativity_closed_form(params)
+    record["xi_minus"] = 0.5 * math.sqrt(two_xi_minus_sq)
+    if with_threshold:
+        threshold = critical_noise(params.tau, params.u, params.theta)
+        record["nbar_c"] = threshold.value
+        record["never_entangled"] = threshold.never_entangled
+        record["infinite_threshold"] = threshold.infinite
+    return record

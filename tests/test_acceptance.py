@@ -11,7 +11,7 @@ import time
 
 import numpy as np
 import pytest
-from conftest import grid_points
+from conftest import grid_points, legacy_record
 
 from gaussbs.channels import (
     GaussianNoiseParams,
@@ -19,7 +19,7 @@ from gaussbs.channels import (
     classicality_threshold,
     thermal_substitution,
 )
-from gaussbs.cli import Axis, SweepGrid, evaluate_point
+from gaussbs.cli import Axis, SweepGrid
 from gaussbs.entanglement import (
     ScenarioParams,
     critical_noise,
@@ -213,7 +213,7 @@ def test_criterion_8_fock_oracle_and_figure_structure():
         grid = SweepGrid(
             (Axis("nbar", 0.0, 0.5, 26), Axis("theta", 0.0, math.pi / 2, 21)), fixed
         )
-        rows = [evaluate_point(point, False) for point in grid_points(grid)]
+        rows = [legacy_record(point, False) for point in grid_points(grid)]
         by_theta = {}
         for row in rows:
             by_theta.setdefault(round(row["theta"], 12), []).append(row)
@@ -229,7 +229,7 @@ def test_criterion_8_fock_oracle_and_figure_structure():
             grid = SweepGrid(
                 (Axis("u", 0.05, 1.0, 20), Axis("theta", 0.0, math.pi / 2, 101)), fixed
             )
-            rows = [evaluate_point(point, False) for point in grid_points(grid)]
+            rows = [legacy_record(point, False) for point in grid_points(grid)]
             entangled_span = {}
             for row in rows:
                 key = round(row["u"], 12)

@@ -7,18 +7,18 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import grid_points
+from conftest import grid_points, legacy_record
 
 from gaussbs import cli, fock
 from gaussbs.cli import (
     Axis,
     Column,
     SweepGrid,
-    evaluate_point,
     format_number,
     main,
     write_chunks,
 )
+from gaussbs.entanglement import ScenarioParams, output_covariance
 from gaussbs.fock import OracleComparison
 from gaussbs.states import DomainError
 
@@ -69,6 +69,20 @@ class TestNegativityCommand:
         ) == 0
         report = parse_report(capsys)
         assert float(report["N"]) == pytest.approx(0.5, abs=1e-9)
+
+    @pytest.mark.parametrize(
+        "point",
+        [(0.3, 0.5, 0.5, 0.4, 0.0, 0.0), (0.1, 1.0, 0.0, 0.785, 0.3, 0.9),
+         (0.45, 0.2, 4.0, 1.2, 1.0, 2.0), (0.2, 0.9, 2.0, 0.1, 0.0, 0.5)],
+    )  # fmt: skip
+    def test_det_v_out_is_the_output_determinant(self, capsys, point):
+        argv = [f"{cli._flag(name)}={value!r}" for name, value in zip(cli.PARAM_NAMES, point)]
+        assert run("negativity", *argv) == 0
+        det_v = output_covariance(ScenarioParams(*point)).invariants.det_v
+        assert parse_report(capsys)["det_V_out"] == format_number(det_v)
+        # a beam splitter keeps det V: 1/(4 u^2) of the squeezed input times (nbar + 1/2)^2
+        _, u, nbar = point[:3]
+        assert det_v == pytest.approx((2.0 * nbar + 1.0) ** 2 / (16.0 * u * u), rel=1e-12)
 
 
 class TestCriticalCommand:
@@ -761,7 +775,7 @@ class TestGridTypes:
         assert points[0]["nbar"] == 0.0 and points[-1]["nbar"] == 1.0
 
     def test_evaluate_point_with_threshold(self):
-        record = evaluate_point(
+        record = legacy_record(
             {"tau": 0.4, "u": 1.0, "nbar": 0.0, "theta": math.pi / 4, "phi": 0.0, "phi_b": 0.0},
             with_threshold=True,
         )

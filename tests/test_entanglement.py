@@ -288,6 +288,18 @@ class TestCriticalNoise:
         assert got.flag == "ok"
         assert abs(got.value - exact) <= 1e-9 * exact
 
+    @pytest.mark.xfail(
+        strict=True,
+        reason="beta * beta overflows in the pivot at u = 1e-80, so the threshold reads "
+        "infinite (and `critical` prints nbar_c = inf, exit 0) where bisection on the same "
+        "margin finds 0.46103; ROADMAP item 3 makes the formulas total",
+    )
+    def test_threshold_past_an_overflowing_pivot(self):
+        expected = critical_noise_bisection(0.3, 1e-80, 0.5)
+        assert expected.flag == "ok" and expected.value == pytest.approx(0.46103, abs=1e-5)
+        got = critical_noise(0.3, 1e-80, 0.5)
+        assert got.flag == "ok" and got.value == pytest.approx(expected.value, abs=1e-9)
+
     def test_classical_input_flag(self):
         got = critical_noise(0.0, 0.5, math.pi / 4)
         assert got == CriticalNoise(0.0, "classical-input")

@@ -5,19 +5,19 @@ import itertools
 import json
 import math
 import struct
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
 import pytest
-from conftest import grid_points
+from conftest import grid_points, legacy_record
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from gaussbs import cli
-from gaussbs.cli import PARAM_NAMES, Axis, SweepGrid, evaluate_point, format_number, main
+from gaussbs.cli import PARAM_NAMES, Axis, SweepGrid, format_number, main
 from gaussbs.entanglement import (
     ScenarioParams,
-    closed_form_terms,
     cos4,
     critical_noise,
     critical_noise_columns,
@@ -45,24 +45,6 @@ CRITICAL_DIGESTS = {
     (0.4, 1.0): "542480ceb8c35ebd6d4309ae6f78b7c485cda634f07180f4a94de5f605348262",
     (0.45, 0.25): "5fa09a90c907aad02b33de6f37291d18bed0631adf08b0d44560c2a245112290",
 }
-
-
-def legacy_record(point: dict, with_threshold: bool) -> dict:
-    """One record as the per-point sweep computed it, from the scalar API."""
-    params = ScenarioParams(**point)
-    terms = closed_form_terms(params.tau, params.u, params.nbar, params.theta)
-    k_sq = ((2.0 * params.nbar + 1.0) / params.u) ** 2
-    disc = max(terms.s * terms.s - k_sq, 0.0)
-    two_xi_minus_sq = k_sq / (terms.s + math.sqrt(disc))
-    record = {name: point[name] for name in PARAM_NAMES}
-    record["N"] = negativity_closed_form(params)
-    record["xi_minus"] = 0.5 * math.sqrt(two_xi_minus_sq)
-    if with_threshold:
-        threshold = critical_noise(params.tau, params.u, params.theta)
-        record["nbar_c"] = threshold.value
-        record["never_entangled"] = threshold.never_entangled
-        record["infinite_threshold"] = threshold.infinite
-    return record
 
 
 def legacy_text(records: list, columns: list, fmt: str) -> str:
@@ -161,21 +143,10 @@ class TestChunks:
         fixed = {"u": 0.7, "theta": 0.5, "phi": 0.0, "phi_b": 0.0}
         grid = SweepGrid((Axis("tau", 0.0, 0.4, 5), Axis("nbar", 0.0, 2.0, 7)), fixed)
         points = []
-        for rows, columns, new in grid.chunks(3):
+        for rows, columns in grid.chunks(3):
             assert rows <= 3
             points += cli._point_dicts(rows, columns)
         assert points == list(legacy_points(grid))
-
-    def test_each_value_is_new_once(self):
-        fixed = {"u": 0.7, "theta": 0.5, "phi": 0.0, "phi_b": 0.0}
-        grid = SweepGrid((Axis("tau", 0.0, 0.4, 5), Axis("nbar", 0.0, 2.0, 7)), fixed)
-        new = {}
-        for _, _, fresh in grid.chunks(4):
-            for name, values in fresh.items():
-                new.setdefault(name, []).extend(values)
-        assert new["tau"] == legacy_values(grid.axes[0])
-        assert new["nbar"] == legacy_values(grid.axes[1])
-        assert {name: new[name] for name in fixed} == {n: [v] for n, v in fixed.items()}
 
     def test_huge_axis_is_never_listed(self):
         fixed = {"tau": 0.3, "u": 1.0, "theta": 0.7, "phi": 0.0, "phi_b": 0.0}
@@ -270,27 +241,32 @@ class TestErrors:
         argv = ["sweep", "--axis", "theta:0:1:3", "--tau", "0.3", "--u", "1e-200",
                 "--nbar", "0.5", "-o", str(out)]  # fmt: skip
         assert main(argv) == cli.EXIT_INTERNAL
-        assert capsys.readouterr().err == "internal error: ZeroDivisionError: float division by zero\n"
+        err = capsys.readouterr().err
+        assert err == "internal error: FloatingPointError: divide by zero encountered in divide\n"
         assert not out.exists()  # the first chunk fails before the file is opened
 
-    def test_overflow_message_is_the_per_point_one(self, tmp_path, capsys):
+    def test_overflow_message_is_numpys(self, tmp_path, capsys):
         argv = ["critical", "--axis", "nbar:0:1e308:3", "--tau", "0.3", "--u", "1",
                 "--theta", "0.7", "-o", str(tmp_path / "x.csv")]  # fmt: skip
         assert main(argv) == cli.EXIT_INTERNAL
         err = capsys.readouterr().err
-        assert err == "internal error: OverflowError: (34, 'Numerical result out of range')\n"
+        assert err == "internal error: FloatingPointError: overflow encountered in multiply\n"
 
-    def test_first_failing_point_decides(self, tmp_path, capsys):
-        out = str(tmp_path / "x.csv")
-        fixed = ["--u", "1", "--theta", "0.7", "-o", out]
-        # tau turns invalid at its fourth value, after every nbar has overflowed
-        overflow_first = ["--axis", "tau:0.1:0.9:5", "--axis", "nbar:1e160:1e161:3"]
-        assert main(["sweep", *overflow_first, *fixed]) == cli.EXIT_INTERNAL
-        assert "OverflowError" in capsys.readouterr().err
-        # the first row already has the invalid tau, before any nbar overflows
-        invalid_first = ["--axis", "nbar:1e160:1e161:3", "--axis", "tau:0.9:0.9:1"]
-        assert main(["sweep", *invalid_first, *fixed]) == cli.EXIT_INVALID
-        assert "nonclassical depth" in capsys.readouterr().err
+    def test_first_failing_point_decides(self, tmp_path, capsys, monkeypatch):
+        out = tmp_path / "x.csv"
+        # every nbar overflows; tau turns invalid at its last value
+        argv = ["sweep", "--axis", "tau:0.1:0.5:5", "--axis", "nbar:1e160:1e161:3",
+                "--u", "1", "--theta", "0.7", "-o", str(out)]  # fmt: skip
+        # one chunk holds the invalid tau and the overflowing rows: validation comes first
+        assert main(argv) == cli.EXIT_INVALID
+        err = capsys.readouterr().err
+        assert err == "error: nonclassical depth must satisfy 0 <= tau < 1/2, got tau=0.5\n"
+        # the overflowing rows of tau = 0.1 fill the first chunk on their own
+        monkeypatch.setattr(cli, "CHUNK", 3)
+        assert main(argv) == cli.EXIT_INTERNAL
+        err = capsys.readouterr().err
+        assert err == "internal error: FloatingPointError: overflow encountered in multiply\n"
+        assert not out.exists()
 
     def test_no_numpy_warning_reaches_stderr(self, tmp_path, capsys):
         argv = ["sweep", "--axis", "nbar:-1e308:1e308:3", "--tau", "0.3", "--u", "1",
@@ -302,62 +278,39 @@ class TestErrors:
 MAX_DOUBLE = 1.7976931348623157e308
 
 
-class TestFallback:
-    """A chunk that sets a floating-point flag is evaluated by the scalar API."""
-
-    @pytest.fixture
-    def calls(self, monkeypatch):
-        calls = []
-
-        def spy(point, with_threshold):
-            calls.append(point)
-            return evaluate_point(point, with_threshold)
-
-        monkeypatch.setattr(cli, "evaluate_point", spy)
-        return calls
+class TestFlaggedChunks:
+    """A chunk whose computation sets a floating-point flag ends the sweep."""
 
     @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
-    def test_silent_rows_get_the_per_point_values(self, tmp_path, calls, fmt):
-        # 2 nbar + 1 overflows to inf at the largest nbar: Python goes on silently
+    def test_huge_nbar_exits_4(self, tmp_path, capsys, fmt):
+        # 2 nbar + 1 overflows at the largest nbar
         out = tmp_path / f"huge.{fmt}"
         argv = ["sweep", "--axis", f"nbar:0:{MAX_DOUBLE!r}:2", "--axis", "theta:0.1:1.4:5",
                 "--tau", "0.3", "--u", "0.6", "--format", fmt, "-o", str(out)]  # fmt: skip
-        assert main(argv) == 0
-        assert len(calls) == 10  # the one chunk went row by row
-        fixed = {"tau": 0.3, "u": 0.6, "phi": 0.0, "phi_b": 0.0}
-        grid = SweepGrid((Axis("nbar", 0.0, MAX_DOUBLE, 2), Axis("theta", 0.1, 1.4, 5)), fixed)
-        records = [legacy_record(point, False) for point in legacy_points(grid)]
-        assert out.read_text() == legacy_text(records, list(PARAM_NAMES) + ["N", "xi_minus"], fmt)
-        huge = [r for r in records if r["nbar"] == MAX_DOUBLE]
-        assert len(huge) == 5 and all(r["N"] == 0.0 and math.isnan(r["xi_minus"]) for r in huge)
-        assert all(r["N"] > 0.0 for r in records if r["nbar"] == 0.0)
-
-    @pytest.mark.parametrize(
-        "tau_axis,u,code,err",
-        [
-            ("tau:0.3:0.4999999999999999:2", "1e-154", cli.EXIT_INTERNAL,
-             "internal error: ZeroDivisionError: float division by zero\n"),
-            ("tau:0.3:0.9:2", "1", cli.EXIT_INVALID,
-             "error: nonclassical depth must satisfy 0 <= tau < 1/2, got tau=0.9\n"),
-        ],
-    )  # fmt: skip
-    def test_raising_row_after_a_silent_row_decides(self, tmp_path, capsys, tau_axis, u, code, err):
-        out = tmp_path / "x.csv"
-        argv = ["sweep", "--axis", tau_axis, "--u", u, "--nbar", repr(MAX_DOUBLE),
-                "--theta", "0.7", "-o", str(out)]  # fmt: skip
-        silent = dict(tau=0.3, u=float(u), nbar=MAX_DOUBLE, theta=0.7, phi=0.0, phi_b=0.0)
-        assert math.isnan(evaluate_point(silent, False)["xi_minus"])
-        assert main(argv) == code
-        assert capsys.readouterr().err == err
+        assert main(argv) == cli.EXIT_INTERNAL
+        err = capsys.readouterr().err
+        assert err == "internal error: FloatingPointError: overflow encountered in multiply\n"
         assert not out.exists()
 
-    def test_pinned_grids_stay_on_the_fast_path(self, tmp_path, calls):
-        pinned = TestByteIdentity()
-        for fig in FIGURE_DIGESTS:
-            pinned.test_figure_presets(tmp_path, fig)
-        for tau, nbar in CRITICAL_DIGESTS:
-            pinned.test_critical_grids(tmp_path, tau, nbar)
-        assert calls == []
+    def test_overflowed_threshold_exits_4(self, tmp_path, capsys):
+        # the single point prints nbar_c = inf here; bisection finds 0.46103
+        out = tmp_path / "x.csv"
+        argv = ["critical", "--axis", "nbar:10:20:2", "--tau", "0.3", "--u", "1e-80",
+                "--theta", "0.5", "-o", str(out)]  # fmt: skip
+        assert main(argv) == cli.EXIT_INTERNAL
+        assert capsys.readouterr().err.startswith("internal error: FloatingPointError: overflow")
+        assert not out.exists()
+
+    def test_earlier_chunks_stay_written(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "CHUNK", 5)
+        out = tmp_path / "x.csv"
+        argv = ["sweep", "--axis", f"nbar:0:{MAX_DOUBLE!r}:2", "--axis", "theta:0.1:1.4:5",
+                "--tau", "0.3", "--u", "0.6", "-o", str(out)]  # fmt: skip
+        assert main(argv) == cli.EXIT_INTERNAL
+        fixed = {"tau": 0.3, "u": 0.6, "phi": 0.0, "phi_b": 0.0}
+        grid = SweepGrid((Axis("nbar", 0.0, 0.0, 1), Axis("theta", 0.1, 1.4, 5)), fixed)
+        records = [legacy_record(point, False) for point in legacy_points(grid)]
+        assert out.read_text() == legacy_text(records, list(PARAM_NAMES) + ["N", "xi_minus"], "csv")
 
 
 def spread_doubles(n: int = 10**5) -> np.ndarray:
@@ -443,39 +396,98 @@ def grids(draw):
     return SweepGrid(tuple(axes), fixed)
 
 
-def outcome(thunk):
+def flags_alone(point: dict, with_threshold: bool) -> bool:
+    """Whether the column evaluators set a floating-point flag on this point alone."""
+    cos4t = cos4(point["theta"])
     try:
-        return thunk(), None
-    except Exception as err:  # the exit code only tells DomainError from the rest
-        return None, isinstance(err, DomainError)
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
+            negativity_columns(point["tau"], point["u"], point["nbar"], cos4t)
+            if with_threshold:
+                critical_noise_columns(point["tau"], point["u"], cos4t)
+    except FloatingPointError:
+        return True
+    return False
+
+
+def expected_chunk(points: list, with_threshold: bool):
+    """The records of a chunk, or the class of the error that ends the sweep there."""
+    try:
+        for point in points:
+            ScenarioParams(**point)
+    except DomainError:
+        return DomainError
+    if any(flags_alone(point, with_threshold) for point in points):
+        return FloatingPointError
+    return [legacy_record(point, with_threshold) for point in points]
 
 
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(grid=grids(), with_threshold=st.booleans(), chunk=st.integers(1, 7))
 def test_grid_equals_the_per_point_route(grid, with_threshold, chunk):
-    def grid_records():
-        records = []
-        with mock.patch.object(cli, "CHUNK", chunk):
-            for rows, columns in cli.evaluated_chunks(grid, with_threshold):
-                records += cli._point_dicts(rows, columns)
-        return records
+    points = list(legacy_points(grid))
+    with mock.patch.object(cli, "CHUNK", chunk):
+        chunks = cli.evaluated_chunks(grid, with_threshold)
+        for lo in range(0, len(points), chunk):
+            expected = expected_chunk(points[lo : lo + chunk], with_threshold)
+            if isinstance(expected, type):
+                with pytest.raises(Exception) as error:
+                    next(chunks)
+                assert isinstance(error.value, DomainError) == (expected is DomainError)
+                return
+            rows, columns = next(chunks)
+            got = list(cli._point_dicts(rows, columns))
+            assert len(got) == len(expected)
+            for row, want in zip(got, expected):
+                assert all(same_bits(row[k], want[k]) for k in want), (row, want)
+        assert next(chunks, None) is None
 
-    def point_records():
-        return [legacy_record(point, with_threshold) for point in legacy_points(grid)]
 
-    got, got_error = outcome(grid_records)
-    expected, expected_error = outcome(point_records)
-    assert got_error == expected_error
-    if got is None:
-        return
-    assert len(got) == len(expected)
-    for row, want in zip(got, expected):
-        point = {name: want[name] for name in PARAM_NAMES}
-        assert all(same_bits(row[k], want[k]) for k in want), (row, want)
-        assert all(same_bits(v, want[k]) for k, v in evaluate_point(point, with_threshold).items())
-        assert same_bits(row["N"], negativity_closed_form(ScenarioParams(**point)))
-        if with_threshold:
-            threshold = critical_noise(point["tau"], point["u"], point["theta"])
-            assert same_bits(row["nbar_c"], threshold.value)
-            assert row["never_entangled"] == threshold.never_entangled
-            assert row["infinite_threshold"] == threshold.infinite
+# Values at the ends of the validated intervals and just past them: zero of
+# both signs and the smallest subnormal, the tau and u bounds, the largest
+# angles whose cos(4 theta) exists, and the non-finite values.
+EDGES = [0.0, -0.0, 5e-324, 0.4999999999999999, 0.5, 1.0, 1.0000000000000002,
+         4.49e307, -4.49e307, 4.5e307, -4.5e307, math.inf, -math.inf, math.nan]  # fmt: skip
+EDGE_COLUMNS = st.one_of(st.just([0.25]), st.lists(st.sampled_from(EDGES), min_size=1, max_size=2))
+# EDGES with every sixteenth power of two and the depths 1/2 - 2^-k: dense
+# enough in magnitude that a floor tying two parameters together, such as
+# u^2 (1 - 2 tau) >= eps, fails a pair of values that pass one at a time.
+LADDER = EDGES + [2.0**k for k in range(-1074, 1024, 16)] + [0.5 - 2.0**-k for k in range(1, 55)]
+
+
+def valid(point: dict) -> bool:
+    try:
+        ScenarioParams(**point)
+    except DomainError:
+        return False
+    return True
+
+
+@settings(max_examples=300, deadline=None)
+@given(values=st.fixed_dictionaries({name: EDGE_COLUMNS for name in PARAM_NAMES}))
+def test_column_ranges_decide_validity(values):
+    """The range check of a chunk: its min and max points pass exactly when every row does."""
+    rows = [dict(zip(PARAM_NAMES, combo)) for combo in itertools.product(*values.values())]
+    columns = {name: cli.Column(np.array([row[name] for row in rows])) for name in PARAM_NAMES}
+    every_row = all(valid(row) for row in rows)
+    bounds = [{n: bound(c.values) for n, c in columns.items()} for bound in (np.min, np.max)]
+    assert all(valid(point) for point in bounds) == every_row
+    grid = SimpleNamespace(chunks=lambda size: iter([(len(rows), columns)]))
+    refused = False
+    try:
+        next(cli.evaluated_chunks(grid, True))
+    except DomainError:
+        refused = True
+    except FloatingPointError:  # a valid chunk can still overflow
+        pass
+    assert refused != every_row
+
+
+@pytest.mark.parametrize("a,b", [("tau", "u"), ("tau", "nbar"), ("u", "nbar")])
+def test_no_check_ties_two_parameters(a, b):
+    """Two values pass together exactly when each passes alone, which the range check needs."""
+    base = {"tau": 0.0, "u": 1.0, "nbar": 0.0, "theta": 0.0, "phi": 0.0, "phi_b": 0.0}
+    alone_a = [valid({**base, a: x}) for x in LADDER]
+    alone_b = [valid({**base, b: y}) for y in LADDER]
+    for x, ok_a in zip(LADDER, alone_a):
+        for y, ok_b in zip(LADDER, alone_b):
+            assert valid({**base, a: x, b: y}) == (ok_a and ok_b), (a, x, b, y)
