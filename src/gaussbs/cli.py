@@ -115,12 +115,23 @@ class Axis:
             )
 
     def at(self, positions: np.ndarray) -> np.ndarray:
-        """Values at the given positions: start + i*step, and stop at the last."""
+        """Values at the given positions: start + i*step, and stop at the last.
+
+        Where stop - start overflows, the step is taken as the difference of
+        stop and start each divided by count - 1, which do not.
+        """
         if self.count == 1:
             return np.full(len(positions), self.start)
         step = (self.stop - self.start) / (self.count - 1)
         with np.errstate(all="ignore"):  # inf and nan as Python floats give them
-            values = self.start + positions * step
+            if math.isfinite(step):
+                values = self.start + positions * step
+            else:
+                values = (
+                    self.start
+                    + positions * (self.stop / (self.count - 1))
+                    - positions * (self.start / (self.count - 1))
+                )
         values[positions == self.count - 1] = self.stop
         return values
 

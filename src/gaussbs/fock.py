@@ -13,9 +13,12 @@ eigendecomposition of a symmetric tridiagonal matrix (``_sector_block``).
 A phase is a rotation by e^{i angle n}, so a rotated state or block is the
 real one scaled entrywise and no complex exponential is taken.  At
 ``phi = phi_b = 0`` the states, the two-mode output, its partial transpose
-and the eigensolve all stay in float64; a non-zero phase runs the same
-functions in complex128, so the oracle still tests phase independence
-rather than assuming it.
+and the eigensolve all stay in float64.  A non-zero phase builds the
+states and the two-mode output in complex128 through the same functions,
+so the oracle still tests phase independence rather than assuming it.
+The output is then un-rotated by its inputs' local phases, checked to be
+real to rounding, and transposed and diagonalized in float64
+(``_unrotated``): the eigensolve, most of the time of a point, runs real.
 
 The two-mode state is never held in the product basis.  The squeezed and
 thermal inputs couple only Fock numbers of equal parity, by construction,
@@ -55,6 +58,10 @@ from .entanglement import ScenarioParams, negativity_closed_form
 from .states import BeamSplitter, DomainError, GaussianSpec
 
 _HERMITICITY_TOL = 1e-10
+# Largest imaginary part, relative to the largest entry, that an un-rotated
+# output may keep as rounding (``_unrotated``); measured at most 6.2e-16 at
+# W = 80, growing slowly with the window.
+_REALITY_TOL = 1e-13
 # Square tiles of this many rows bound the temporaries of the in-place
 # Hermitian averaging; tiles this small stay in cache, which measured about
 # three times faster than 512.
@@ -270,6 +277,18 @@ def _quadrants(dim: int) -> dict:
     return {(p1, p2): (p1 * h[0] * h[1 - p2], h[p1], h[p2]) for p1 in (0, 1) for p2 in (0, 1)}
 
 
+def _class_numbers(dim: int, c: int) -> tuple:
+    """Fock numbers (n1, n2) of the states of class ``c``, in class order (see ``_quadrants``)."""
+    quads = _quadrants(dim)
+    n1, n2 = [], []
+    for p1 in (0, 1):
+        _, h1, h2 = quads[p1, c ^ p1]
+        i1, i2 = np.divmod(np.arange(h1 * h2), h2)
+        n1.append(p1 + 2 * i1)
+        n2.append((c ^ p1) + 2 * i2)
+    return np.concatenate(n1), np.concatenate(n2)
+
+
 def _output_class(rho1: np.ndarray, weights: np.ndarray, blocks, c: int) -> np.ndarray:
     """Class ``c`` of U (rho1 x diag(weights)) U^ in the quadrant layout (see ``_quadrants``).
 
@@ -286,13 +305,8 @@ def _output_class(rho1: np.ndarray, weights: np.ndarray, blocks, c: int) -> np.n
     """
     dim = rho1.shape[0]
     quads = _quadrants(dim)
-    n1, total = [], []  # of the columns (c1, c2), in class order
-    for p1 in (0, 1):
-        _, h1, h2 = quads[p1, c ^ p1]
-        i1, i2 = np.divmod(np.arange(h1 * h2), h2)
-        n1.append(p1 + 2 * i1)
-        total.append(p1 + (c ^ p1) + 2 * (i1 + i2))
-    n1, total = np.concatenate(n1), np.concatenate(total)
+    n1, n2 = _class_numbers(dim, c)  # of the columns (c1, c2)
+    total = n1 + n2
     sectors = blocks[c::2]
     sizes = np.array([block.shape[0] for block in sectors])
     starts = np.cumsum(sizes**2) - sizes**2
@@ -343,6 +357,54 @@ def _output_classes(rho1: np.ndarray, weights: np.ndarray, bs: BeamSplitter) -> 
         _hermitize(mat)
     leakage = abs(1.0 - sum(np.trace(mat).real for mat in mats))
     return mats, leakage
+
+
+def _unrotated(mats: list, dim: int, phi: float, phi_b: float) -> list:
+    """The real state whose local rotation the complex class matrices ``mats`` hold.
+
+    R_j(a) = e^{i a n_j} rotates mode j.  The squeezed input is
+    R_1(phi_b / 2) rho_1 R_1^ and the beam splitter R_1(phi) B_0 R_1(phi)^;
+    the thermal input is diagonal and the total-number rotation commutes
+    with B_0, so the output is D rho_real D^ with D = R_1(phi_b / 2)
+    R_2(phi_b / 2 - phi).  Each truncated sector block obeys the same
+    relations, so this holds for the truncated build too.  Entry (j, k) is
+    multiplied by conj(d_j) d_k, d = e^{i (phi_b / 2 n1 + (phi_b / 2 - phi) n2)},
+    and its real part is written over the front of the complex buffer, one
+    row at a time, so no class-sized temporary exists.  Returns the float64
+    class matrices, views of those buffers.
+
+    The imaginary parts left must be rounding, at most ``_REALITY_TOL`` of
+    the largest entry; a larger one means the build is not the rotation of
+    a real state, an engine defect, and raises ``RuntimeError``.  Dropping
+    an imaginary part E moves the eigenvalues of the partial transpose by
+    sum |d lambda| <= ||E^T2||_1 (Lidskii-Mirsky; Bhatia, Matrix Analysis,
+    ch. IV) <= sqrt(n) ||E||_F <= n^{3/2} max |E| in a class of n states,
+    as the partial transpose permutes entries: at the check's bound, at
+    most 1.1e-7 of the largest entry at the widest window, 144 (n = 10368).
+    """
+    real = []
+    defect = peak = 0.0
+    for c, mat in enumerate(mats):
+        n1, n2 = _class_numbers(dim, c)
+        d = np.exp(1j * (0.5 * phi_b * n1 + (0.5 * phi_b - phi) * n2))
+        n = mat.shape[0]
+        front = mat.reshape(-1).view(np.float64)[: n * n].reshape(n, n)
+        row = np.empty(n, complex)
+        for j in range(n):
+            # Row j of the floats ends before row j + 1 of the complex
+            # entries starts, so no row is overwritten before it is read.
+            np.multiply(mat[j], d, out=row)
+            row *= d[j].conjugate()
+            defect = max(defect, float(np.abs(row.imag).max(initial=0.0)))
+            peak = max(peak, float(np.abs(row.real).max(initial=0.0)))
+            front[j] = row.real
+        real.append(front)
+    if defect > _REALITY_TOL * peak:
+        raise RuntimeError(
+            f"rotated output is not a local rotation of a real state: imaginary part "
+            f"{defect:.3e} against a largest entry of {peak:.3e}"
+        )
+    return real
 
 
 def _partial_transpose(mats: list, dim: int) -> None:
@@ -495,6 +557,8 @@ def compare_with_gaussian(params: ScenarioParams, cfg: OracleConfig) -> OracleCo
         if over:
             last_leakage = over[0]
             continue
+        if np.iscomplexobj(mats[0]):
+            mats = _unrotated(mats, window, params.phi, params.phi_b)
         n_fock = max(0.0, math.log2(_pt_trace_norm(mats, window)))
         diff = abs(n_gaussian - n_fock)
         status = "pass" if diff <= cfg.tol_compare else "fail"

@@ -1,4 +1,5 @@
 import cmath
+import itertools
 import math
 import re
 import tracemalloc
@@ -28,6 +29,7 @@ from gaussbs.fock import (
     _partial_transpose,
     _pt_trace_norm,
     _thermal_weights,
+    _unrotated,
 )
 from gaussbs.states import (
     BeamSplitter,
@@ -382,6 +384,62 @@ class TestDtypeFollowsPhases:
                         assert np.abs(got - expected[np.ix_(flat, flat)]).max() < 1e-12
 
 
+class TestUnrotatedOutput:
+    """A rotated output is diagonalized as the real state it is a local rotation of."""
+
+    ARGS = (0.2, 0.9, 0.3, math.pi / 4)
+    # The acceptance suite's criterion-8 grid, at its cutoff of 40.
+    CRITERION_8 = tuple(
+        itertools.product((0.1, 0.2, 0.3), (0.5, 1.0), (0.0, 0.5, 1.0), (math.pi / 8, math.pi / 4))
+    )
+
+    @staticmethod
+    def _classes(p, dim):
+        rho1 = fock_squeezed_thermal(p.spec(), dim)
+        mats, _ = _output_classes(rho1, _thermal_weights(p.nbar, dim), p.splitter())
+        return mats
+
+    @pytest.mark.parametrize(
+        "wrong",
+        [lambda phi, phi_b: (-phi, phi_b), lambda phi, phi_b: (phi, 2.0 * phi_b)],
+        ids=["phi-sign-flipped", "phi_b-not-halved"],
+    )
+    def test_wrong_phases_raise(self, wrong, monkeypatch):
+        def mistaken(mats, dim, phi, phi_b):
+            return _unrotated(mats, dim, *wrong(phi, phi_b))
+
+        monkeypatch.setattr(fock, "_unrotated", mistaken)
+        rotated = ScenarioParams(*self.ARGS, 0.7, 1.1)
+        with pytest.raises(RuntimeError, match="not a local rotation") as info:
+            compare_with_gaussian(rotated, OracleConfig(dim=30, tol_trace=1e-6))
+        assert not isinstance(info.value, DomainError)
+
+    def test_real_float64_views_of_the_buffers(self):
+        mats = self._classes(ScenarioParams(*self.ARGS, 0.7, 1.1), 12)
+        real = _unrotated(mats, 12, 0.7, 1.1)
+        for mat, got in zip(mats, real):
+            assert got.dtype == np.float64 and got.shape == mat.shape
+            assert np.shares_memory(got, mat)
+        expected = self._classes(ScenarioParams(*self.ARGS), 12)
+        assert max(np.abs(got - want).max() for got, want in zip(real, expected)) < 1e-15
+
+    def test_defect_is_rounding_on_the_criterion_8_grid(self, monkeypatch):
+        monkeypatch.setattr(fock, "_REALITY_TOL", 1e-15)
+        rng = np.random.default_rng(8)
+        for point in self.CRITERION_8:
+            phi, phi_b = rng.uniform(0.0, 2 * math.pi, 2)
+            _unrotated(self._classes(ScenarioParams(*point, phi, phi_b), 40), 40, phi, phi_b)
+
+    @pytest.mark.parametrize("phases", [(0.7, 1.1), (-2.9, 0.0), (0.0, 5.3)])
+    def test_n_fock_independent_of_the_phases(self, phases):
+        cfg = OracleConfig(dim=40, tol_trace=1e-4)
+        unrotated = compare_with_gaussian(ScenarioParams(*self.ARGS), cfg)
+        rotated = compare_with_gaussian(ScenarioParams(*self.ARGS, *phases), cfg)
+        assert unrotated.n_fock > 0.01
+        assert rotated.n_fock == pytest.approx(unrotated.n_fock, abs=1e-12)
+        assert (rotated.dim_used, rotated.note) == (unrotated.dim_used, unrotated.note)
+
+
 class TestParityClasses:
     @pytest.mark.parametrize("dim", [5, 12, 21])
     def test_rotated_blocks_are_expm_of_the_generator(self, dim):
@@ -433,18 +491,21 @@ class TestMemoryPrecheck:
     POINT = ScenarioParams(0.2, 0.8, 0.1, math.pi / 4)
 
     @staticmethod
-    def _stage_peak(rho1, weights, bs, dim, monkeypatch):
+    def _stage_peak(rho1, weights, p, dim, monkeypatch):
         """Peak bytes traced over the two-mode stage, cold sector cache included.
 
         The class matrices are allocated by numpy here, where tracemalloc
-        sees them, rather than in their own memory maps.
+        sees them, rather than in their own memory maps.  Rotated classes
+        are un-rotated before the partial transpose, as the oracle does.
         """
         monkeypatch.setattr(fock, "_mapped_matrix", lambda n, dtype: np.empty((n, n), dtype))
         _beam_splitter_sectors.cache_clear()
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            mats, _ = _output_classes(rho1, weights, bs)
+            mats, _ = _output_classes(rho1, weights, p.splitter())
+            if np.iscomplexobj(mats[0]):
+                mats = _unrotated(mats, dim, p.phi, p.phi_b)
             _pt_trace_norm(mats, dim)
             return tracemalloc.get_traced_memory()[1] - base
         finally:
@@ -457,7 +518,7 @@ class TestMemoryPrecheck:
         for dim, copies in ((24, fock._LIVE_COPIES), (40, 0.65)):
             rho1 = fock_squeezed_thermal(p.spec(), dim)
             weights = _thermal_weights(p.nbar, dim)
-            peak = self._stage_peak(rho1, weights, p.splitter(), dim, monkeypatch)
+            peak = self._stage_peak(rho1, weights, p, dim, monkeypatch)
             assert peak <= copies * itemsize * dim**4, dim
 
     def test_class_matrices_bypass_the_heap(self):

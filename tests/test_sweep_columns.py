@@ -272,7 +272,21 @@ class TestErrors:
         argv = ["sweep", "--axis", "nbar:-1e308:1e308:3", "--tau", "0.3", "--u", "1",
                 "--theta", "0.7", "-o", str(tmp_path / "x.csv")]  # fmt: skip
         assert main(argv) == cli.EXIT_INVALID
-        assert capsys.readouterr().err == "error: thermal occupation must satisfy nbar >= 0, got nan\n"
+        assert capsys.readouterr().err == "error: thermal occupation must satisfy nbar >= 0, got -1e+308\n"
+
+    def test_axis_whose_span_overflows(self, tmp_path, capsys):
+        # stop - start is inf, but -1e308, 0 and 1e308 are all valid phases
+        out = tmp_path / "x.csv"
+        argv = ["sweep", "--axis", "phi:-1e308:1e308:3", "--tau", "0.3", "--u", "0.5",
+                "--nbar", "0.1", "--theta", "0.7", "-o", str(out)]  # fmt: skip
+        assert main(argv) == cli.EXIT_OK
+        assert capsys.readouterr().err == ""
+        rows = out.read_text().splitlines()
+        assert [row.split(",")[4] for row in rows] == ["phi", "-1e+308", "0", "1e+308"]
+        values = Axis("phi", -MAX_DOUBLE, MAX_DOUBLE, 5).at(np.arange(5))
+        expected = [-MAX_DOUBLE, -MAX_DOUBLE / 2, 0.0, MAX_DOUBLE / 2, MAX_DOUBLE]
+        assert values.tolist() == pytest.approx(expected, rel=1e-15, abs=0.0)
+        assert (values[0], values[-1]) == (-MAX_DOUBLE, MAX_DOUBLE)
 
 
 MAX_DOUBLE = 1.7976931348623157e308
