@@ -17,12 +17,15 @@ from conftest import (
     partial_transpose,
     thermal,
 )
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gaussbs import fock
 from gaussbs.entanglement import ScenarioParams, negativity_closed_form
 from gaussbs.fock import OracleConfig, compare_with_gaussian, fock_squeezed_thermal
 from gaussbs.fock import (
     _beam_splitter_sectors,
+    _deflated,
     _hermitize,
     _leakage,
     _output_classes,
@@ -487,6 +490,90 @@ class TestParityClasses:
                     assert np.abs(got_eigs - expected_eigs).max() < 1e-12
 
 
+class TestDeflation:
+    """Partial-transpose states below rounding of their block's peak skip the eigensolve."""
+
+    EPS = np.finfo(float).eps
+    # States kept of the 800 in each class block at W = 40.
+    POINTS = {
+        "half-dropped": ((0.1, 1.0, 0.5, math.pi / 8), lambda kept: max(kept) < 0.55 * 800),
+        "none-dropped": ((0.2, 0.5, 1.0, math.pi / 4), lambda kept: kept == [800, 800]),
+        "rotated": ((0.2, 0.8, 0.3, math.pi / 5, 0.7, 1.1), lambda kept: max(kept) < 800),
+        "vacuum": ((0.0, 1.0, 0.0, math.pi / 4), lambda kept: kept == [1, 0]),
+    }
+
+    @staticmethod
+    def _classes(p, dim):
+        rho1 = fock_squeezed_thermal(p.spec(), dim)
+        mats, _ = _output_classes(rho1, _thermal_weights(p.nbar, dim), p.splitter())
+        if np.iscomplexobj(mats[0]):
+            mats = _unrotated(mats, dim, p.phi, p.phi_b)
+        return mats
+
+    def _kept(self, blocks):
+        kept = []
+        for block in blocks:
+            front = _deflated(block)
+            kept.append(front.shape[0])
+            if front.size:
+                assert front.flags.c_contiguous and np.shares_memory(front, block)
+        return kept
+
+    @pytest.mark.parametrize("name", POINTS)
+    def test_matches_the_dense_eigensolve(self, name):
+        point, kept_ok = self.POINTS[name]
+        p = ScenarioParams(*point)
+        mats = self._classes(p, 40)
+        blocks = [mat.copy() for mat in mats]
+        _partial_transpose(blocks, 40)
+        dense = sum(float(np.abs(np.linalg.eigvalsh(block)).sum()) for block in blocks)
+        assert _pt_trace_norm(mats, 40) == pytest.approx(dense, abs=1e-12)
+        kept = self._kept(blocks)
+        assert kept_ok(kept), kept
+        if p.phi or p.phi_b:
+            twin = self._classes(ScenarioParams(*point[:4]), 40)
+            _partial_transpose(twin, 40)
+            assert kept == self._kept(twin)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n=st.integers(3, 40),
+        planted=st.floats(0.0, 0.9),
+        scale=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_planted_rows_move_the_trace_norm_within_the_bound(self, n, planted, scale, seed):
+        """Rows at most eps * peak are dropped; a row with one entry at 2 eps * peak is kept.
+
+        The trace norm moves by at most ||E||_1, E the dropped rows and
+        columns, which is checked against the docstring's bound.  E is of
+        size eps * peak, so its own eigensolve rounds at eps^2 * peak, far
+        below the bound, where a dense eigensolve of the whole block would
+        round at about n eps * peak.
+        """
+        rng = np.random.default_rng(seed)
+        a = rng.standard_normal((n, n))
+        a += a.T
+        rows = rng.permutation(n)
+        dropped, witness = rows[: int(planted * (n - 2))], rows[-2]
+        small = np.isin(np.arange(n), np.append(dropped, witness))
+        cut = self.EPS * np.abs(a[np.ix_(~small, ~small)]).max()
+        tiny = np.triu(rng.uniform(-scale, scale, (n, n)) * cut)
+        tiny += np.triu(tiny, 1).T
+        a[small], a[:, small] = tiny[small], tiny[:, small]
+        a[witness, rows[-1]] = a[rows[-1], witness] = 2.0 * cut
+        keep = np.flatnonzero(~np.isin(np.arange(n), dropped))
+
+        buffer = a.copy()
+        front = _deflated(buffer)
+        assert np.array_equal(front, a[np.ix_(keep, keep)])
+        assert np.shares_memory(front, buffer)
+        e = a.copy()
+        e[np.ix_(keep, keep)] = 0.0
+        bound = 2 * dropped.size * math.sqrt(n) * cut
+        assert float(np.abs(np.linalg.eigvalsh(e)).sum()) <= bound
+
+
 class TestMemoryPrecheck:
     POINT = ScenarioParams(0.2, 0.8, 0.1, math.pi / 4)
 
@@ -497,8 +584,17 @@ class TestMemoryPrecheck:
         The class matrices are allocated by numpy here, where tracemalloc
         sees them, rather than in their own memory maps.  Rotated classes
         are un-rotated before the partial transpose, as the oracle does.
+        Returns the peak and the (kept, total) states of each deflated block.
         """
+        deflations = []
+
+        def recorded(block):
+            front = _deflated(block)
+            deflations.append((front.shape[0], block.shape[0]))
+            return front
+
         monkeypatch.setattr(fock, "_mapped_matrix", lambda n, dtype: np.empty((n, n), dtype))
+        monkeypatch.setattr(fock, "_deflated", recorded)
         _beam_splitter_sectors.cache_clear()
         tracemalloc.start()
         try:
@@ -507,7 +603,7 @@ class TestMemoryPrecheck:
             if np.iscomplexobj(mats[0]):
                 mats = _unrotated(mats, dim, p.phi, p.phi_b)
             _pt_trace_norm(mats, dim)
-            return tracemalloc.get_traced_memory()[1] - base
+            return tracemalloc.get_traced_memory()[1] - base, deflations
         finally:
             tracemalloc.stop()
 
@@ -518,8 +614,10 @@ class TestMemoryPrecheck:
         for dim, copies in ((24, fock._LIVE_COPIES), (40, 0.65)):
             rho1 = fock_squeezed_thermal(p.spec(), dim)
             weights = _thermal_weights(p.nbar, dim)
-            peak = self._stage_peak(rho1, weights, p, dim, monkeypatch)
+            peak, deflations = self._stage_peak(rho1, weights, p, dim, monkeypatch)
             assert peak <= copies * itemsize * dim**4, dim
+        # At W = 40 the traced peak covers the compaction of both class blocks.
+        assert all(kept < total for kept, total in deflations), deflations
 
     def test_class_matrices_bypass_the_heap(self):
         p = ScenarioParams(0.2, 0.8, 0.3, math.pi / 5)
