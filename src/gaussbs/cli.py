@@ -586,6 +586,8 @@ def _cmd_oracle_check(args) -> int:
     thetas = _parse_list(args.theta_list, "theta")
     if args.degrees:
         thetas = [math.radians(t) for t in thetas]
+    if math.isnan(args.max_tau):  # every comparison with nan is false: no guard at all
+        raise DomainError(f"max_tau must be a number or inf, got {args.max_tau!r}")
     for tau in taus:
         if tau > args.max_tau:
             raise DomainError(

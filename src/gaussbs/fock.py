@@ -30,15 +30,19 @@ thermal weights.  Within a class the states run by parity quadrant
 layout the partial transpose sends each block between two quadrants to
 exactly one such block, so it is written over the class matrices
 themselves, one slice at a time.  Each of its two class blocks is then
-deflated, then diagonalized in place: states whose rows stay below float64
-rounding of the block's largest entry, up to about half of them in a
-W = 40 to 60 window, are left out of the eigensolve (``_deflated``).  At
-W = 40 the stage peaks at about 0.57 of a matrix of ``W^4`` entries
-(``_LIVE_COPIES``, rounded up).  The class matrices each live in an
-anonymous memory map of their own (``_mapped_matrix``), so that the
-resident peak of a point does not depend on the points run before it in
-the same process.  A point whose window would not fit in the memory still
-available is skipped with the note "memory" instead of being allocated.
+deflated and diagonalized: states whose rows stay below float64 rounding
+of the block's largest entry, up to about half of them in a W = 40 to 60
+window, are left out of the eigensolve (``_deflated``), and numpy
+diagonalizes a copy of the kept ones.  The stage peaks at about 0.63 to
+0.76 of a matrix of ``W^4`` entries (``_LIVE_COPIES``, rounded up).  The
+class matrices each live in an anonymous memory map of their own
+(``_mapped_matrix``), so that the resident peak of a point does not
+depend on the points run before it in the same process.  A point whose
+window would not fit in the memory still available is skipped with the
+note "memory" instead of being allocated.
+
+The engine needs numpy alone, so a process loads one BLAS library and
+runs one BLAS thread pool.
 
 Truncation is handled honestly, never by renormalizing: the comparison
 harness checks the mass lost by the squeezed window, the thermal tail and
@@ -86,10 +90,12 @@ _COMPARE_GUARDS = (0, 8, 16, 24)
 _GUARD_SAFETY = 300.0
 # Peak of the two-mode stage of one oracle point, in matrices of W^4
 # entries of the working dtype, rounded up: the two parity class matrices
-# (half a matrix), which the partial transpose and then the eigensolve
-# overwrite, plus temporaries of about W^3 entries.  tracemalloc measured
-# 0.68 (real) and 0.74 (complex) at W = 24, 0.57 and 0.57 at W = 40, and
-# 0.54 (real) at W = 60.
+# (half a matrix), which the partial transpose overwrites, the eigensolve's
+# copy of the kept states of one class block (at most a quarter), and
+# temporaries of about W^3 entries.  The resident peak over the stage, real,
+# measured 0.76 at W = 56, 0.63 at W = 60 and 0.72 at W = 100; tracemalloc,
+# which does not see the eigensolve's copy, 0.68 (real) and 0.74 (complex)
+# at W = 24 and 0.57 and 0.57 at W = 40.
 _LIVE_COPIES = 1
 # Memory cgroup (limit, usage) files, v2 then v1 layout.
 _CGROUP_MEMORY_FILES = (
@@ -207,17 +213,14 @@ def _sector_block(hop: np.ndarray) -> np.ndarray:
     T with off-diagonal ``hop``, so exp(G)[j, k] = i^(j - k) (C - i D)[j, k]
     with C = cos T and D = sin T.  T is bipartite, so C couples only even
     and D only odd distances j - k, and exp(G) is C or D with the sign of
-    i^(j - k).  Taken from the eigendecomposition of T, this is accurate to
-    about 1e-14 where scipy's real matrix exponential of G is off by up to
-    4e-13.  scipy is imported on the first call, so that importing
-    gaussbs, and every Gaussian-route command, goes without it.
+    i^(j - k).  Taken from the eigendecomposition of T, held dense (at most
+    144 wide), this is accurate to about 1e-14 where scipy's real matrix
+    exponential of G is off by up to 4e-13.
     """
-    from scipy.linalg import eigh_tridiagonal
-
     size = hop.size + 1
     if size == 1:
         return np.ones((1, 1))
-    angles, vectors = eigh_tridiagonal(np.zeros(size), hop)
+    angles, vectors = np.linalg.eigh(np.diag(hop, 1), UPLO="U")
     cos_t = (vectors * np.cos(angles)) @ vectors.T
     sin_t = (vectors * np.sin(angles)) @ vectors.T
     distance = np.subtract.outer(np.arange(size), np.arange(size)) % 4
@@ -451,7 +454,9 @@ def _deflated(block: np.ndarray) -> np.ndarray:
     buffer, one row at a time: row j of the destination ends before source
     row keep[j + 1] starts, so no row is overwritten before it is read.
     Returns that C-ordered front view, the block itself when every state is
-    kept, and an empty view when the block is zero.
+    kept, and an empty view when the block is zero.  The eigensolve copies
+    what it is given, so compacting in place keeps that to one k x k copy
+    where indexing the kept states out would make two.
 
     Dropping a set S of states perturbs the block by E of rank at most
     2|S|, with ||E||_F <= eps peak sqrt(2 |S| n) in a block of n states,
@@ -482,20 +487,15 @@ def _pt_trace_norm(mats: list, dim: int) -> float:
     state couples (m1, n2) with (n1, m2), so it splits into the same
     classes by m1 + m2.  It is written over the class matrices, which are
     consumed, and each block is deflated (``_deflated``), then diagonalized
-    in place.
+    by ``np.linalg.eigvalsh``, which works on a copy of the kept states.
     """
-    from scipy.linalg import eigh
-
     _partial_transpose(mats, dim)
     norm = 0.0
     for block in mats:
         block = _deflated(block)
         if block.size == 0:
             continue
-        # block.T is the Fortran-ordered view of a Hermitian matrix; its
-        # eigenvalues are those of the block, and LAPACK works on it in place.
-        eigenvalues = eigh(block.T, eigvals_only=True, overwrite_a=True, check_finite=False)
-        norm += float(np.abs(eigenvalues).sum())
+        norm += float(np.abs(np.linalg.eigvalsh(block)).sum())
     return norm
 
 
@@ -567,7 +567,8 @@ def compare_with_gaussian(params: ScenarioParams, cfg: OracleConfig) -> OracleCo
     entries (8 bytes an entry when both phases are zero, else 16) is
     compared with the memory still available; a point that does not fit
     is skipped with a note starting "memory", since wider windows would
-    need more.
+    need more.  The resident peak of the stage measured 0.76, 0.63 and
+    0.72 of that matrix at W = 56, 60 and 100.
     """
     n_gaussian = negativity_closed_form(params)
     dims = list(range(cfg.dim, _MAX_ESCALATION_DIM + 1, _ESCALATION_STEP))

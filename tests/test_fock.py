@@ -584,6 +584,9 @@ class TestMemoryPrecheck:
         The class matrices are allocated by numpy here, where tracemalloc
         sees them, rather than in their own memory maps.  Rotated classes
         are un-rotated before the partial transpose, as the oracle does.
+        tracemalloc does not see LAPACK scratch, nor the copy of the kept
+        states that ``np.linalg.eigvalsh`` diagonalizes: the resident peak
+        of the stage is higher (see ``fock._LIVE_COPIES``).
         Returns the peak and the (kept, total) states of each deflated block.
         """
         deflations = []
