@@ -259,8 +259,15 @@ def _negativity(two_xi_minus_sq, max=max):
     return max(0.0, -0.5 * np.log2(two_xi_minus_sq))
 
 
-def _upper_root(alpha, beta, gamma, sqrt=math.sqrt, max=max):
-    """The root of the margin above m = 1, from the stable quadratic pivot."""
+def _upper_root(alpha, beta, gamma, sqrt=math.sqrt, max=max, frexp=math.frexp, ldexp=math.ldexp):
+    """The root of the margin above m = 1, from the stable quadratic pivot.
+
+    Scaling the coefficients by the power of two that brings beta into
+    [1/2, 1) keeps beta * beta finite; it moves no root and is exact, so the
+    bits change only where the unscaled beta * beta overflowed.
+    """
+    shift = -frexp(beta)[1]
+    alpha, beta, gamma = ldexp(alpha, shift), ldexp(beta, shift), ldexp(gamma, shift)
     disc = beta * beta - 4.0 * alpha * gamma
     q = -0.5 * (beta + sqrt(disc))  # beta > 0, so q is the stable pivot
     return max(q / alpha, gamma / q)
@@ -328,7 +335,7 @@ def critical_noise_columns(tau, u, cos4t) -> ThresholdColumns:
     infinite = np.zeros(tau.shape, dtype=bool)
     mixed = ~never
     coefficients = _margin_coefficients(tau[mixed], u[mixed], cos4t[mixed])
-    m_star = _upper_root(*coefficients, np.sqrt, _array_max)
+    m_star = _upper_root(*coefficients, np.sqrt, _array_max, np.frexp, np.ldexp)
     finite = np.isfinite(m_star)
     value[mixed] = np.where(finite, 0.5 * (m_star - 1.0), math.inf)
     infinite[mixed] = ~finite

@@ -10,15 +10,12 @@ Both unitaries come from one routine.  In a fixed Fock parity the squeezer
 generator, and in a fixed total photon number the beam-splitter generator,
 is a real tridiagonal matrix (SU(1,1) and SU(2)), exponentiated through the
 eigendecomposition of a symmetric tridiagonal matrix (``_sector_block``).
-A phase is a rotation by e^{i angle n}, so a rotated state or block is the
-real one scaled entrywise and no complex exponential is taken.  At
-``phi = phi_b = 0`` the states, the two-mode output, its partial transpose
-and the eigensolve all stay in float64.  A non-zero phase builds the
-states and the two-mode output in complex128 through the same functions,
-so the oracle still tests phase independence rather than assuming it.
-The output is then un-rotated by its inputs' local phases, checked to be
-real to rounding, and transposed and diagonalized in float64
-(``_unrotated``): the eigensolve, most of the time of a point, runs real.
+A phase is a rotation by e^{i angle n}, so a rotated state is the real one
+scaled entrywise and no complex exponential is taken.  The phases act on
+the two-mode output as a local unitary, which leaves the trace norm of its
+partial transpose unchanged, so the comparison evaluates every point on
+its twin at ``phi = phi_b = 0`` (``compare_with_gaussian``): the two-mode
+output, its partial transpose and the eigensolve all run in float64.
 
 The two-mode state is never held in the product basis.  The squeezed and
 thermal inputs couple only Fock numbers of equal parity, by construction,
@@ -61,13 +58,9 @@ from functools import lru_cache
 import numpy as np
 
 from .entanglement import ScenarioParams, negativity_closed_form
-from .states import BeamSplitter, DomainError, GaussianSpec
+from .states import DomainError, GaussianSpec
 
 _HERMITICITY_TOL = 1e-10
-# Largest imaginary part, relative to the largest entry, that an un-rotated
-# output may keep as rounding (``_unrotated``); measured at most 6.2e-16 at
-# W = 80, growing slowly with the window.
-_REALITY_TOL = 1e-13
 # Square tiles of this many rows bound the temporaries of the in-place
 # Hermitian averaging; tiles this small stay in cache, which measured about
 # three times faster than 512.
@@ -88,14 +81,13 @@ _COMPARE_GUARDS = (0, 8, 16, 24)
 # Window leakage this far below the comparison tolerance keeps the
 # amplified tail error out of the reported negativity difference.
 _GUARD_SAFETY = 300.0
-# Peak of the two-mode stage of one oracle point, in matrices of W^4
-# entries of the working dtype, rounded up: the two parity class matrices
-# (half a matrix), which the partial transpose overwrites, the eigensolve's
-# copy of the kept states of one class block (at most a quarter), and
-# temporaries of about W^3 entries.  The resident peak over the stage, real,
-# measured 0.76 at W = 56, 0.63 at W = 60 and 0.72 at W = 100; tracemalloc,
-# which does not see the eigensolve's copy, 0.68 (real) and 0.74 (complex)
-# at W = 24 and 0.57 and 0.57 at W = 40.
+# Peak of the two-mode stage of one oracle point, in float64 matrices of
+# W^4 entries, rounded up: the two parity class matrices (half a matrix),
+# which the partial transpose overwrites, the eigensolve's copy of the kept
+# states of one class block (at most a quarter), and temporaries of about
+# W^3 entries.  The resident peak over the stage measured 0.76 at W = 56,
+# 0.63 at W = 60 and 0.72 at W = 100; tracemalloc, which does not see the
+# eigensolve's copy, 0.68 at W = 24 and 0.57 at W = 40.
 _LIVE_COPIES = 1
 # Memory cgroup (limit, usage) files, v2 then v1 layout.
 _CGROUP_MEMORY_FILES = (
@@ -151,11 +143,7 @@ def _hermitize(a: np.ndarray) -> None:
 
 
 def _rotated(real: np.ndarray, angle: float) -> np.ndarray:
-    """``real`` conjugated by diag(e^{i angle n}): entry [m, n] times e^{i (m - n) angle}.
-
-    Index differences are all that matter, so a block whose rows start at
-    any Fock number takes the same scaling.
-    """
+    """``real`` conjugated by diag(e^{i angle n}): entry [m, n] times e^{i (m - n) angle}."""
     d = np.exp(1j * angle * np.arange(real.shape[0]))
     return np.outer(d, d.conj()) * real
 
@@ -228,30 +216,23 @@ def _sector_block(hop: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=8)
-def _beam_splitter_sectors(theta: float, phi: float, dim: int) -> tuple:
-    """Per-sector blocks of exp(theta (e^{i phi} a1^ a2 - e^{-i phi} a1 a2^)).
+def _beam_splitter_sectors(theta: float, dim: int) -> tuple:
+    """Per-sector blocks of exp(theta (a1^ a2 - a1 a2^)), the splitter at phi = 0.
 
     The generator conserves total photon number, so it is exponentiated
     sector by sector; the assembled operator equals the exponential of the
     truncated generator, is exactly unitary on the truncated space, and
     satisfies U^ a_i U = (M_B a)_i exactly within complete sectors (total
     number <= dim - 1).  Block ``t`` of the returned tuple acts on the
-    states (n1, t - n1) of total ``t``, n1 ascending.  At ``phi == 0`` the
-    blocks are real.  The phase is a rotation by e^{i phi n1}, so a rotated
-    block is the real one scaled entrywise, B(phi)[m, n] = e^{i (m - n) phi}
-    B(0)[m, n], and no complex exponential is taken.  The arrays are shared
-    by every caller and read-only.
+    states (n1, t - n1) of total ``t``, n1 ascending.  The blocks are real,
+    shared by every caller and read-only.
     """
-    if phi != 0.0:
-        blocks = [_rotated(real, phi) for real in _beam_splitter_sectors(theta, 0.0, dim)]
-    else:
-        blocks = []
-        for total in range(2 * dim - 1):
-            n1 = np.arange(max(0, total - dim + 1), min(total, dim - 1) + 1)
-            # a1^ a2 sends (n1, n2) -> (n1 + 1, n2 - 1) within the sector.
-            blocks.append(_sector_block(theta * np.sqrt((n1[:-1] + 1.0) * (total - n1[:-1]))))
-    for block in blocks:
-        block.setflags(write=False)
+    blocks = []
+    for total in range(2 * dim - 1):
+        n1 = np.arange(max(0, total - dim + 1), min(total, dim - 1) + 1)
+        # a1^ a2 sends (n1, n2) -> (n1 + 1, n2 - 1) within the sector.
+        blocks.append(_sector_block(theta * np.sqrt((n1[:-1] + 1.0) * (total - n1[:-1]))))
+        blocks[-1].setflags(write=False)
     return tuple(blocks)
 
 
@@ -349,67 +330,20 @@ def _output_class(rho1: np.ndarray, weights: np.ndarray, blocks, c: int) -> np.n
     return mat
 
 
-def _output_classes(rho1: np.ndarray, weights: np.ndarray, bs: BeamSplitter) -> tuple[list, float]:
+def _output_classes(rho1: np.ndarray, weights: np.ndarray, theta: float) -> tuple[list, float]:
     """U (rho1 x diag(weights)) U^ as its two class matrices, Hermitian averaged.
 
-    ``weights`` is the diagonal of the second input.  Returns the matrices
-    and their leakage, |1 - total trace|; comparing it with a budget is the
-    caller's decision.
+    U is the splitter of mixing angle ``theta`` at phi = 0, and ``weights``
+    is the diagonal of the second input.  Returns the matrices and their
+    leakage, |1 - total trace|; comparing it with a budget is the caller's
+    decision.
     """
-    sectors = _beam_splitter_sectors(bs.theta, bs.phi, rho1.shape[0])
+    sectors = _beam_splitter_sectors(theta, rho1.shape[0])
     mats = [_output_class(rho1, weights, sectors, c) for c in (0, 1)]
     for mat in mats:
         _hermitize(mat)
     leakage = abs(1.0 - sum(np.trace(mat).real for mat in mats))
     return mats, leakage
-
-
-def _unrotated(mats: list, dim: int, phi: float, phi_b: float) -> list:
-    """The real state whose local rotation the complex class matrices ``mats`` hold.
-
-    R_j(a) = e^{i a n_j} rotates mode j.  The squeezed input is
-    R_1(phi_b / 2) rho_1 R_1^ and the beam splitter R_1(phi) B_0 R_1(phi)^;
-    the thermal input is diagonal and the total-number rotation commutes
-    with B_0, so the output is D rho_real D^ with D = R_1(phi_b / 2)
-    R_2(phi_b / 2 - phi).  Each truncated sector block obeys the same
-    relations, so this holds for the truncated build too.  Entry (j, k) is
-    multiplied by conj(d_j) d_k, d = e^{i (phi_b / 2 n1 + (phi_b / 2 - phi) n2)},
-    and its real part is written over the front of the complex buffer, one
-    row at a time, so no class-sized temporary exists.  Returns the float64
-    class matrices, views of those buffers.
-
-    The imaginary parts left must be rounding, at most ``_REALITY_TOL`` of
-    the largest entry; a larger one means the build is not the rotation of
-    a real state, an engine defect, and raises ``RuntimeError``.  Dropping
-    an imaginary part E moves the eigenvalues of the partial transpose by
-    sum |d lambda| <= ||E^T2||_1 (Lidskii-Mirsky; Bhatia, Matrix Analysis,
-    ch. IV) <= sqrt(n) ||E||_F <= n^{3/2} max |E| in a class of n states,
-    as the partial transpose permutes entries: at the check's bound, at
-    most 1.1e-7 of the largest entry at the widest window, 144 (n = 10368).
-    """
-    real = []
-    defect = peak = 0.0
-    for c, mat in enumerate(mats):
-        n1, n2 = _class_numbers(dim, c)
-        d = np.exp(1j * (0.5 * phi_b * n1 + (0.5 * phi_b - phi) * n2))
-        n = mat.shape[0]
-        front = mat.reshape(-1).view(np.float64)[: n * n].reshape(n, n)
-        row = np.empty(n, complex)
-        for j in range(n):
-            # Row j of the floats ends before row j + 1 of the complex
-            # entries starts, so no row is overwritten before it is read.
-            np.multiply(mat[j], d, out=row)
-            row *= d[j].conjugate()
-            defect = max(defect, float(np.abs(row.imag).max(initial=0.0)))
-            peak = max(peak, float(np.abs(row.real).max(initial=0.0)))
-            front[j] = row.real
-        real.append(front)
-    if defect > _REALITY_TOL * peak:
-        raise RuntimeError(
-            f"rotated output is not a local rotation of a real state: imaginary part "
-            f"{defect:.3e} against a largest entry of {peak:.3e}"
-        )
-    return real
 
 
 def _partial_transpose(mats: list, dim: int) -> None:
@@ -563,26 +497,34 @@ def compare_with_gaussian(params: ScenarioParams, cfg: OracleConfig) -> OracleCo
     tail or the output, checked in that order, leaks more than
     ``cfg.tol_trace``; a point still over budget at 120 is skipped with the
     first such leakage, and a verdict reports the largest.  Before a window
-    is allocated, its predicted peak of ``_LIVE_COPIES`` matrices of W^4
-    entries (8 bytes an entry when both phases are zero, else 16) is
-    compared with the memory still available; a point that does not fit
-    is skipped with a note starting "memory", since wider windows would
-    need more.  The resident peak of the stage measured 0.76, 0.63 and
-    0.72 of that matrix at W = 56, 60 and 100.
+    is allocated, its predicted peak of ``_LIVE_COPIES`` float64 matrices
+    of W^4 entries is compared with the memory still available; a point
+    that does not fit is skipped with a note starting "memory", since wider
+    windows would need more.
+
+    Every window is built for the point's real twin, (tau, u, nbar, theta)
+    at phi = phi_b = 0; the result keeps ``params`` with their phases.  With
+    R_j(a) = e^{i a n_j}, the squeezed input is R_1(phi_b / 2) rho_1 R_1^
+    and the splitter R_1(phi) B_0 R_1(phi)^, so the output is D rho_real D^
+    with the local D = R_1(phi_b / 2) R_2(phi_b / 2 - phi): the thermal
+    input is diagonal and B_0 commutes with the total-number rotation.  Its
+    partial transpose is rho_real^T2 conjugated by the unitary
+    R_1(phi_b / 2) R_2(phi - phi_b / 2), so its trace norm, like every
+    leakage, is the twin's.  The truncated blocks obey the same relations.
     """
     n_gaussian = negativity_closed_form(params)
+    twin = GaussianSpec(params.tau, params.u)
     dims = list(range(cfg.dim, _MAX_ESCALATION_DIM + 1, _ESCALATION_STEP))
     if dims[-1] != _MAX_ESCALATION_DIM:
         dims.append(_MAX_ESCALATION_DIM)
     last_leakage = math.nan
     target = cfg.tol_compare / _GUARD_SAFETY
     for dim in dims:
-        wide = fock_squeezed_thermal(params.spec(), dim + _COMPARE_GUARDS[-1])
+        wide = fock_squeezed_thermal(twin, dim + _COMPARE_GUARDS[-1])
         guard = _pick_guard(wide, dim, target)
         window = dim + guard
         rho1 = wide[:window, :window]
-        itemsize = 16 if params.phi != 0.0 or np.iscomplexobj(rho1) else 8
-        need = _LIVE_COPIES * itemsize * window**4
+        need = _LIVE_COPIES * 8 * window**4
         free = _available_memory()
         if free is not None and need > free:
             note = f"memory: window {window} needs {need >> 20} MiB, {free >> 20} MiB available"
@@ -592,14 +534,12 @@ def compare_with_gaussian(params: ScenarioParams, cfg: OracleConfig) -> OracleCo
         weights = _thermal_weights(params.nbar, window)
         leakages = [_leakage(rho1), _leakage(np.diag(weights))]
         if not any(leakage > cfg.tol_trace for leakage in leakages):
-            mats, out_leakage = _output_classes(rho1, weights, params.splitter())
+            mats, out_leakage = _output_classes(rho1, weights, params.theta)
             leakages.append(out_leakage)
         over = [leakage for leakage in leakages if leakage > cfg.tol_trace]
         if over:
             last_leakage = over[0]
             continue
-        if np.iscomplexobj(mats[0]):
-            mats = _unrotated(mats, window, params.phi, params.phi_b)
         n_fock = max(0.0, math.log2(_pt_trace_norm(mats, window)))
         diff = abs(n_gaussian - n_fock)
         status = "pass" if diff <= cfg.tol_compare else "fail"

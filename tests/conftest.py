@@ -37,17 +37,23 @@ def coherent_state(alpha: complex, dim: int) -> np.ndarray:
 
 
 def _beam_splitter_unitary(theta: float, phi: float, dim: int) -> np.ndarray:
-    """Dense form of the sector-blocked beam-splitter unitary, index n1 * dim + n2."""
-    blocks = _beam_splitter_sectors(theta, phi, dim)
+    """Dense form of the sector-blocked beam-splitter unitary, index n1 * dim + n2.
+
+    The phase is the rotation R_1(phi) U(theta, 0) R_1(phi)^, R_1(phi) = e^{i phi n1}.
+    """
+    blocks = _beam_splitter_sectors(theta, dim)
     n1, n2 = np.divmod(np.arange(dim * dim), dim)
     order = np.lexsort((n1, n1 + n2))  # flat indices in sector order
-    u = np.zeros((dim * dim, dim * dim), dtype=blocks[0].dtype)
+    u = np.zeros((dim * dim, dim * dim))
     lo = 0
     for block in blocks:
         flat = order[lo : lo + block.shape[0]]
         u[np.ix_(flat, flat)] = block
         lo += block.shape[0]
-    return u
+    if phi == 0.0:
+        return u
+    d = np.exp(1j * phi * n1)
+    return np.outer(d, d.conj()) * u
 
 
 def dense_output(rho1: np.ndarray, rho2: np.ndarray, bs: BeamSplitter) -> np.ndarray:

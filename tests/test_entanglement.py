@@ -11,8 +11,10 @@ from gaussbs.entanglement import (
     CriticalNoise,
     ScenarioParams,
     closed_form_terms,
+    cos4,
     critical_noise,
     critical_noise_5050,
+    critical_noise_columns,
     critical_noise_near_optimal,
     log_negativity,
     negativity_5050,
@@ -288,17 +290,15 @@ class TestCriticalNoise:
         assert got.flag == "ok"
         assert abs(got.value - exact) <= 1e-9 * exact
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="beta * beta overflows in the pivot at u = 1e-80, so the threshold reads "
-        "infinite (and `critical` prints nbar_c = inf, exit 0) where bisection on the same "
-        "margin finds 0.46103; ROADMAP item 3 makes the formulas total",
-    )
     def test_threshold_past_an_overflowing_pivot(self):
         expected = critical_noise_bisection(0.3, 1e-80, 0.5)
         assert expected.flag == "ok" and expected.value == pytest.approx(0.46103, abs=1e-5)
         got = critical_noise(0.3, 1e-80, 0.5)
         assert got.flag == "ok" and got.value == pytest.approx(expected.value, abs=1e-9)
+        assert type(got.value) is float
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
+            column = critical_noise_columns(0.3, 1e-80, cos4(0.5))
+        assert column.value.item() == got.value and not column.infinite.item()
 
     def test_classical_input_flag(self):
         got = critical_noise(0.0, 0.5, math.pi / 4)

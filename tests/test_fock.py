@@ -1,5 +1,4 @@
 import cmath
-import itertools
 import math
 import re
 import tracemalloc
@@ -31,8 +30,8 @@ from gaussbs.fock import (
     _output_classes,
     _partial_transpose,
     _pt_trace_norm,
+    _rotated,
     _thermal_weights,
-    _unrotated,
 )
 from gaussbs.states import (
     BeamSplitter,
@@ -44,9 +43,9 @@ from gaussbs.states import (
 CFG = OracleConfig(dim=30, tol_trace=1e-6)
 
 
-def _oracle_log_negativity(rho1, weights, bs) -> float:
+def _oracle_log_negativity(rho1, weights, theta) -> float:
     """The oracle's unclamped log2 trace norm of the partial transpose of U (rho1 x diag p) U^."""
-    mats, _ = _output_classes(rho1, weights, bs)
+    mats, _ = _output_classes(rho1, weights, theta)
     return math.log2(_pt_trace_norm(mats, rho1.shape[0]))
 
 
@@ -55,6 +54,23 @@ def _quadrant_order(dim: int, c: int) -> np.ndarray:
     n1, n2 = np.divmod(np.arange(dim * dim), dim)
     flat = np.flatnonzero((n1 + n2) % 2 == c)
     return flat[np.lexsort((n2[flat] // 2, n1[flat] // 2, n2[flat] % 2, n1[flat] % 2))]
+
+
+def _expm_squeezed_thermal(spec: GaussianSpec, dim: int) -> np.ndarray:
+    """The squeezed-thermal window from scipy's expm of the complex squeezer generator.
+
+    Built on the oracle's working width ``dim + _WORK_MARGIN``, then cut to
+    ``dim``; no rotation identity is used.
+    """
+    from scipy.linalg import expm
+
+    work = dim + fock._WORK_MARGIN
+    a = annihilation(work)
+    r = -0.5 * math.log(spec.u * (1.0 - 2.0 * spec.tau))
+    xi = r * cmath.exp(1j * spec.phi_b)
+    squeezer = expm(0.5 * (xi.conjugate() * (a @ a) - xi * (a.T @ a.T)) + 0j)
+    seed = np.diag(fock._thermal_weights((1.0 - spec.u) / (2.0 * spec.u), work))
+    return (squeezer @ seed @ squeezer.conj().T)[:dim, :dim]
 
 
 def _random_inputs(rng, dim: int, dtype):
@@ -127,16 +143,8 @@ class TestStateBuilders:
     @pytest.mark.parametrize("dim", [40, 100])
     @pytest.mark.parametrize("phi_b", [0.0, 0.7, 4.0])
     def test_squeezer_is_expm_of_the_generator(self, dim, phi_b):
-        from scipy.linalg import expm
-
         spec = GaussianSpec(0.3, 0.5, phi_b)
-        work = dim + fock._WORK_MARGIN
-        a = annihilation(work)
-        r = -0.5 * math.log(spec.u * (1.0 - 2.0 * spec.tau))
-        xi = r * cmath.exp(1j * phi_b)
-        squeezer = expm(0.5 * (xi.conjugate() * (a @ a) - xi * (a.T @ a.T)) + 0j)
-        seed = np.diag(fock._thermal_weights((1.0 - spec.u) / (2.0 * spec.u), work))
-        expected = (squeezer @ seed @ squeezer.conj().T)[:dim, :dim]
+        expected = _expm_squeezed_thermal(spec, dim)
         rho = fock_squeezed_thermal(spec, dim)
         assert rho.dtype == (np.float64 if phi_b == 0.0 else np.complex128)
         assert np.abs(rho - expected).max() < 1e-13
@@ -247,18 +255,18 @@ class TestPartialTransposeAndNegativity:
     def test_pure_squeezed_5050_half_bit(self):
         p = ScenarioParams(0.25, 1.0, 0.0, math.pi / 4)
         rho1 = fock_squeezed_thermal(p.spec(), CFG.dim)
-        raw = _oracle_log_negativity(rho1, _thermal_weights(0.0, CFG.dim), p.splitter())
+        raw = _oracle_log_negativity(rho1, _thermal_weights(0.0, CFG.dim), p.theta)
         assert max(0.0, raw) == pytest.approx(0.5, abs=1e-3)
 
     def test_zero_at_critical_point(self):
         p = ScenarioParams(0.3, 1.0, 0.75, math.pi / 12)
         rho1 = fock_squeezed_thermal(p.spec(), 40)
-        raw = _oracle_log_negativity(rho1, _thermal_weights(0.75, 40), p.splitter())
+        raw = _oracle_log_negativity(rho1, _thermal_weights(0.75, 40), p.theta)
         assert max(0.0, raw) == pytest.approx(0.0, abs=1e-3)
 
     def test_raw_value_reported(self):
         rho1 = thermal(0.2, CFG.dim)
-        raw = _oracle_log_negativity(rho1, _thermal_weights(0.4, CFG.dim), BeamSplitter(0.5))
+        raw = _oracle_log_negativity(rho1, _thermal_weights(0.4, CFG.dim), 0.5)
         assert raw <= 1e-12
         assert max(0.0, raw) <= 1e-12
 
@@ -272,7 +280,7 @@ class TestPartialTransposeAndNegativity:
         rho1, weights = _random_inputs(np.random.default_rng(5), 8, np.complex128)
         rho1[0, 2] += 0.5
         with pytest.raises(DomainError, match="Hermitian"):
-            _output_classes(rho1, weights, BeamSplitter(0.7, 0.4))
+            _output_classes(rho1, weights, 0.7)
 
 
 class TestComparisonHarness:
@@ -332,9 +340,9 @@ class TestComparisonHarness:
     def test_output_trace_over_budget_escalates(self, monkeypatch):
         windows = []
 
-        def leaky_once(rho1, weights, bs):
+        def leaky_once(rho1, weights, theta):
             windows.append(rho1.shape[0])
-            mats, leakage = _output_classes(rho1, weights, bs)
+            mats, leakage = _output_classes(rho1, weights, theta)
             return mats, (1e-3 if len(windows) == 1 else leakage)
 
         monkeypatch.setattr(fock, "_output_classes", leaky_once)
@@ -348,22 +356,32 @@ class TestComparisonHarness:
 
 
 class TestDtypeFollowsPhases:
+    """The single-mode input is complex at phi_b != 0; the two-mode stage is always float64."""
+
     ROTATIONS = ((0.0, 0.0), (0.7, 1.1))
 
     def _inputs(self, phi, phi_b):
         p = ScenarioParams(0.2, 0.9, 0.3, math.pi / 4, phi, phi_b)
         weights = _thermal_weights(p.nbar, CFG.dim)
-        return fock_squeezed_thermal(p.spec(), CFG.dim), weights, p.splitter()
+        return fock_squeezed_thermal(p.spec(), CFG.dim), weights, p.theta
 
-    def test_two_mode_dtype(self):
-        for (phi, phi_b), dtype in zip(self.ROTATIONS, (np.float64, np.complex128)):
-            rho1, weights, bs = self._inputs(phi, phi_b)
-            mats, _ = _output_classes(rho1, weights, bs)
-            assert [mat.dtype for mat in mats] == [dtype, dtype]
-            _partial_transpose(mats, CFG.dim)
-            assert [mat.dtype for mat in mats] == [dtype, dtype]
+    def test_two_mode_dtype(self, monkeypatch):
+        seen = []
+
+        def recorded(rho1, weights, theta):
+            mats, leakage = _output_classes(rho1, weights, theta)
+            seen.append((rho1.dtype, [mat.dtype for mat in mats]))
+            return mats, leakage
+
+        monkeypatch.setattr(fock, "_output_classes", recorded)
+        for phases in self.ROTATIONS:
+            res = compare_with_gaussian(ScenarioParams(0.2, 0.9, 0.3, math.pi / 4, *phases), CFG)
+            assert res.status == "pass" and res.params.phi == phases[0]
+        assert seen == [(np.float64, [np.float64, np.float64])] * 2
 
     def test_log_negativity_same_in_both_dtypes(self):
+        # A complex input through the same float64 splitter: the output is
+        # rotated by e^{i phi_b / 2 (n1 + n2)}, a local unitary.
         values = [
             _oracle_log_negativity(*self._inputs(*phases)) for phases in self.ROTATIONS
         ]
@@ -377,63 +395,21 @@ class TestDtypeFollowsPhases:
             flats = [_quadrant_order(dim, c) for c in (0, 1)]
             for dtype in (np.float64, np.complex128):
                 rho1, weights = _random_inputs(rng, dim, dtype)
-                for phi in (0.0, 0.4):
-                    bs = BeamSplitter(0.7, phi)
-                    expected = dense_output(rho1, np.diag(weights), bs)
-                    assert np.abs(expected[np.ix_(flats[0], flats[1])]).max() < 1e-12
-                    mats, _ = _output_classes(rho1, weights, bs)
-                    for flat, got in zip(flats, mats):
-                        assert got.dtype == expected.dtype
-                        assert np.abs(got - expected[np.ix_(flat, flat)]).max() < 1e-12
+                expected = dense_output(rho1, np.diag(weights), BeamSplitter(0.7))
+                assert np.abs(expected[np.ix_(flats[0], flats[1])]).max() < 1e-12
+                mats, _ = _output_classes(rho1, weights, 0.7)
+                for flat, got in zip(flats, mats):
+                    assert got.dtype == expected.dtype
+                    assert np.abs(got - expected[np.ix_(flat, flat)]).max() < 1e-12
 
 
 class TestUnrotatedOutput:
-    """A rotated output is diagonalized as the real state it is a local rotation of."""
+    """A rotated point is evaluated on its real twin at phi = phi_b = 0."""
 
     ARGS = (0.2, 0.9, 0.3, math.pi / 4)
-    # The acceptance suite's criterion-8 grid, at its cutoff of 40.
-    CRITERION_8 = tuple(
-        itertools.product((0.1, 0.2, 0.3), (0.5, 1.0), (0.0, 0.5, 1.0), (math.pi / 8, math.pi / 4))
-    )
+    PHASES = [(0.7, 1.1), (-2.9, 0.0), (0.0, 5.3)]
 
-    @staticmethod
-    def _classes(p, dim):
-        rho1 = fock_squeezed_thermal(p.spec(), dim)
-        mats, _ = _output_classes(rho1, _thermal_weights(p.nbar, dim), p.splitter())
-        return mats
-
-    @pytest.mark.parametrize(
-        "wrong",
-        [lambda phi, phi_b: (-phi, phi_b), lambda phi, phi_b: (phi, 2.0 * phi_b)],
-        ids=["phi-sign-flipped", "phi_b-not-halved"],
-    )
-    def test_wrong_phases_raise(self, wrong, monkeypatch):
-        def mistaken(mats, dim, phi, phi_b):
-            return _unrotated(mats, dim, *wrong(phi, phi_b))
-
-        monkeypatch.setattr(fock, "_unrotated", mistaken)
-        rotated = ScenarioParams(*self.ARGS, 0.7, 1.1)
-        with pytest.raises(RuntimeError, match="not a local rotation") as info:
-            compare_with_gaussian(rotated, OracleConfig(dim=30, tol_trace=1e-6))
-        assert not isinstance(info.value, DomainError)
-
-    def test_real_float64_views_of_the_buffers(self):
-        mats = self._classes(ScenarioParams(*self.ARGS, 0.7, 1.1), 12)
-        real = _unrotated(mats, 12, 0.7, 1.1)
-        for mat, got in zip(mats, real):
-            assert got.dtype == np.float64 and got.shape == mat.shape
-            assert np.shares_memory(got, mat)
-        expected = self._classes(ScenarioParams(*self.ARGS), 12)
-        assert max(np.abs(got - want).max() for got, want in zip(real, expected)) < 1e-15
-
-    def test_defect_is_rounding_on_the_criterion_8_grid(self, monkeypatch):
-        monkeypatch.setattr(fock, "_REALITY_TOL", 1e-15)
-        rng = np.random.default_rng(8)
-        for point in self.CRITERION_8:
-            phi, phi_b = rng.uniform(0.0, 2 * math.pi, 2)
-            _unrotated(self._classes(ScenarioParams(*point, phi, phi_b), 40), 40, phi, phi_b)
-
-    @pytest.mark.parametrize("phases", [(0.7, 1.1), (-2.9, 0.0), (0.0, 5.3)])
+    @pytest.mark.parametrize("phases", PHASES)
     def test_n_fock_independent_of_the_phases(self, phases):
         cfg = OracleConfig(dim=40, tol_trace=1e-4)
         unrotated = compare_with_gaussian(ScenarioParams(*self.ARGS), cfg)
@@ -441,6 +417,32 @@ class TestUnrotatedOutput:
         assert unrotated.n_fock > 0.01
         assert rotated.n_fock == pytest.approx(unrotated.n_fock, abs=1e-12)
         assert (rotated.dim_used, rotated.note) == (unrotated.dim_used, unrotated.note)
+
+    @pytest.mark.parametrize("dim", [8, 11])
+    @pytest.mark.parametrize("phases", PHASES)
+    @pytest.mark.parametrize(
+        "point", [(0.2, 0.8, 0.3, math.pi / 5), (0.3, 1.0, 0.0, math.pi / 4), (0.1, 0.5, 1.0, math.pi / 8)]
+    )
+    def test_twin_matches_an_independent_rotated_reference(self, point, phases, dim):
+        """The rotated output built densely from expm, with no engine block or rotation.
+
+        rho1 is the squeezer's expm on the working width, and U the expm of
+        theta (e^{i phi} a1^ a2 - h.c.) on the dim^2 product basis.
+        """
+        from scipy.linalg import expm
+
+        p = ScenarioParams(*point, *phases)
+        a = annihilation(dim)
+        hop = p.theta * cmath.exp(1j * p.phi) * np.kron(a.T, a)
+        u = expm(hop - hop.conj().T)
+        rho1 = _expm_squeezed_thermal(p.spec(), dim)
+        out = u @ np.kron(rho1, thermal(p.nbar, dim)) @ u.conj().T
+        expected = dense_pt_trace_norm(0.5 * (out + out.conj().T))
+
+        twin = fock_squeezed_thermal(GaussianSpec(p.tau, p.u), dim)
+        mats, _ = _output_classes(twin, _thermal_weights(p.nbar, dim), p.theta)
+        assert [mat.dtype for mat in mats] == [np.float64, np.float64]
+        assert _pt_trace_norm(mats, dim) == pytest.approx(expected, abs=1e-12)
 
 
 class TestParityClasses:
@@ -450,23 +452,24 @@ class TestParityClasses:
 
         for theta in (0.3, math.pi / 4, 1.2):
             for phi in (0.0, 0.4, 2.5, -1.0):
-                for total, block in enumerate(_beam_splitter_sectors(theta, phi, dim)):
+                for total, block in enumerate(_beam_splitter_sectors(theta, dim)):
                     n1 = np.arange(max(0, total - dim + 1), min(total, dim - 1) + 1)
                     hop = theta * cmath.exp(1j * phi) * np.sqrt((n1[:-1] + 1.0) * (total - n1[:-1]))
                     generator = np.diag(hop, -1) - np.diag(hop.conj(), 1)
-                    assert np.abs(block - expm(generator)).max() < 1e-13
+                    # B(phi)[m, n] = e^{i (m - n) phi} B(0)[m, n]
+                    assert np.abs(_rotated(block, phi) - expm(generator)).max() < 1e-13
 
     @pytest.mark.parametrize("dim", [8, 9, 10, 11])
     @pytest.mark.parametrize("phases", [(0.0, 0.0), (0.7, 1.1)])
     def test_parity_blocks_match_dense_partial_transpose(self, dim, phases):
         p = ScenarioParams(0.2, 0.8, 0.3, math.pi / 5, *phases)
-        rho1 = fock_squeezed_thermal(p.spec(), dim)
         weights = _thermal_weights(p.nbar, dim)
-        dense = dense_output(rho1, np.diag(weights), p.splitter())
+        dense = dense_output(fock_squeezed_thermal(p.spec(), dim), np.diag(weights), p.splitter())
         expected = dense_pt_trace_norm(dense)
-        mats, _ = _output_classes(rho1, weights, p.splitter())
+        twin = fock_squeezed_thermal(GaussianSpec(p.tau, p.u), dim)
+        mats, _ = _output_classes(twin, weights, p.theta)
         assert len(mats) == 2
-        assert mats[0].dtype == dense.dtype
+        assert mats[0].dtype == np.float64
         assert _pt_trace_norm(mats, dim) == pytest.approx(expected, abs=1e-12)
 
     @pytest.mark.parametrize("dim", [8, 9, 10, 11])
@@ -476,18 +479,16 @@ class TestParityClasses:
         flats = [_quadrant_order(dim, q) for q in (0, 1)]
         for dtype in (np.float64, np.complex128):
             rho1, weights = _random_inputs(rng, dim, dtype)
-            for phi in (0.0, 0.4):
-                bs = BeamSplitter(0.7, phi)
-                pt = partial_transpose(dense_output(rho1, np.diag(weights), bs))
-                assert np.abs(pt[np.ix_(flats[0], flats[1])]).max() < 1e-12
-                mats, _ = _output_classes(rho1, weights, bs)
-                _partial_transpose(mats, dim)
-                for flat, got in zip(flats, mats):
-                    expected = pt[np.ix_(flat, flat)]
-                    assert got.dtype == expected.dtype
-                    assert np.abs(got - expected).max() < 1e-12
-                    got_eigs, expected_eigs = np.linalg.eigvalsh(got), np.linalg.eigvalsh(expected)
-                    assert np.abs(got_eigs - expected_eigs).max() < 1e-12
+            pt = partial_transpose(dense_output(rho1, np.diag(weights), BeamSplitter(0.7)))
+            assert np.abs(pt[np.ix_(flats[0], flats[1])]).max() < 1e-12
+            mats, _ = _output_classes(rho1, weights, 0.7)
+            _partial_transpose(mats, dim)
+            for flat, got in zip(flats, mats):
+                expected = pt[np.ix_(flat, flat)]
+                assert got.dtype == expected.dtype
+                assert np.abs(got - expected).max() < 1e-12
+                got_eigs, expected_eigs = np.linalg.eigvalsh(got), np.linalg.eigvalsh(expected)
+                assert np.abs(got_eigs - expected_eigs).max() < 1e-12
 
 
 class TestDeflation:
@@ -498,16 +499,13 @@ class TestDeflation:
     POINTS = {
         "half-dropped": ((0.1, 1.0, 0.5, math.pi / 8), lambda kept: max(kept) < 0.55 * 800),
         "none-dropped": ((0.2, 0.5, 1.0, math.pi / 4), lambda kept: kept == [800, 800]),
-        "rotated": ((0.2, 0.8, 0.3, math.pi / 5, 0.7, 1.1), lambda kept: max(kept) < 800),
         "vacuum": ((0.0, 1.0, 0.0, math.pi / 4), lambda kept: kept == [1, 0]),
     }
 
     @staticmethod
     def _classes(p, dim):
         rho1 = fock_squeezed_thermal(p.spec(), dim)
-        mats, _ = _output_classes(rho1, _thermal_weights(p.nbar, dim), p.splitter())
-        if np.iscomplexobj(mats[0]):
-            mats = _unrotated(mats, dim, p.phi, p.phi_b)
+        mats, _ = _output_classes(rho1, _thermal_weights(p.nbar, dim), p.theta)
         return mats
 
     def _kept(self, blocks):
@@ -530,10 +528,6 @@ class TestDeflation:
         assert _pt_trace_norm(mats, 40) == pytest.approx(dense, abs=1e-12)
         kept = self._kept(blocks)
         assert kept_ok(kept), kept
-        if p.phi or p.phi_b:
-            twin = self._classes(ScenarioParams(*point[:4]), 40)
-            _partial_transpose(twin, 40)
-            assert kept == self._kept(twin)
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -582,9 +576,7 @@ class TestMemoryPrecheck:
         """Peak bytes traced over the two-mode stage, cold sector cache included.
 
         The class matrices are allocated by numpy here, where tracemalloc
-        sees them, rather than in their own memory maps.  Rotated classes
-        are un-rotated before the partial transpose, as the oracle does.
-        tracemalloc does not see LAPACK scratch, nor the copy of the kept
+        sees them, rather than in their own memory maps.  tracemalloc does not see LAPACK scratch, nor the copy of the kept
         states that ``np.linalg.eigvalsh`` diagonalizes: the resident peak
         of the stage is higher (see ``fock._LIVE_COPIES``).
         Returns the peak and the (kept, total) states of each deflated block.
@@ -602,23 +594,19 @@ class TestMemoryPrecheck:
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            mats, _ = _output_classes(rho1, weights, p.splitter())
-            if np.iscomplexobj(mats[0]):
-                mats = _unrotated(mats, dim, p.phi, p.phi_b)
+            mats, _ = _output_classes(rho1, weights, p.theta)
             _pt_trace_norm(mats, dim)
             return tracemalloc.get_traced_memory()[1] - base, deflations
         finally:
             tracemalloc.stop()
 
-    @pytest.mark.parametrize("phases", [(0.0, 0.0), (0.7, 1.1)])
-    def test_two_mode_stage_peak(self, phases, monkeypatch):
-        p = ScenarioParams(0.2, 0.8, 0.3, math.pi / 5, *phases)
-        itemsize = 8 if phases == (0.0, 0.0) else 16
+    def test_two_mode_stage_peak(self, monkeypatch):
+        p = ScenarioParams(0.2, 0.8, 0.3, math.pi / 5)
         for dim, copies in ((24, fock._LIVE_COPIES), (40, 0.65)):
             rho1 = fock_squeezed_thermal(p.spec(), dim)
             weights = _thermal_weights(p.nbar, dim)
             peak, deflations = self._stage_peak(rho1, weights, p, dim, monkeypatch)
-            assert peak <= copies * itemsize * dim**4, dim
+            assert peak <= copies * 8 * dim**4, dim
         # At W = 40 the traced peak covers the compaction of both class blocks.
         assert all(kept < total for kept, total in deflations), deflations
 
@@ -627,7 +615,7 @@ class TestMemoryPrecheck:
         rho1, weights = fock_squeezed_thermal(p.spec(), 24), _thermal_weights(p.nbar, 24)
         tracemalloc.start()
         try:
-            mats, _ = _output_classes(rho1, weights, p.splitter())
+            mats, _ = _output_classes(rho1, weights, p.theta)
             traced = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
@@ -646,17 +634,18 @@ class TestMemoryPrecheck:
         assert res.dim_used == 30
         assert math.isnan(res.n_fock)
 
-    def test_complex_points_need_twice_the_memory(self, monkeypatch):
+    def test_rotated_points_fit_their_twins_budget(self, monkeypatch):
         cfg = OracleConfig(dim=30, tol_trace=1e-6)
         monkeypatch.setattr(fock, "_available_memory", lambda: None)
         real = compare_with_gaussian(self.POINT, cfg)
         assert real.status == "pass"
         window = real.dim_used + int(real.note.partition("guard=")[2] or 0)
-        budget = 12 * fock._LIVE_COPIES * window**4
+        budget = 8 * fock._LIVE_COPIES * window**4
         monkeypatch.setattr(fock, "_available_memory", lambda: budget)
-        assert compare_with_gaussian(self.POINT, cfg).status == "pass"
-        rotated = ScenarioParams(0.2, 0.8, 0.1, math.pi / 4, 0.7, 1.1)
-        assert compare_with_gaussian(rotated, cfg).note.startswith("memory")
+        rotated = compare_with_gaussian(ScenarioParams(0.2, 0.8, 0.1, math.pi / 4, 0.7, 1.1), cfg)
+        assert (rotated.status, rotated.n_fock) == ("pass", real.n_fock)
+        monkeypatch.setattr(fock, "_available_memory", lambda: budget - 1)
+        assert compare_with_gaussian(rotated.params, cfg).note.startswith("memory")
 
     def test_cgroup_limit_caps_available_memory(self, monkeypatch, tmp_path):
         limit, usage, unlimited = (tmp_path / name for name in ("limit", "usage", "max"))

@@ -11,7 +11,7 @@ from unittest import mock
 import numpy as np
 import pytest
 from conftest import grid_points, legacy_record
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from gaussbs import cli
@@ -69,10 +69,17 @@ def legacy_text(records: list, columns: list, fmt: str) -> str:
 
 
 def legacy_values(axis: Axis) -> list:
+    """start + i*step and stop at the last, or, where stop - start overflows,
+    start + i*(stop/(n-1)) - i*(start/(n-1)) as ``Axis.at`` documents."""
     if axis.count == 1:
         return [axis.start]
-    step = (axis.stop - axis.start) / (axis.count - 1)
-    return [axis.start + i * step for i in range(axis.count - 1)] + [axis.stop]
+    n = axis.count - 1
+    step = (axis.stop - axis.start) / n
+    if math.isfinite(step):
+        values = [axis.start + i * step for i in range(n)]
+    else:
+        values = [axis.start + i * (axis.stop / n) - i * (axis.start / n) for i in range(n)]
+    return values + [axis.stop]
 
 
 def legacy_points(grid: SweepGrid):
@@ -437,6 +444,14 @@ def expected_chunk(points: list, with_threshold: bool):
 
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(grid=grids(), with_threshold=st.booleans(), chunk=st.integers(1, 7))
+@example(  # stop - start overflows: the first value is start, not 0 * inf = nan
+    grid=SweepGrid(
+        (Axis("phi", -1.7976930241638173e308, 1.106984985028936e301, 2),),
+        {"tau": 0.0, "u": 1.0, "nbar": 0.0, "theta": 0.0, "phi_b": 0.0},
+    ),
+    with_threshold=False,
+    chunk=1,
+)
 def test_grid_equals_the_per_point_route(grid, with_threshold, chunk):
     points = list(legacy_points(grid))
     with mock.patch.object(cli, "CHUNK", chunk):
