@@ -27,16 +27,19 @@ thermal weights.  Within a class the states run by parity quadrant
 layout the partial transpose sends each block between two quadrants to
 exactly one such block, so it is written over the class matrices
 themselves, one slice at a time.  Each of its two class blocks is then
-deflated and diagonalized: states whose rows stay below float64 rounding
-of the block's largest entry, up to about half of them in a W = 40 to 60
-window, are left out of the eigensolve (``_deflated``), and numpy
-diagonalizes a copy of the kept ones.  The stage peaks at about 0.63 to
-0.76 of a matrix of ``W^4`` entries (``_LIVE_COPIES``, rounded up).  The
-class matrices each live in an anonymous memory map of their own
-(``_mapped_matrix``), so that the resident peak of a point does not
-depend on the points run before it in the same process.  A point whose
-window would not fit in the memory still available is skipped with the
-note "memory" instead of being allocated.
+deflated and diagonalized: the lightest states, as many as can go while
+the rows and columns they leave out provably move the trace norm by no
+more than a budget, are left out of the eigensolve (``_deflated``), and
+numpy diagonalizes a copy of the kept ones.  The comparison takes that
+budget from ``tol_compare`` (``compare_with_gaussian``); at the default,
+a W = 40 to 60 window keeps between a tenth and nine tenths of its
+states, depending on the point.  The stage peaks at about 0.53 to 0.57
+of a matrix of ``W^4`` entries there, and at 0.78 when every state is
+kept (``_LIVE_COPIES``, rounded up).  The class matrices each live in an
+anonymous memory map of their own (``_mapped_matrix``), so that the
+resident peak of a point does not depend on the points run before it in
+the same process.  A point whose window would not fit in the memory still
+available is skipped with the note "memory" instead of being allocated.
 
 The engine needs numpy alone, so a process loads one BLAS library and
 runs one BLAS thread pool.
@@ -85,9 +88,11 @@ _GUARD_SAFETY = 300.0
 # W^4 entries, rounded up: the two parity class matrices (half a matrix),
 # which the partial transpose overwrites, the eigensolve's copy of the kept
 # states of one class block (at most a quarter), and temporaries of about
-# W^3 entries.  The resident peak over the stage measured 0.76 at W = 56,
-# 0.63 at W = 60 and 0.72 at W = 100; tracemalloc, which does not see the
-# eigensolve's copy, 0.68 at W = 24 and 0.57 at W = 40.
+# W^3 entries.  The resident peak over the stage measured 0.57 at W = 56,
+# 0.54 at W = 60 and 0.53 at W = 100 with the default tol_compare, and 0.78
+# and 0.77 at W = 56 and 60 with every state kept, as a budget of 0 may
+# keep them; tracemalloc, which does not see the eigensolve's copy, 0.68 at
+# W = 24 and 0.57 at W = 40.
 _LIVE_COPIES = 1
 # Memory cgroup (limit, usage) files, v2 then v1 layout.
 _CGROUP_MEMORY_FILES = (
@@ -378,55 +383,62 @@ def _partial_transpose(mats: list, dim: int) -> None:
             y[i] = keep.transpose(2, 1, 0)
 
 
-def _deflated(block: np.ndarray) -> np.ndarray:
-    """The states of Hermitian ``block`` that carry weight, compacted over its front.
+def _deflated(block: np.ndarray, budget: float) -> tuple[np.ndarray, np.ndarray, float]:
+    """The states of Hermitian ``block`` worth diagonalizing, compacted over its front.
 
-    A state is dropped when every entry of its row, and so of its column,
-    is at most eps, float64's rounding unit, times the largest entry of the
-    block.  The row maxima are scanned ``_TILE`` rows at a time, and the
-    kept k x k submatrix is written over the front of the block's own
-    buffer, one row at a time: row j of the destination ends before source
-    row keep[j + 1] starts, so no row is overwritten before it is read.
-    Returns that C-ordered front view, the block itself when every state is
-    kept, and an empty view when the block is zero.  The eigensolve copies
-    what it is given, so compacting in place keeps that to one k x k copy
-    where indexing the kept states out would make two.
-
-    Dropping a set S of states perturbs the block by E of rank at most
-    2|S|, with ||E||_F <= eps peak sqrt(2 |S| n) in a block of n states,
-    so the trace norm moves by at most ||E||_1 <= sqrt(2 |S|) ||E||_F =
-    2 |S| sqrt(n) eps peak.  The partial transpose of a state has no entry
-    above 1, so that is at most 1.0e-11 at W = 40 (n = 800), 2.7e-10 at
-    W = 120 (n = 7200) and 4.7e-10 at the widest window, 144: the order of
-    the eigensolve's own rounding.
+    Dropping a set of s states perturbs the block by E, its rows and
+    columns of those states, of rank at most 2 s with ||E||_F^2 at most
+    2 sum ||row||^2 over the dropped rows, so its trace norm moves by at
+    most ||E||_1 <= sqrt(2 s) ||E||_F <= 2 sqrt(s sum ||row||^2).  The
+    squared row norms are summed ``_TILE`` rows at a time, and the
+    largest number s of the lightest rows whose bound stays within
+    ``budget`` is dropped; a budget of 0 drops only the rows that are zero.
+    The kept k x k submatrix, states in ascending order, is written over
+    the front of the block's own buffer, one row at a time: row j of the
+    destination ends before source row keep[j + 1] starts, so no row is
+    overwritten before it is read.  Returns that C-ordered front view (the
+    block itself when every state is kept, empty when none is), the kept
+    states and the bound on ||E||_1.  The eigensolve copies what it is
+    given, so compacting in place keeps that to one k x k copy where
+    indexing the kept states out would make two.
     """
     n = block.shape[0]
-    row_max = np.empty(n)
+    weight = np.empty(n)
     for i in range(0, n, _TILE):
-        np.abs(block[i : i + _TILE]).max(axis=1, initial=0.0, out=row_max[i : i + _TILE])
-    keep = np.flatnonzero(row_max > np.finfo(float).eps * row_max.max(initial=0.0))
+        rows = block[i : i + _TILE]
+        weight[i : i + _TILE] = np.einsum("ij,ij->i", rows.real, rows.real)
+        if np.iscomplexobj(rows):
+            weight[i : i + _TILE] += np.einsum("ij,ij->i", rows.imag, rows.imag)
+    lightest = np.argsort(weight, kind="stable")
+    bounds = 2.0 * np.sqrt(np.arange(1, n + 1) * np.cumsum(weight[lightest]))
+    s = int(np.searchsorted(bounds, budget, side="right"))
+    keep = np.sort(lightest[s:])
+    bound = float(bounds[s - 1]) if s else 0.0
     k = keep.size
     if k == n:
-        return block
+        return block, keep, bound
     front = block.reshape(-1)[: k * k].reshape(k, k)
     for j, row in enumerate(keep):
         front[j] = block[row, keep]
-    return front
+    return front, keep, bound
 
 
-def _pt_trace_norm(mats: list, dim: int) -> float:
+def _pt_trace_norm(mats: list, dim: int, budget: float) -> float:
     """Sum of |eigenvalues| of the partial transpose of a state given as class matrices.
 
     The partial transpose couples (m1, m2) with (n1, n2) only where the
     state couples (m1, n2) with (n1, m2), so it splits into the same
     classes by m1 + m2.  It is written over the class matrices, which are
-    consumed, and each block is deflated (``_deflated``), then diagonalized
-    by ``np.linalg.eigvalsh``, which works on a copy of the kept states.
+    consumed.  Each block is deflated (``_deflated``), the first with half
+    of ``budget`` and the second with what the first left, so the dropped
+    states move the trace norm by at most ``budget`` in all; then numpy's
+    ``eigvalsh`` diagonalizes a copy of the kept states.
     """
     _partial_transpose(mats, dim)
     norm = 0.0
-    for block in mats:
-        block = _deflated(block)
+    for share, block in zip((0.5, 1.0), mats):
+        block, _, bound = _deflated(block, share * budget)
+        budget -= bound
         if block.size == 0:
             continue
         norm += float(np.abs(np.linalg.eigvalsh(block)).sum())
@@ -511,6 +523,12 @@ def compare_with_gaussian(params: ScenarioParams, cfg: OracleConfig) -> OracleCo
     partial transpose is rho_real^T2 conjugated by the unitary
     R_1(phi_b / 2) R_2(phi - phi_b / 2), so its trace norm, like every
     leakage, is the twin's.  The truncated blocks obey the same relations.
+
+    The eigensolve leaves out states that move the trace norm T by at most
+    ``target = cfg.tol_compare / _GUARD_SAFETY``, the guard band's target
+    (``_pt_trace_norm``).  T is at least the output's trace, about 1, so
+    N_fock = log2 T moves by at most target / ln 2, about 1.45 target:
+    4.8e-6 at the default tol_compare of 1e-3.
     """
     n_gaussian = negativity_closed_form(params)
     twin = GaussianSpec(params.tau, params.u)
@@ -540,7 +558,7 @@ def compare_with_gaussian(params: ScenarioParams, cfg: OracleConfig) -> OracleCo
         if over:
             last_leakage = over[0]
             continue
-        n_fock = max(0.0, math.log2(_pt_trace_norm(mats, window)))
+        n_fock = max(0.0, math.log2(_pt_trace_norm(mats, window, target)))
         diff = abs(n_gaussian - n_fock)
         status = "pass" if diff <= cfg.tol_compare else "fail"
         note = f"guard={guard}" if guard else ""

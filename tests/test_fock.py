@@ -46,7 +46,7 @@ CFG = OracleConfig(dim=30, tol_trace=1e-6)
 def _oracle_log_negativity(rho1, weights, theta) -> float:
     """The oracle's unclamped log2 trace norm of the partial transpose of U (rho1 x diag p) U^."""
     mats, _ = _output_classes(rho1, weights, theta)
-    return math.log2(_pt_trace_norm(mats, rho1.shape[0]))
+    return math.log2(_pt_trace_norm(mats, rho1.shape[0], 0.0))
 
 
 def _quadrant_order(dim: int, c: int) -> np.ndarray:
@@ -442,7 +442,7 @@ class TestUnrotatedOutput:
         twin = fock_squeezed_thermal(GaussianSpec(p.tau, p.u), dim)
         mats, _ = _output_classes(twin, _thermal_weights(p.nbar, dim), p.theta)
         assert [mat.dtype for mat in mats] == [np.float64, np.float64]
-        assert _pt_trace_norm(mats, dim) == pytest.approx(expected, abs=1e-12)
+        assert _pt_trace_norm(mats, dim, 0.0) == pytest.approx(expected, abs=1e-12)
 
 
 class TestParityClasses:
@@ -470,7 +470,7 @@ class TestParityClasses:
         mats, _ = _output_classes(twin, weights, p.theta)
         assert len(mats) == 2
         assert mats[0].dtype == np.float64
-        assert _pt_trace_norm(mats, dim) == pytest.approx(expected, abs=1e-12)
+        assert _pt_trace_norm(mats, dim, 0.0) == pytest.approx(expected, abs=1e-12)
 
     @pytest.mark.parametrize("dim", [8, 9, 10, 11])
     def test_partial_transpose_blocks_match_dense(self, dim):
@@ -492,80 +492,125 @@ class TestParityClasses:
 
 
 class TestDeflation:
-    """Partial-transpose states below rounding of their block's peak skip the eigensolve."""
+    """Partial-transpose states that move the trace norm by at most a budget skip the eigensolve."""
 
-    EPS = np.finfo(float).eps
-    # States kept of the 800 in each class block at W = 40.
-    POINTS = {
-        "half-dropped": ((0.1, 1.0, 0.5, math.pi / 8), lambda kept: max(kept) < 0.55 * 800),
-        "none-dropped": ((0.2, 0.5, 1.0, math.pi / 4), lambda kept: kept == [800, 800]),
-        "vacuum": ((0.0, 1.0, 0.0, math.pi / 4), lambda kept: kept == [1, 0]),
-    }
+    TARGET = OracleConfig.tol_compare / fock._GUARD_SAFETY
 
     @staticmethod
-    def _classes(p, dim):
-        rho1 = fock_squeezed_thermal(p.spec(), dim)
-        mats, _ = _output_classes(rho1, _thermal_weights(p.nbar, dim), p.theta)
-        return mats
+    def _dense_pt_norm(mats, dim):
+        """Trace norm of the partial transpose of copies of the class matrices, no state dropped."""
+        blocks = [mat.copy() for mat in mats]
+        _partial_transpose(blocks, dim)
+        return sum(float(np.abs(np.linalg.eigvalsh(block)).sum()) for block in blocks)
 
-    def _kept(self, blocks):
+    @staticmethod
+    def _record_kept(monkeypatch):
+        """Record (kept, total) states of each deflated block."""
         kept = []
-        for block in blocks:
-            front = _deflated(block)
-            kept.append(front.shape[0])
-            if front.size:
-                assert front.flags.c_contiguous and np.shares_memory(front, block)
+
+        def recorded(block, budget):
+            front, keep, bound = _deflated(block, budget)
+            kept.append((keep.size, block.shape[0]))
+            return front, keep, bound
+
+        monkeypatch.setattr(fock, "_deflated", recorded)
         return kept
 
-    @pytest.mark.parametrize("name", POINTS)
-    def test_matches_the_dense_eigensolve(self, name):
-        point, kept_ok = self.POINTS[name]
+    # (kept, total) states of each class block at W = 40 with budget 0.
+    @pytest.mark.parametrize(
+        "point, kept",
+        [
+            ((0.0, 1.0, 0.0, math.pi / 4), [(1, 800), (0, 800)]),
+            ((0.2, 0.5, 1.0, math.pi / 4), [(800, 800)] * 2),
+        ],
+        ids=["vacuum", "mixed"],
+    )
+    def test_budget_zero_matches_the_dense_eigensolve(self, point, kept, monkeypatch):
         p = ScenarioParams(*point)
-        mats = self._classes(p, 40)
-        blocks = [mat.copy() for mat in mats]
-        _partial_transpose(blocks, 40)
-        dense = sum(float(np.abs(np.linalg.eigvalsh(block)).sum()) for block in blocks)
-        assert _pt_trace_norm(mats, 40) == pytest.approx(dense, abs=1e-12)
-        kept = self._kept(blocks)
-        assert kept_ok(kept), kept
+        rho1 = fock_squeezed_thermal(p.spec(), 40)
+        mats, _ = _output_classes(rho1, _thermal_weights(p.nbar, 40), p.theta)
+        dense = self._dense_pt_norm(mats, 40)
+        seen = self._record_kept(monkeypatch)
+        assert _pt_trace_norm(mats, 40, 0.0) == pytest.approx(dense, abs=1e-12)
+        assert seen == kept
+
+    def test_budget_follows_tol_compare(self, monkeypatch):
+        """The default tol_compare drops most states; tol_compare = 1e-12 drops none that matter.
+
+        N moves by at most budget / (T ln 2) for a trace norm T >= 1, and the
+        budget is ``tol_compare / _GUARD_SAFETY``: 1.45 times it bounds the move.
+        """
+        p = ScenarioParams(0.3, 1.0, 0.0, math.pi / 4)
+        dense = []
+
+        def built(rho1, weights, theta):
+            mats, leakage = _output_classes(rho1, weights, theta)
+            dense.append(math.log2(self._dense_pt_norm(mats, rho1.shape[0])))
+            return mats, leakage
+
+        monkeypatch.setattr(fock, "_output_classes", built)
+        kept = self._record_kept(monkeypatch)
+        res = compare_with_gaussian(p, OracleConfig(dim=40, tol_trace=1e-4))
+        assert (res.status, res.dim_used, res.note) == ("pass", 40, "")
+        assert all(k < total / 3 for k, total in kept), kept
+        assert abs(res.n_fock - dense[-1]) <= 1.45 * self.TARGET
+        res = compare_with_gaussian(p, OracleConfig(dim=40, tol_trace=1e-4, tol_compare=1e-12))
+        assert res.n_fock == pytest.approx(dense[-1], abs=1e-12)
 
     @settings(max_examples=200, deadline=None)
     @given(
-        n=st.integers(3, 40),
-        planted=st.floats(0.0, 0.9),
-        scale=st.floats(0.0, 1.0),
+        n=st.integers(1, 40),
+        dtype=st.sampled_from([np.float64, np.complex128]),
+        planted=st.floats(0.0, 1.0),
+        scale=st.sampled_from([0.0, 1e-9, 1e-6, 1e-3, 1.0]),
+        level=st.floats(0.0, 2.0),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_planted_rows_move_the_trace_norm_within_the_bound(self, n, planted, scale, seed):
-        """Rows at most eps * peak are dropped; a row with one entry at 2 eps * peak is kept.
+    def test_planted_rows_move_the_trace_norm_within_the_bound(
+        self, n, dtype, planted, scale, level, seed
+    ):
+        """Light rows are planted by scaling rows and columns; the budget is near their bound.
 
-        The trace norm moves by at most ||E||_1, E the dropped rows and
-        columns, which is checked against the docstring's bound.  E is of
-        size eps * peak, so its own eigensolve rounds at eps^2 * peak, far
-        below the bound, where a dense eigensolve of the whole block would
-        round at about n eps * peak.
+        The front is the kept submatrix, over the block's own buffer, kept
+        states ascending.  E, the dropped rows and columns, has an exact
+        trace norm within the stated bound, which is 2 sqrt(s sum ||row||^2)
+        and within the budget, and one more of the lightest kept rows would
+        overrun the budget.
         """
         rng = np.random.default_rng(seed)
-        a = rng.standard_normal((n, n))
-        a += a.T
-        rows = rng.permutation(n)
-        dropped, witness = rows[: int(planted * (n - 2))], rows[-2]
-        small = np.isin(np.arange(n), np.append(dropped, witness))
-        cut = self.EPS * np.abs(a[np.ix_(~small, ~small)]).max()
-        tiny = np.triu(rng.uniform(-scale, scale, (n, n)) * cut)
-        tiny += np.triu(tiny, 1).T
-        a[small], a[:, small] = tiny[small], tiny[:, small]
-        a[witness, rows[-1]] = a[rows[-1], witness] = 2.0 * cut
-        keep = np.flatnonzero(~np.isin(np.arange(n), dropped))
+        a = rng.standard_normal((n, n)).astype(dtype)
+        if dtype == np.complex128:
+            a += 1j * rng.standard_normal((n, n))
+        a += a.conj().T
+        light = rng.permutation(n)[: int(planted * n)]
+        a[light] *= scale
+        a[:, light] *= scale
+        weight = (np.abs(a) ** 2).sum(axis=1)
+        budget = level * 2.0 * math.sqrt(light.size * weight[light].sum())
 
         buffer = a.copy()
-        front = _deflated(buffer)
+        front, keep, bound = _deflated(buffer, budget)
+        assert np.all(np.diff(keep) > 0)
         assert np.array_equal(front, a[np.ix_(keep, keep)])
-        assert np.shares_memory(front, buffer)
+        if keep.size == n:
+            assert front is buffer
+        elif keep.size:
+            assert front.flags.c_contiguous and np.shares_memory(front, buffer)
+        dropped = np.setdiff1d(np.arange(n), keep)
         e = a.copy()
         e[np.ix_(keep, keep)] = 0.0
-        bound = 2 * dropped.size * math.sqrt(n) * cut
-        assert float(np.abs(np.linalg.eigvalsh(e)).sum()) <= bound
+        # A dropped row with a zero diagonal entry attains the bound, since
+        # x e_i^T + e_i x^T has eigenvalues +-||x||; each of the n computed
+        # eigenvalues may be off by about n eps ||E||.
+        exact = float(np.abs(np.linalg.eigvalsh(e)).sum())
+        assert exact <= bound * (1.0 + n * n * np.finfo(float).eps)
+        assert bound <= budget
+        stated = 2.0 * math.sqrt(dropped.size * weight[dropped].sum())
+        assert bound == pytest.approx(stated, rel=1e-12, abs=0.0)
+        # The code and this test sum the weights in different orders.
+        if keep.size:
+            more = weight[dropped].sum() + weight[keep].min()
+            assert 2.0 * math.sqrt((dropped.size + 1) * more) > budget * (1.0 - 1e-12)
 
 
 class TestMemoryPrecheck:
@@ -583,10 +628,10 @@ class TestMemoryPrecheck:
         """
         deflations = []
 
-        def recorded(block):
-            front = _deflated(block)
-            deflations.append((front.shape[0], block.shape[0]))
-            return front
+        def recorded(block, budget):
+            front, keep, bound = _deflated(block, budget)
+            deflations.append((keep.size, block.shape[0]))
+            return front, keep, bound
 
         monkeypatch.setattr(fock, "_mapped_matrix", lambda n, dtype: np.empty((n, n), dtype))
         monkeypatch.setattr(fock, "_deflated", recorded)
@@ -595,7 +640,7 @@ class TestMemoryPrecheck:
         try:
             base = tracemalloc.get_traced_memory()[0]
             mats, _ = _output_classes(rho1, weights, p.theta)
-            _pt_trace_norm(mats, dim)
+            _pt_trace_norm(mats, dim, OracleConfig.tol_compare / fock._GUARD_SAFETY)
             return tracemalloc.get_traced_memory()[1] - base, deflations
         finally:
             tracemalloc.stop()
