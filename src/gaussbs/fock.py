@@ -10,12 +10,10 @@ Both unitaries come from one routine.  In a fixed Fock parity the squeezer
 generator, and in a fixed total photon number the beam-splitter generator,
 is a real tridiagonal matrix (SU(1,1) and SU(2)), exponentiated through the
 eigendecomposition of a symmetric tridiagonal matrix (``_sector_block``).
-A phase is a rotation by e^{i angle n}, so a rotated state is the real one
-scaled entrywise and no complex exponential is taken.  The phases act on
-the two-mode output as a local unitary, which leaves the trace norm of its
-partial transpose unchanged, so the comparison evaluates every point on
-its twin at ``phi = phi_b = 0`` (``compare_with_gaussian``): the two-mode
-output, its partial transpose and the eigensolve all run in float64.
+The phases act on the two-mode output as a local unitary, which leaves the
+trace norm of its partial transpose unchanged, so the engine builds only
+the states at ``phi = phi_b = 0`` and the comparison evaluates every point
+on that twin (``compare_with_gaussian``): every stage runs in float64.
 
 The two-mode state is never held in the product basis.  The squeezed and
 thermal inputs couple only Fock numbers of equal parity, by construction,
@@ -136,21 +134,14 @@ def _hermitize(a: np.ndarray) -> None:
         for j in range(i, n, _TILE):
             upper = a[i : i + _TILE, j : j + _TILE]
             lower = a[j : j + _TILE, i : i + _TILE]
-            lower_h = lower.conj().T
-            defect = max(defect, float(np.abs(upper - lower_h).max(initial=0.0)))
-            mean = upper + lower_h
+            defect = max(defect, float(np.abs(upper - lower.T).max(initial=0.0)))
+            mean = upper + lower.T
             mean *= 0.5
             peak = max(peak, float(np.abs(mean).max(initial=0.0)))
             upper[...] = mean
-            lower[...] = mean.conj().T
+            lower[...] = mean.T
     if defect > _HERMITICITY_TOL * max(peak, 1.0):
         raise DomainError("density matrix must be Hermitian")
-
-
-def _rotated(real: np.ndarray, angle: float) -> np.ndarray:
-    """``real`` conjugated by diag(e^{i angle n}): entry [m, n] times e^{i (m - n) angle}."""
-    d = np.exp(1j * angle * np.arange(real.shape[0]))
-    return np.outer(d, d.conj()) * real
 
 
 def _thermal_weights(nbar: float, dim: int) -> np.ndarray:
@@ -170,13 +161,18 @@ def fock_squeezed_thermal(spec: GaussianSpec, dim: int) -> np.ndarray:
     on a working space ``dim + _WORK_MARGIN`` wide and then compressed; the
     returned matrix agrees with the exact state up to its tail leakage, and
     its entries between Fock numbers of opposite parity are exactly zero.
-    The phase is a rotation, S(r e^{i phi_b}) = R S(r) R^ with
-    R = diag(e^{i n phi_b / 2}), which commutes with the diagonal seed.
-    Exactly Hermitian; float64 when ``phi_b == 0``, else complex128.  A
-    ``dim`` that is not an integer >= 1 raises ``DomainError``.
+    Exactly Hermitian and float64, built at phi_b = 0 only: S(r e^{i phi_b})
+    = R S(r) R^ with R = diag(e^{i n phi_b / 2}), which commutes with the
+    seed, so the state at phi_b is R rho R^.  A nonzero ``spec.phi_b``, or a
+    ``dim`` that is not an integer >= 1, raises ``DomainError``.
     """
     if not isinstance(dim, (int, np.integer)) or dim < 1:
         raise DomainError(f"cutoff dimension must be an integer >= 1, got {dim!r}")
+    if spec.phi_b != 0.0:
+        raise DomainError(
+            f"the Fock engine builds phi_b = 0 only, got phi_b = {spec.phi_b!r}; the state at phi_b "
+            "is the local rotation R rho R^dagger of it, with R = diag(exp(i n phi_b / 2))"
+        )
     nbar_seed = (1.0 - spec.u) / (2.0 * spec.u)
     r = -0.5 * math.log(spec.u * (1.0 - 2.0 * spec.tau))
     work = dim + _WORK_MARGIN
@@ -188,15 +184,13 @@ def fock_squeezed_thermal(spec: GaussianSpec, dim: int) -> np.ndarray:
         block = _sector_block(-0.5 * r * np.sqrt((n + 1.0) * (n + 2.0)))
         rows = block[: len(range(parity, dim, 2))]
         rho[parity::2, parity::2] = (rows * seed[parity::2]) @ rows.T
-    if spec.phi_b != 0.0:
-        rho = _rotated(rho, 0.5 * spec.phi_b)
     _hermitize(rho)
     return rho
 
 
 def _leakage(rho: np.ndarray) -> float:
     """Probability mass missing from ``rho``: |1 - trace|."""
-    return abs(1.0 - float(np.trace(rho).real))
+    return abs(1.0 - float(np.trace(rho)))
 
 
 def _sector_block(hop: np.ndarray) -> np.ndarray:
@@ -211,8 +205,6 @@ def _sector_block(hop: np.ndarray) -> np.ndarray:
     exponential of G is off by up to 4e-13.
     """
     size = hop.size + 1
-    if size == 1:
-        return np.ones((1, 1))
     angles, vectors = np.linalg.eigh(np.diag(hop, 1), UPLO="U")
     cos_t = (vectors * np.cos(angles)) @ vectors.T
     sin_t = (vectors * np.sin(angles)) @ vectors.T
@@ -241,8 +233,8 @@ def _beam_splitter_sectors(theta: float, dim: int) -> tuple:
     return tuple(blocks)
 
 
-def _mapped_matrix(n: int, dtype) -> np.ndarray:
-    """A zero-filled n x n array in an anonymous memory map of its own.
+def _mapped_matrix(n: int) -> np.ndarray:
+    """A zero-filled float64 n x n array in an anonymous memory map of its own.
 
     glibc's malloc serves a block below its mmap threshold from the heap,
     which keeps freed memory resident, and raises that threshold to the size
@@ -251,8 +243,7 @@ def _mapped_matrix(n: int, dtype) -> np.ndarray:
     ran before.  A map of its own is returned to the system as soon as the
     array is released.
     """
-    dtype = np.dtype(dtype)
-    return np.frombuffer(mmap.mmap(-1, n * n * dtype.itemsize), dtype).reshape(n, n)
+    return np.frombuffer(mmap.mmap(-1, 8 * n * n)).reshape(n, n)
 
 
 def _quadrants(dim: int) -> dict:
@@ -284,7 +275,7 @@ def _output_class(rho1: np.ndarray, weights: np.ndarray, blocks, c: int) -> np.n
     """Class ``c`` of U (rho1 x diag(weights)) U^ in the quadrant layout (see ``_quadrants``).
 
     First Y = (rho1 x diag(weights)) U^: U conserves total photon number, so
-    Y[(a, b), (c1, c2)] = weights[b] rho1[a, t - b] conj(U[(c1, c2), (t - b, b)])
+    Y[(a, b), (c1, c2)] = weights[b] rho1[a, t - b] U[(c1, c2), (t - b, b)]
     with t = c1 + c2, and zero where t - b is not a Fock number of the
     window.  The rows of one b are evenly strided in the class matrix and
     are written in one gather from rho1 and the sector blocks.  Then U Y,
@@ -302,10 +293,10 @@ def _output_class(rho1: np.ndarray, weights: np.ndarray, blocks, c: int) -> np.n
     sizes = np.array([block.shape[0] for block in sectors])
     starts = np.cumsum(sizes**2) - sizes**2
     lo = np.maximum(0, total - dim + 1)
-    # flat[base + a] is conj(U[(c1, c2), (a, t - a)]) for every column (c1, c2).
-    flat = np.concatenate([block.conj().ravel() for block in sectors])
+    # flat[base + a] is U[(c1, c2), (a, t - a)] for every column (c1, c2).
+    flat = np.concatenate([block.ravel() for block in sectors])
     base = starts[total // 2] + (n1 - lo) * sizes[total // 2] - lo
-    mat = _mapped_matrix(total.size, np.result_type(rho1, weights, blocks[0]))
+    mat = _mapped_matrix(total.size)
     for b in range(dim):
         a = total - b
         inside = (a >= 0) & (a < dim)
@@ -347,7 +338,7 @@ def _output_classes(rho1: np.ndarray, weights: np.ndarray, theta: float) -> tupl
     mats = [_output_class(rho1, weights, sectors, c) for c in (0, 1)]
     for mat in mats:
         _hermitize(mat)
-    leakage = abs(1.0 - sum(np.trace(mat).real for mat in mats))
+    leakage = abs(1.0 - sum(np.trace(mat) for mat in mats))
     return mats, leakage
 
 
@@ -406,9 +397,7 @@ def _deflated(block: np.ndarray, budget: float) -> tuple[np.ndarray, np.ndarray,
     weight = np.empty(n)
     for i in range(0, n, _TILE):
         rows = block[i : i + _TILE]
-        weight[i : i + _TILE] = np.einsum("ij,ij->i", rows.real, rows.real)
-        if np.iscomplexobj(rows):
-            weight[i : i + _TILE] += np.einsum("ij,ij->i", rows.imag, rows.imag)
+        weight[i : i + _TILE] = np.einsum("ij,ij->i", rows, rows)
     lightest = np.argsort(weight, kind="stable")
     bounds = 2.0 * np.sqrt(np.arange(1, n + 1) * np.cumsum(weight[lightest]))
     s = int(np.searchsorted(bounds, budget, side="right"))
@@ -439,8 +428,6 @@ def _pt_trace_norm(mats: list, dim: int, budget: float) -> float:
     for share, block in zip((0.5, 1.0), mats):
         block, _, bound = _deflated(block, share * budget)
         budget -= bound
-        if block.size == 0:
-            continue
         norm += float(np.abs(np.linalg.eigvalsh(block)).sum())
     return norm
 
@@ -491,7 +478,7 @@ def _pick_guard(wide: np.ndarray, base_dim: int, target: float) -> int:
     largest guard; smaller windows are exact compressions of it, so their
     leakage is read off the diagonal instead of rebuilding.
     """
-    occupations = np.cumsum(np.diag(wide).real)
+    occupations = np.cumsum(np.diag(wide))
     for guard in _COMPARE_GUARDS:
         if abs(1.0 - occupations[base_dim + guard - 1]) <= target:
             return guard
@@ -563,13 +550,7 @@ def compare_with_gaussian(params: ScenarioParams, cfg: OracleConfig) -> OracleCo
         status = "pass" if diff <= cfg.tol_compare else "fail"
         note = f"guard={guard}" if guard else ""
         return OracleComparison(params, n_gaussian, n_fock, diff, max(leakages), dim, status, note)
+    note = f"leakage {last_leakage:.3e} above budget at dim={_MAX_ESCALATION_DIM}"
     return OracleComparison(
-        params,
-        n_gaussian,
-        math.nan,
-        math.nan,
-        last_leakage,
-        _MAX_ESCALATION_DIM,
-        "skip",
-        note=f"leakage {last_leakage:.3e} above budget at dim={_MAX_ESCALATION_DIM}",
+        params, n_gaussian, math.nan, math.nan, last_leakage, _MAX_ESCALATION_DIM, "skip", note
     )

@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gaussbs import fock
-from gaussbs.entanglement import ScenarioParams, negativity_closed_form
+from gaussbs.entanglement import ScenarioParams, critical_noise, negativity_closed_form
 from gaussbs.fock import OracleConfig, compare_with_gaussian, fock_squeezed_thermal
 from gaussbs.fock import (
     _beam_splitter_sectors,
@@ -30,7 +30,6 @@ from gaussbs.fock import (
     _output_classes,
     _partial_transpose,
     _pt_trace_norm,
-    _rotated,
     _thermal_weights,
 )
 from gaussbs.states import (
@@ -73,13 +72,11 @@ def _expm_squeezed_thermal(spec: GaussianSpec, dim: int) -> np.ndarray:
     return (squeezer @ seed @ squeezer.conj().T)[:dim, :dim]
 
 
-def _random_inputs(rng, dim: int, dtype):
-    """A Hermitian rho1 with only equal-parity couplings, and positive weights."""
+def _random_inputs(rng, dim: int):
+    """A symmetric rho1 with only equal-parity couplings, and positive weights."""
     z = rng.standard_normal((dim, dim))
-    if dtype == np.complex128:
-        z = z + 1j * rng.standard_normal((dim, dim))
     n = np.arange(dim)
-    return (z + z.conj().T) * ((n[:, None] - n) % 2 == 0), rng.uniform(0.1, 1.0, dim)
+    return (z + z.T) * ((n[:, None] - n) % 2 == 0), rng.uniform(0.1, 1.0, dim)
 
 
 class TestStateBuilders:
@@ -115,18 +112,19 @@ class TestStateBuilders:
         assert abs(got.b - target.b) < 1e-6
 
     def test_moment_grid(self):
+        # The engine builds phi_b = 0; the expm reference checks the phase convention.
         for tau in (0.05, 0.2, 0.3):
             for u in (0.6, 0.85, 1.0):
-                for phi_b in (0.0, 1.1):
+                for build, phi_b in ((fock_squeezed_thermal, 0.0), (_expm_squeezed_thermal, 1.1)):
                     spec = GaussianSpec(tau, u, phi_b)
-                    rho = fock_squeezed_thermal(spec, 72)
+                    rho = build(spec, 72)
                     got = covariance_from_fock(rho)
                     target = covariance_from_spec(spec)
                     assert got.a == pytest.approx(target.a, abs=1e-6)
                     assert abs(got.b - target.b) < 1e-6
 
     def test_states_positive_and_normalized(self):
-        rho = fock_squeezed_thermal(GaussianSpec(0.25, 0.7, 0.4), 40)
+        rho = fock_squeezed_thermal(GaussianSpec(0.25, 0.7), 40)
         assert min_eigenvalue(rho) > -1e-10
         assert _leakage(rho) < 1e-8
 
@@ -141,17 +139,20 @@ class TestStateBuilders:
         assert 0.0 < rho[0, 0] < 1.0
 
     @pytest.mark.parametrize("dim", [40, 100])
-    @pytest.mark.parametrize("phi_b", [0.0, 0.7, 4.0])
-    def test_squeezer_is_expm_of_the_generator(self, dim, phi_b):
-        spec = GaussianSpec(0.3, 0.5, phi_b)
+    def test_squeezer_is_expm_of_the_generator(self, dim):
+        spec = GaussianSpec(0.3, 0.5)
         expected = _expm_squeezed_thermal(spec, dim)
         rho = fock_squeezed_thermal(spec, dim)
-        assert rho.dtype == (np.float64 if phi_b == 0.0 else np.complex128)
+        assert rho.dtype == np.float64
         assert np.abs(rho - expected).max() < 1e-13
 
-    @pytest.mark.parametrize("phi_b", [0.0, 0.7])
-    def test_squeezer_has_no_cross_parity_entries(self, phi_b):
-        rho = fock_squeezed_thermal(GaussianSpec(0.3, 0.5, phi_b), 41)
+    @pytest.mark.parametrize("phi_b", [0.7, 4.0, -1e-300])
+    def test_squeezer_refuses_a_phase(self, phi_b):
+        with pytest.raises(DomainError, match=r"phi_b = 0 only.*local rotation R rho R\^dagger"):
+            fock_squeezed_thermal(GaussianSpec(0.3, 0.5, phi_b), 40)
+
+    def test_squeezer_has_no_cross_parity_entries(self):
+        rho = fock_squeezed_thermal(GaussianSpec(0.3, 0.5), 41)
         n = np.arange(41)
         cross = rho[(n[:, None] - n) % 2 == 1]
         assert np.all(cross == 0.0)
@@ -198,7 +199,7 @@ class TestBeamSplitterUnitary:
             assert np.abs(lhs - rhs).max() < 1e-10
 
     def test_product_input_zero_angle(self):
-        rho1 = fock_squeezed_thermal(GaussianSpec(0.2, 0.9, 0.3), CFG.dim)
+        rho1 = _expm_squeezed_thermal(GaussianSpec(0.2, 0.9, 0.3), CFG.dim)
         rho2 = thermal(0.5, CFG.dim)
         out = dense_output(rho1, rho2, BeamSplitter(0.0, 0.4))
         assert np.abs(out - np.kron(rho1, rho2)).max() < 1e-13
@@ -236,7 +237,7 @@ class TestBeamSplitterUnitary:
 
 class TestPartialTransposeAndNegativity:
     def test_pt_preserves_trace_and_hermiticity(self):
-        rho1 = fock_squeezed_thermal(GaussianSpec(0.2, 0.8, 0.5), CFG.dim)
+        rho1 = _expm_squeezed_thermal(GaussianSpec(0.2, 0.8, 0.5), CFG.dim)
         rho2 = thermal(0.3, CFG.dim)
         out = dense_output(rho1, rho2, BeamSplitter(0.7, 0.2))
         out = 0.5 * (out + out.conj().T)
@@ -258,11 +259,16 @@ class TestPartialTransposeAndNegativity:
         raw = _oracle_log_negativity(rho1, _thermal_weights(0.0, CFG.dim), p.theta)
         assert max(0.0, raw) == pytest.approx(0.5, abs=1e-3)
 
-    def test_zero_at_critical_point(self):
-        p = ScenarioParams(0.3, 1.0, 0.75, math.pi / 12)
-        rho1 = fock_squeezed_thermal(p.spec(), 40)
-        raw = _oracle_log_negativity(rho1, _thermal_weights(0.75, 40), p.theta)
-        assert max(0.0, raw) == pytest.approx(0.0, abs=1e-3)
+    @pytest.mark.parametrize("tau, u, theta", [(0.3, 1.0, math.pi / 12), (0.3, 0.8, 0.3)])
+    def test_threshold_brackets_the_fock_negativity(self, tau, u, theta):
+        """N_fock is clearly positive 2 % below the closed-form threshold and vanishes 2 % above it."""
+        nbar_c = critical_noise(tau, u, theta).value
+        rho1 = fock_squeezed_thermal(GaussianSpec(tau, u), 40)
+        below, above = (
+            max(0.0, _oracle_log_negativity(rho1, _thermal_weights(nbar, 40), theta))
+            for nbar in (0.98 * nbar_c, 1.02 * nbar_c)
+        )
+        assert below >= 1e-3 and above <= 1e-5, (below, above)
 
     def test_raw_value_reported(self):
         rho1 = thermal(0.2, CFG.dim)
@@ -271,13 +277,13 @@ class TestPartialTransposeAndNegativity:
         assert max(0.0, raw) <= 1e-12
 
     def test_non_hermitian_rejected(self):
-        data = np.zeros((9, 9), dtype=complex)
+        data = np.zeros((9, 9))
         data[0, 1] = 1.0
         with pytest.raises(DomainError):
             _hermitize(data)
 
     def test_non_hermitian_input_rejected_by_the_build(self):
-        rho1, weights = _random_inputs(np.random.default_rng(5), 8, np.complex128)
+        rho1, weights = _random_inputs(np.random.default_rng(5), 8)
         rho1[0, 2] += 0.5
         with pytest.raises(DomainError, match="Hermitian"):
             _output_classes(rho1, weights, 0.7)
@@ -356,14 +362,9 @@ class TestComparisonHarness:
 
 
 class TestDtypeFollowsPhases:
-    """The single-mode input is complex at phi_b != 0; the two-mode stage is always float64."""
+    """Every stage is float64, whatever the phases of the point."""
 
     ROTATIONS = ((0.0, 0.0), (0.7, 1.1))
-
-    def _inputs(self, phi, phi_b):
-        p = ScenarioParams(0.2, 0.9, 0.3, math.pi / 4, phi, phi_b)
-        weights = _thermal_weights(p.nbar, CFG.dim)
-        return fock_squeezed_thermal(p.spec(), CFG.dim), weights, p.theta
 
     def test_two_mode_dtype(self, monkeypatch):
         seen = []
@@ -378,29 +379,21 @@ class TestDtypeFollowsPhases:
             res = compare_with_gaussian(ScenarioParams(0.2, 0.9, 0.3, math.pi / 4, *phases), CFG)
             assert res.status == "pass" and res.params.phi == phases[0]
         assert seen == [(np.float64, [np.float64, np.float64])] * 2
-
-    def test_log_negativity_same_in_both_dtypes(self):
-        # A complex input through the same float64 splitter: the output is
-        # rotated by e^{i phi_b / 2 (n1 + n2)}, a local unitary.
-        values = [
-            _oracle_log_negativity(*self._inputs(*phases)) for phases in self.ROTATIONS
-        ]
-        assert values[0] > 0.01
-        assert values[1] == pytest.approx(values[0], abs=1e-9)
+        for tau, u in ((0.2, 0.9), (0.0, 1.0), (0.35, 0.5)):
+            assert fock_squeezed_thermal(GaussianSpec(tau, u), 12).dtype == np.float64
 
     def test_sector_conjugate_matches_dense(self):
-        # Hermitian parity-masked rho1 and positive weights, real and complex.
+        # Symmetric parity-masked rho1 and positive weights.
         rng = np.random.default_rng(7)
         for dim in (8, 9):
             flats = [_quadrant_order(dim, c) for c in (0, 1)]
-            for dtype in (np.float64, np.complex128):
-                rho1, weights = _random_inputs(rng, dim, dtype)
-                expected = dense_output(rho1, np.diag(weights), BeamSplitter(0.7))
-                assert np.abs(expected[np.ix_(flats[0], flats[1])]).max() < 1e-12
-                mats, _ = _output_classes(rho1, weights, 0.7)
-                for flat, got in zip(flats, mats):
-                    assert got.dtype == expected.dtype
-                    assert np.abs(got - expected[np.ix_(flat, flat)]).max() < 1e-12
+            rho1, weights = _random_inputs(rng, dim)
+            expected = dense_output(rho1, np.diag(weights), BeamSplitter(0.7))
+            assert np.abs(expected[np.ix_(flats[0], flats[1])]).max() < 1e-12
+            mats, _ = _output_classes(rho1, weights, 0.7)
+            for flat, got in zip(flats, mats):
+                assert got.dtype == expected.dtype == np.float64
+                assert np.abs(got - expected[np.ix_(flat, flat)]).max() < 1e-12
 
 
 class TestUnrotatedOutput:
@@ -451,20 +444,19 @@ class TestParityClasses:
         from scipy.linalg import expm
 
         for theta in (0.3, math.pi / 4, 1.2):
-            for phi in (0.0, 0.4, 2.5, -1.0):
-                for total, block in enumerate(_beam_splitter_sectors(theta, dim)):
-                    n1 = np.arange(max(0, total - dim + 1), min(total, dim - 1) + 1)
-                    hop = theta * cmath.exp(1j * phi) * np.sqrt((n1[:-1] + 1.0) * (total - n1[:-1]))
-                    generator = np.diag(hop, -1) - np.diag(hop.conj(), 1)
-                    # B(phi)[m, n] = e^{i (m - n) phi} B(0)[m, n]
-                    assert np.abs(_rotated(block, phi) - expm(generator)).max() < 1e-13
+            for total, block in enumerate(_beam_splitter_sectors(theta, dim)):
+                n1 = np.arange(max(0, total - dim + 1), min(total, dim - 1) + 1)
+                hop = theta * np.sqrt((n1[:-1] + 1.0) * (total - n1[:-1]))
+                generator = np.diag(hop, -1) - np.diag(hop, 1)
+                # scipy's complex expm: its real one is off by up to 4e-13 here.
+                assert np.abs(block - expm(generator + 0j)).max() < 1e-13
 
     @pytest.mark.parametrize("dim", [8, 9, 10, 11])
     @pytest.mark.parametrize("phases", [(0.0, 0.0), (0.7, 1.1)])
     def test_parity_blocks_match_dense_partial_transpose(self, dim, phases):
         p = ScenarioParams(0.2, 0.8, 0.3, math.pi / 5, *phases)
         weights = _thermal_weights(p.nbar, dim)
-        dense = dense_output(fock_squeezed_thermal(p.spec(), dim), np.diag(weights), p.splitter())
+        dense = dense_output(_expm_squeezed_thermal(p.spec(), dim), np.diag(weights), p.splitter())
         expected = dense_pt_trace_norm(dense)
         twin = fock_squeezed_thermal(GaussianSpec(p.tau, p.u), dim)
         mats, _ = _output_classes(twin, weights, p.theta)
@@ -477,18 +469,17 @@ class TestParityClasses:
         # An odd dim gives quadrants of unequal size.
         rng = np.random.default_rng(dim)
         flats = [_quadrant_order(dim, q) for q in (0, 1)]
-        for dtype in (np.float64, np.complex128):
-            rho1, weights = _random_inputs(rng, dim, dtype)
-            pt = partial_transpose(dense_output(rho1, np.diag(weights), BeamSplitter(0.7)))
-            assert np.abs(pt[np.ix_(flats[0], flats[1])]).max() < 1e-12
-            mats, _ = _output_classes(rho1, weights, 0.7)
-            _partial_transpose(mats, dim)
-            for flat, got in zip(flats, mats):
-                expected = pt[np.ix_(flat, flat)]
-                assert got.dtype == expected.dtype
-                assert np.abs(got - expected).max() < 1e-12
-                got_eigs, expected_eigs = np.linalg.eigvalsh(got), np.linalg.eigvalsh(expected)
-                assert np.abs(got_eigs - expected_eigs).max() < 1e-12
+        rho1, weights = _random_inputs(rng, dim)
+        pt = partial_transpose(dense_output(rho1, np.diag(weights), BeamSplitter(0.7)))
+        assert np.abs(pt[np.ix_(flats[0], flats[1])]).max() < 1e-12
+        mats, _ = _output_classes(rho1, weights, 0.7)
+        _partial_transpose(mats, dim)
+        for flat, got in zip(flats, mats):
+            expected = pt[np.ix_(flat, flat)]
+            assert got.dtype == expected.dtype == np.float64
+            assert np.abs(got - expected).max() < 1e-12
+            got_eigs, expected_eigs = np.linalg.eigvalsh(got), np.linalg.eigvalsh(expected)
+            assert np.abs(got_eigs - expected_eigs).max() < 1e-12
 
 
 class TestDeflation:
@@ -560,15 +551,12 @@ class TestDeflation:
     @settings(max_examples=200, deadline=None)
     @given(
         n=st.integers(1, 40),
-        dtype=st.sampled_from([np.float64, np.complex128]),
         planted=st.floats(0.0, 1.0),
         scale=st.sampled_from([0.0, 1e-9, 1e-6, 1e-3, 1.0]),
         level=st.floats(0.0, 2.0),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_planted_rows_move_the_trace_norm_within_the_bound(
-        self, n, dtype, planted, scale, level, seed
-    ):
+    def test_planted_rows_move_the_trace_norm_within_the_bound(self, n, planted, scale, level, seed):
         """Light rows are planted by scaling rows and columns; the budget is near their bound.
 
         The front is the kept submatrix, over the block's own buffer, kept
@@ -578,10 +566,8 @@ class TestDeflation:
         overrun the budget.
         """
         rng = np.random.default_rng(seed)
-        a = rng.standard_normal((n, n)).astype(dtype)
-        if dtype == np.complex128:
-            a += 1j * rng.standard_normal((n, n))
-        a += a.conj().T
+        a = rng.standard_normal((n, n))
+        a = a + a.T
         light = rng.permutation(n)[: int(planted * n)]
         a[light] *= scale
         a[:, light] *= scale
@@ -633,7 +619,7 @@ class TestMemoryPrecheck:
             deflations.append((keep.size, block.shape[0]))
             return front, keep, bound
 
-        monkeypatch.setattr(fock, "_mapped_matrix", lambda n, dtype: np.empty((n, n), dtype))
+        monkeypatch.setattr(fock, "_mapped_matrix", lambda n: np.empty((n, n)))
         monkeypatch.setattr(fock, "_deflated", recorded)
         _beam_splitter_sectors.cache_clear()
         tracemalloc.start()
