@@ -151,6 +151,15 @@ class TestStateBuilders:
         with pytest.raises(DomainError, match=r"phi_b = 0 only.*local rotation R rho R\^dagger"):
             fock_squeezed_thermal(GaussianSpec(0.3, 0.5, phi_b), 40)
 
+    @pytest.mark.parametrize("dim", [40, 100])
+    @pytest.mark.parametrize("phi_b", [0.7, 4.0])
+    def test_rotated_build_is_expm_at_the_phase(self, dim, phi_b):
+        # The refusal's identity: the state at phi_b is R rho R^ with R = diag(e^{i n phi_b / 2}).
+        expected = _expm_squeezed_thermal(GaussianSpec(0.3, 0.5, phi_b), dim)
+        d = np.exp(0.5j * phi_b * np.arange(dim))
+        rotated = np.outer(d, d.conj()) * fock_squeezed_thermal(GaussianSpec(0.3, 0.5), dim)
+        assert np.abs(rotated - expected).max() < 1e-13
+
     def test_squeezer_has_no_cross_parity_entries(self):
         rho = fock_squeezed_thermal(GaussianSpec(0.3, 0.5), 41)
         n = np.arange(41)
