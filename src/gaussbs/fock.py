@@ -29,11 +29,16 @@ deflated and diagonalized: the lightest states, as many as can go while
 the rows and columns they leave out provably move the trace norm by no
 more than a budget, are left out of the eigensolve (``_deflated``), and
 numpy diagonalizes a copy of the kept ones.  The comparison takes that
-budget from ``tol_compare`` (``compare_with_gaussian``); at the default,
-a W = 40 to 60 window keeps between a tenth and nine tenths of its
-states, depending on the point.  The stage peaks at about 0.53 to 0.57
-of a matrix of ``W^4`` entries there, and at 0.78 when every state is
-kept (``_LIVE_COPIES``, rounded up).  The class matrices each live in an
+budget from ``tol_compare`` (``compare_with_gaussian``).  Part of it is
+spent before the build: the product of the output's two photon-number
+marginals, read off its O(W^3) diagonal (``_output_diagonal``), bounds
+every row of the partial transpose, and the lightest states by it fix
+the W1 x W2 sub-box of Fock numbers that is built (``_box``).  At the
+default, a W = 40 to 60 window builds a seventh to all of its entries and
+keeps between a tenth and nine tenths of its states, depending on the
+point.  The stage peaks at about 0.6 to 0.8 of a matrix of (W1 W2)^2
+entries there, and at 0.78 of one of ``W^4`` when every state is kept
+(``_LIVE_COPIES``, rounded up).  The class matrices each live in an
 anonymous memory map of their own (``_mapped_matrix``), so that the
 resident peak of a point does not depend on the points run before it in
 the same process.  A point whose window would not fit in the memory still
@@ -83,14 +88,19 @@ _COMPARE_GUARDS = (0, 8, 16, 24)
 # amplified tail error out of the reported negativity difference.
 _GUARD_SAFETY = 300.0
 # Peak of the two-mode stage of one oracle point, in float64 matrices of
-# W^4 entries, rounded up: the two parity class matrices (half a matrix),
-# which the partial transpose overwrites, the eigensolve's copy of the kept
-# states of one class block (at most a quarter), and temporaries of about
-# W^3 entries.  The resident peak over the stage measured 0.57 at W = 56,
-# 0.54 at W = 60 and 0.53 at W = 100 with the default tol_compare, and 0.78
-# and 0.77 at W = 56 and 60 with every state kept, as a budget of 0 may
-# keep them; tracemalloc, which does not see the eigensolve's copy, 0.68 at
-# W = 24 and 0.57 at W = 40.
+# W^4 entries, rounded up: the two parity class matrices of the W1 x W2 box
+# (half a matrix of (W1 W2)^2 entries), which the partial transpose
+# overwrites, the eigensolve's copy of the kept states of one class block
+# (at most a quarter of one), and temporaries of about W^3 entries.  The
+# box is never wider than the window, so the bound holds for every box.
+# With the default tol_compare the resident peak over the stage measured,
+# in matrices of (W1 W2)^2 entries, 0.82 and 0.74 at W = 40 with boxes of
+# 19 x 31 and 27 x 26, 0.70 at W = 40 with the whole window, 0.59 at
+# W = 56 (56 x 50) and 0.66 at W = 60 (60 x 27): 0.11 to 0.70 of a W^4
+# matrix.  With every state kept, as a budget of 0 may keep them, it
+# measured 0.78 and 0.77 of W^4 at W = 56 and 60; tracemalloc, which does
+# not see the eigensolve's copy, 0.68 at W = 24 and 0.55 to 0.80 of a box
+# matrix at W = 40 to 60.
 _LIVE_COPIES = 1
 # Memory cgroup (limit, usage) files, v2 then v1 layout.
 _CGROUP_MEMORY_FILES = (
@@ -188,9 +198,9 @@ def fock_squeezed_thermal(spec: GaussianSpec, dim: int) -> np.ndarray:
     return rho
 
 
-def _leakage(rho: np.ndarray) -> float:
-    """Probability mass missing from ``rho``: |1 - trace|."""
-    return abs(1.0 - float(np.trace(rho)))
+def _leakage(p: np.ndarray) -> float:
+    """Probability mass missing from the photon-number probabilities ``p``: |1 - sum|."""
+    return abs(1.0 - float(np.sum(p)))
 
 
 def _sector_block(hop: np.ndarray) -> np.ndarray:
@@ -241,27 +251,28 @@ def _mapped_matrix(n: int) -> np.ndarray:
     of each mapped block it frees.  From malloc, where a class matrix lands,
     and so the process's resident peak, would depend on which window sizes
     ran before.  A map of its own is returned to the system as soon as the
-    array is released.
+    array is released.  A map holds at least one byte, so n may be 0.
     """
-    return np.frombuffer(mmap.mmap(-1, 8 * n * n)).reshape(n, n)
+    return np.frombuffer(mmap.mmap(-1, max(8 * n * n, 1)), count=n * n).reshape(n, n)
 
 
-def _quadrants(dim: int) -> dict:
-    """Where each parity quadrant of two-mode states sits in its class matrix.
+def _quadrants(w1: int, w2: int) -> dict:
+    """Where each parity quadrant of the states of a w1 x w2 box sits in its class matrix.
 
-    A state (n1, n2) belongs to class (n1 + n2) mod 2.  Within class ``c``
-    the states run by quadrant (n1 mod 2, n2 mod 2), (0, c) before
-    (1, 1 - c), and within a quadrant by (n1 // 2, n2 // 2) in row-major
-    order.  Maps each quadrant (p1, p2) to ``(offset, h1, h2)``: its first
-    index in the class matrix and its extents in n1 // 2 and n2 // 2.
+    A state (n1, n2), n1 < w1 and n2 < w2, belongs to class (n1 + n2) mod 2.
+    Within class ``c`` the states run by quadrant (n1 mod 2, n2 mod 2),
+    (0, c) before (1, 1 - c), and within a quadrant by (n1 // 2, n2 // 2) in
+    row-major order.  Maps each quadrant (p1, p2) to ``(offset, h1, h2)``:
+    its first index in the class matrix and its extents in n1 // 2 and
+    n2 // 2.
     """
-    h = ((dim + 1) // 2, dim // 2)
-    return {(p1, p2): (p1 * h[0] * h[1 - p2], h[p1], h[p2]) for p1 in (0, 1) for p2 in (0, 1)}
+    h1, h2 = ((w1 + 1) // 2, w1 // 2), ((w2 + 1) // 2, w2 // 2)
+    return {(p1, p2): (p1 * h1[0] * h2[1 - p2], h1[p1], h2[p2]) for p1 in (0, 1) for p2 in (0, 1)}
 
 
-def _class_numbers(dim: int, c: int) -> tuple:
-    """Fock numbers (n1, n2) of the states of class ``c``, in class order (see ``_quadrants``)."""
-    quads = _quadrants(dim)
+def _class_numbers(w1: int, w2: int, c: int) -> tuple:
+    """Fock numbers (n1, n2) of the states of class ``c`` of a w1 x w2 box, in class order."""
+    quads = _quadrants(w1, w2)
     n1, n2 = [], []
     for p1 in (0, 1):
         _, h1, h2 = quads[p1, c ^ p1]
@@ -271,23 +282,84 @@ def _class_numbers(dim: int, c: int) -> tuple:
     return np.concatenate(n1), np.concatenate(n2)
 
 
-def _output_class(rho1: np.ndarray, weights: np.ndarray, blocks, c: int) -> np.ndarray:
-    """Class ``c`` of U (rho1 x diag(weights)) U^ in the quadrant layout (see ``_quadrants``).
+def _output_diagonal(rho1: np.ndarray, weights: np.ndarray, sectors) -> np.ndarray:
+    """p[n1, n2], the diagonal of U (rho1 x diag(weights)) U^, in O(W^3).
 
-    First Y = (rho1 x diag(weights)) U^: U conserves total photon number, so
-    Y[(a, b), (c1, c2)] = weights[b] rho1[a, t - b] U[(c1, c2), (t - b, b)]
-    with t = c1 + c2, and zero where t - b is not a Fock number of the
-    window.  The rows of one b are evenly strided in the class matrix and
-    are written in one gather from rho1 and the sector blocks.  Then U Y,
-    in place, one sector at a time: the rows of sector t, the states
-    (n1, t - n1), form two evenly strided row sets, one per parity of n1,
-    so each sector is four products of the block's parity parts with
-    strided row views.  rho1 couples only Fock numbers of equal parity, so
-    Y, like the output, couples no two states of different class.
+    Within sector t the input couples (a, t - a) with (a', t - a') only
+    through weights[t - a] when a = a', so it is diagonal there, and
+    p(n1, t - n1) = sum_a U_t[n1, a]^2 rho1[a, a] weights[t - a]: one
+    mat-vec per sector block.
     """
     dim = rho1.shape[0]
-    quads = _quadrants(dim)
-    n1, n2 = _class_numbers(dim, c)  # of the columns (c1, c2)
+    occupation = np.diag(rho1)
+    p = np.zeros((dim, dim))
+    for t, block in enumerate(sectors):
+        a = np.arange(max(0, t - dim + 1), min(t, dim - 1) + 1)
+        p[a, t - a] = np.square(block) @ (occupation[a] * weights[t - a])
+    return p
+
+
+def _lightest(weight: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """States by ascending ``weight``, and the bound on the trace norm of dropping the lightest.
+
+    Entry s - 1 of the bound is 2 sqrt(s w), w the sum of the s lightest
+    weights (see ``_deflated``).
+    """
+    lightest = np.argsort(weight, kind="stable")
+    return lightest, 2.0 * np.sqrt(np.arange(1, weight.size + 1) * np.cumsum(weight[lightest]))
+
+
+def _box(diagonal: np.ndarray, budget: float) -> tuple[int, int, float]:
+    """The w1 x w2 sub-box of the output that holds every partial-transpose state worth keeping.
+
+    The output rho is positive semidefinite, so |rho_ij|^2 <= rho_ii rho_jj,
+    and row (m1, m2) of its partial transpose, the entries
+    rho[(m1, n2), (n1, m2)], has squared norm at most p1(m1) p2(m2), the
+    product of the output's two photon-number marginals from ``diagonal``.
+    In each class, with the budget split of ``_pt_trace_norm``, the
+    lightest states by that product are dropped while the bound of
+    ``_deflated`` on them stays below the share; a budget of 0 drops none.
+    Returns the extents of the box around the states left, and the same
+    bound on the states outside the box, summed over the two classes: at
+    most ``budget``, since they were all dropped.
+    """
+    weight = np.outer(diagonal.sum(axis=1), diagonal.sum(axis=0))
+    m1, m2 = np.indices(weight.shape)
+    classes = [np.flatnonzero((m1 + m2) % 2 == c) for c in (0, 1)]
+    w1 = w2 = 0
+    for share, states in zip((0.5, 1.0), classes):
+        lightest, bounds = _lightest(weight.flat[states])
+        s = int(np.searchsorted(bounds, share * budget, side="left"))
+        budget -= float(bounds[s - 1]) if s else 0.0
+        keep = states[lightest[s:]]
+        if keep.size:
+            w1, w2 = max(w1, int(m1.flat[keep].max()) + 1), max(w2, int(m2.flat[keep].max()) + 1)
+    outside = 0.0
+    for states in classes:
+        dropped = weight.flat[states][(m1.flat[states] >= w1) | (m2.flat[states] >= w2)]
+        outside += 2.0 * math.sqrt(dropped.size * dropped.sum())
+    return w1, w2, outside
+
+
+def _output_class(rho1: np.ndarray, weights: np.ndarray, blocks, c: int, w1: int, w2: int) -> np.ndarray:
+    """Class ``c`` of the w1 x w2 box of U (rho1 x diag(weights)) U^, in the quadrant layout.
+
+    U acts on the whole window of rho1, so the result is the principal
+    compression of the output to the box (see ``_quadrants``).  With
+    Y = (rho1 x diag(weights)) U^ on the box's columns, U conserves total
+    photon number, so Y[(a, b), (c1, c2)] = weights[b] rho1[a, t - b]
+    U[(c1, c2), (t - b, b)] with t = c1 + c2, and zero where t - b is not
+    a Fock number of the window.  One sector s at a time, the rows
+    (a, s - a) of Y are gathered from rho1 and the sector blocks, and the
+    box's rows of the sector, (n1, s - n1) with n1 < w1 and s - n1 < w2,
+    are U_s Y: one product per parity of n1, each written straight into
+    its evenly strided rows of the class matrix.  rho1 couples only Fock
+    numbers of equal parity, so Y, like the output, couples no two states
+    of different class.
+    """
+    dim = rho1.shape[0]
+    quads = _quadrants(w1, w2)
+    n1, n2 = _class_numbers(w1, w2, c)  # of the columns (c1, c2)
     total = n1 + n2
     sectors = blocks[c::2]
     sizes = np.array([block.shape[0] for block in sectors])
@@ -296,54 +368,48 @@ def _output_class(rho1: np.ndarray, weights: np.ndarray, blocks, c: int) -> np.n
     # flat[base + a] is U[(c1, c2), (a, t - a)] for every column (c1, c2).
     flat = np.concatenate([block.ravel() for block in sectors])
     base = starts[total // 2] + (n1 - lo) * sizes[total // 2] - lo
-    mat = _mapped_matrix(total.size)
+    # factor[b, col] is weights[b] U[col, (t - b, b)], or 0 where t - b is outside the window.
+    factor = np.empty((dim, total.size))
     for b in range(dim):
         a = total - b
         inside = (a >= 0) & (a < dim)
-        factor = np.where(inside, flat[np.where(inside, base + a, 0)], 0.0) * weights[b]
-        pa = c ^ (b & 1)
-        offset, h1, h2 = quads[pa, b & 1]
-        rows = mat[offset + b // 2 : offset + h1 * h2 : h2]
-        np.multiply(rho1[pa::2].take(a, axis=1, mode="clip"), factor, out=rows)
-    for t, block in zip(range(c, 2 * dim - 1, 2), sectors):
-        first = max(0, t - dim + 1)
-        parts = []
-        for p1 in (0, 1):
-            n1_first = first + ((first ^ p1) & 1)
-            count = len(range(n1_first, min(t, dim - 1) + 1, 2))
-            offset, _, h2 = quads[p1, (t - p1) & 1]
-            row = offset + (n1_first // 2) * h2 + (t - n1_first) // 2
+        np.multiply(flat.take(base + a, mode="clip"), inside * weights[b], out=factor[b])
+    totals = np.arange(c, 2 * dim - 1, 2)
+    mat = _mapped_matrix(total.size)
+    for s, block in zip(totals, sectors):
+        first, last = max(0, s - dim + 1), min(s, dim - 1)
+        top, bottom = max(first, s - w2 + 1), min(last, w1 - 1)  # the box's n1
+        if top > bottom:
+            continue
+        # Rows (a, s - a), a ascending: rho1[a, t - s + a] depends on the column through t alone.
+        a = np.arange(first, last + 1)[:, None]
+        y = rho1[a, np.clip(a + (totals - s), 0, dim - 1)].take(total // 2, axis=1)
+        y *= factor[s - last : s - first + 1][::-1]  # b = s - a
+        for n1_first in (top, top + 1):
+            count = len(range(n1_first, bottom + 1, 2))
+            offset, _, h2 = quads[n1_first & 1, (s - n1_first) & 1]
+            row = offset + (n1_first // 2) * h2 + (s - n1_first) // 2
             step = max(h2 - 1, 1)  # n1 up by 2 and n2 down by 2
-            parts.append((slice(n1_first - first, None, 2), mat[row : row + step * count : step]))
-        (even, y_even), (odd, y_odd) = parts
-        # Contiguous parity parts, so that the products run in BLAS.
-        new_even, new_odd = (
-            np.ascontiguousarray(block[p, even]) @ y_even
-            + np.ascontiguousarray(block[p, odd]) @ y_odd
-            for p in (even, odd)
-        )
-        y_even[...], y_odd[...] = new_even, new_odd
+            rows = block[n1_first - first : bottom - first + 1 : 2]
+            np.matmul(rows, y, out=mat[row : row + step * count : step])
     return mat
 
 
-def _output_classes(rho1: np.ndarray, weights: np.ndarray, theta: float) -> tuple[list, float]:
-    """U (rho1 x diag(weights)) U^ as its two class matrices, Hermitian averaged.
+def _output_classes(rho1: np.ndarray, weights: np.ndarray, sectors, w1: int, w2: int) -> list:
+    """The two class matrices of the w1 x w2 box of U (rho1 x diag(weights)) U^, Hermitian averaged.
 
-    U is the splitter of mixing angle ``theta`` at phi = 0, and ``weights``
-    is the diagonal of the second input.  Returns the matrices and their
-    leakage, |1 - total trace|; comparing it with a budget is the caller's
-    decision.
+    ``sectors`` are the splitter's blocks for the window of rho1
+    (``_beam_splitter_sectors``), and ``weights`` is the diagonal of the
+    second input.
     """
-    sectors = _beam_splitter_sectors(theta, rho1.shape[0])
-    mats = [_output_class(rho1, weights, sectors, c) for c in (0, 1)]
+    mats = [_output_class(rho1, weights, sectors, c, w1, w2) for c in (0, 1)]
     for mat in mats:
         _hermitize(mat)
-    leakage = abs(1.0 - sum(np.trace(mat) for mat in mats))
-    return mats, leakage
+    return mats
 
 
-def _partial_transpose(mats: list, dim: int) -> None:
-    """Overwrite the class matrices of a state with the class blocks of its partial transpose.
+def _partial_transpose(mats: list, w1: int, w2: int) -> None:
+    """Overwrite the class matrices of a w1 x w2 box with the class blocks of its partial transpose.
 
     The partial transpose takes the block between quadrants (a1, a2) and
     (b1, b2) from the state's block between (a1, b2) and (b1, a2), with the
@@ -353,9 +419,10 @@ def _partial_transpose(mats: list, dim: int) -> None:
     are swapped.  Either way one slice of fixed m1 moves at a time, so no
     block-sized temporary exists.  Afterwards ``mats[q]`` holds class q of
     the partial transpose, the states with m1 + m2 = q mod 2, in the same
-    layout.
+    layout.  The partial transpose of the box's compression is the box's
+    compression of the partial transpose.
     """
-    quads = _quadrants(dim)
+    quads = _quadrants(w1, w2)
 
     def view(a, b):
         (row, h1, h2), (col, k1, k2) = quads[a], quads[b]
@@ -398,8 +465,7 @@ def _deflated(block: np.ndarray, budget: float) -> tuple[np.ndarray, np.ndarray,
     for i in range(0, n, _TILE):
         rows = block[i : i + _TILE]
         weight[i : i + _TILE] = np.einsum("ij,ij->i", rows, rows)
-    lightest = np.argsort(weight, kind="stable")
-    bounds = 2.0 * np.sqrt(np.arange(1, n + 1) * np.cumsum(weight[lightest]))
+    lightest, bounds = _lightest(weight)
     s = int(np.searchsorted(bounds, budget, side="right"))
     keep = np.sort(lightest[s:])
     bound = float(bounds[s - 1]) if s else 0.0
@@ -412,8 +478,8 @@ def _deflated(block: np.ndarray, budget: float) -> tuple[np.ndarray, np.ndarray,
     return front, keep, bound
 
 
-def _pt_trace_norm(mats: list, dim: int, budget: float) -> float:
-    """Sum of |eigenvalues| of the partial transpose of a state given as class matrices.
+def _pt_trace_norm(mats: list, w1: int, w2: int, budget: float) -> float:
+    """Sum of |eigenvalues| of the partial transpose of a w1 x w2 box given as class matrices.
 
     The partial transpose couples (m1, m2) with (n1, n2) only where the
     state couples (m1, n2) with (n1, m2), so it splits into the same
@@ -423,7 +489,7 @@ def _pt_trace_norm(mats: list, dim: int, budget: float) -> float:
     states move the trace norm by at most ``budget`` in all; then numpy's
     ``eigvalsh`` diagonalizes a copy of the kept states.
     """
-    _partial_transpose(mats, dim)
+    _partial_transpose(mats, w1, w2)
     norm = 0.0
     for share, block in zip((0.5, 1.0), mats):
         block, _, bound = _deflated(block, share * budget)
@@ -494,12 +560,14 @@ def compare_with_gaussian(params: ScenarioParams, cfg: OracleConfig) -> OracleCo
     sits well below the comparison tolerance.  Base dimensions grow in
     steps of 20 up to 120, past any cutoff at which the window, the thermal
     tail or the output, checked in that order, leaks more than
-    ``cfg.tol_trace``; a point still over budget at 120 is skipped with the
-    first such leakage, and a verdict reports the largest.  Before a window
-    is allocated, its predicted peak of ``_LIVE_COPIES`` float64 matrices
-    of W^4 entries is compared with the memory still available; a point
-    that does not fit is skipped with a note starting "memory", since wider
-    windows would need more.
+    ``cfg.tol_trace``; the output's leakage is read off its diagonal
+    (``_output_diagonal``), before any class matrix is built.  A point
+    still over budget at 120 is skipped with the first such leakage, and a
+    verdict reports the largest.  Before a window is allocated, its
+    predicted peak of ``_LIVE_COPIES`` float64 matrices of W^4 entries is
+    compared with the memory still available; a point that does not fit is
+    skipped with a note starting "memory", since wider windows would need
+    more.
 
     Every window is built for the point's real twin, (tau, u, nbar, theta)
     at phi = phi_b = 0; the result keeps ``params`` with their phases.  With
@@ -511,11 +579,13 @@ def compare_with_gaussian(params: ScenarioParams, cfg: OracleConfig) -> OracleCo
     R_1(phi_b / 2) R_2(phi - phi_b / 2), so its trace norm, like every
     leakage, is the twin's.  The truncated blocks obey the same relations.
 
-    The eigensolve leaves out states that move the trace norm T by at most
-    ``target = cfg.tol_compare / _GUARD_SAFETY``, the guard band's target
-    (``_pt_trace_norm``).  T is at least the output's trace, about 1, so
-    N_fock = log2 T moves by at most target / ln 2, about 1.45 target:
-    4.8e-6 at the default tol_compare of 1e-3.
+    The states left out, first by the box that is built (``_box``) and
+    then by the eigensolve (``_pt_trace_norm``) within what the box left of
+    the budget, move the trace norm T by at most
+    ``target = cfg.tol_compare / _GUARD_SAFETY`` in all, the guard band's
+    target.  T is at least the output's trace, about 1, so N_fock = log2 T
+    moves by at most target / ln 2, about 1.45 target: 4.8e-6 at the
+    default tol_compare of 1e-3.
     """
     n_gaussian = negativity_closed_form(params)
     twin = GaussianSpec(params.tau, params.u)
@@ -534,18 +604,21 @@ def compare_with_gaussian(params: ScenarioParams, cfg: OracleConfig) -> OracleCo
         if free is not None and need > free:
             note = f"memory: window {window} needs {need >> 20} MiB, {free >> 20} MiB available"
             return OracleComparison(
-                params, n_gaussian, math.nan, math.nan, _leakage(rho1), dim, "skip", note
+                params, n_gaussian, math.nan, math.nan, _leakage(np.diag(rho1)), dim, "skip", note
             )
         weights = _thermal_weights(params.nbar, window)
-        leakages = [_leakage(rho1), _leakage(np.diag(weights))]
+        leakages = [_leakage(np.diag(rho1)), _leakage(weights)]
         if not any(leakage > cfg.tol_trace for leakage in leakages):
-            mats, out_leakage = _output_classes(rho1, weights, params.theta)
-            leakages.append(out_leakage)
+            sectors = _beam_splitter_sectors(params.theta, window)
+            diagonal = _output_diagonal(rho1, weights, sectors)
+            leakages.append(_leakage(diagonal))
         over = [leakage for leakage in leakages if leakage > cfg.tol_trace]
         if over:
             last_leakage = over[0]
             continue
-        n_fock = max(0.0, math.log2(_pt_trace_norm(mats, window, target)))
+        w1, w2, outside = _box(diagonal, target)
+        mats = _output_classes(rho1, weights, sectors, w1, w2)
+        n_fock = math.log2(max(_pt_trace_norm(mats, w1, w2, target - outside), 1.0))
         diff = abs(n_gaussian - n_fock)
         status = "pass" if diff <= cfg.tol_compare else "fail"
         note = f"guard={guard}" if guard else ""

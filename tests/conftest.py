@@ -62,10 +62,13 @@ def dense_output(rho1: np.ndarray, rho2: np.ndarray, bs: BeamSplitter) -> np.nda
     return u @ np.kron(rho1, rho2) @ u.conj().T
 
 
-def partial_transpose(rho: np.ndarray) -> np.ndarray:
-    """Transpose the second mode's indices of a product-basis matrix."""
-    d = math.isqrt(rho.shape[0])
-    return rho.reshape(d, d, d, d).transpose(0, 3, 2, 1).reshape(d * d, d * d)
+def partial_transpose(rho: np.ndarray, extents: tuple | None = None) -> np.ndarray:
+    """Transpose the second mode's indices of a product-basis matrix, index n1 * w2 + n2.
+
+    ``extents`` is (w1, w2), a square box by default.
+    """
+    w1, w2 = extents or (math.isqrt(rho.shape[0]),) * 2
+    return rho.reshape(w1, w2, w1, w2).transpose(0, 3, 2, 1).reshape(w1 * w2, w1 * w2)
 
 
 def dense_pt_trace_norm(rho: np.ndarray) -> float:

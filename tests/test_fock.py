@@ -2,6 +2,7 @@ import cmath
 import math
 import re
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -24,10 +25,13 @@ from gaussbs.entanglement import ScenarioParams, critical_noise, negativity_clos
 from gaussbs.fock import OracleConfig, compare_with_gaussian, fock_squeezed_thermal
 from gaussbs.fock import (
     _beam_splitter_sectors,
+    _box,
+    _class_numbers,
     _deflated,
     _hermitize,
     _leakage,
     _output_classes,
+    _output_diagonal,
     _partial_transpose,
     _pt_trace_norm,
     _thermal_weights,
@@ -42,15 +46,21 @@ from gaussbs.states import (
 CFG = OracleConfig(dim=30, tol_trace=1e-6)
 
 
+def _full_classes(rho1, weights, theta) -> list:
+    """The class matrices of U (rho1 x diag p) U^ over the whole window of rho1."""
+    dim = rho1.shape[0]
+    return _output_classes(rho1, weights, _beam_splitter_sectors(theta, dim), dim, dim)
+
+
 def _oracle_log_negativity(rho1, weights, theta) -> float:
     """The oracle's unclamped log2 trace norm of the partial transpose of U (rho1 x diag p) U^."""
-    mats, _ = _output_classes(rho1, weights, theta)
-    return math.log2(_pt_trace_norm(mats, rho1.shape[0], 0.0))
+    dim = rho1.shape[0]
+    return math.log2(_pt_trace_norm(_full_classes(rho1, weights, theta), dim, dim, 0.0))
 
 
-def _quadrant_order(dim: int, c: int) -> np.ndarray:
-    """Product-basis indices n1 * dim + n2 of class c, in the oracle's quadrant layout."""
-    n1, n2 = np.divmod(np.arange(dim * dim), dim)
+def _quadrant_order(w1: int, w2: int, c: int) -> np.ndarray:
+    """Product-basis indices n1 * w2 + n2 of class c of a w1 x w2 box, in the oracle's layout."""
+    n1, n2 = np.divmod(np.arange(w1 * w2), w2)
     flat = np.flatnonzero((n1 + n2) % 2 == c)
     return flat[np.lexsort((n2[flat] // 2, n1[flat] // 2, n2[flat] % 2, n1[flat] % 2))]
 
@@ -126,7 +136,7 @@ class TestStateBuilders:
     def test_states_positive_and_normalized(self):
         rho = fock_squeezed_thermal(GaussianSpec(0.25, 0.7), 40)
         assert min_eigenvalue(rho) > -1e-10
-        assert _leakage(rho) < 1e-8
+        assert _leakage(np.diag(rho)) < 1e-8
 
     @pytest.mark.parametrize("dim", [0, -3, 8.0, 2.5, "8", None])
     def test_squeezer_rejects_bad_cutoff(self, dim):
@@ -295,7 +305,7 @@ class TestPartialTransposeAndNegativity:
         rho1, weights = _random_inputs(np.random.default_rng(5), 8)
         rho1[0, 2] += 0.5
         with pytest.raises(DomainError, match="Hermitian"):
-            _output_classes(rho1, weights, 0.7)
+            _full_classes(rho1, weights, 0.7)
 
 
 class TestComparisonHarness:
@@ -333,6 +343,16 @@ class TestComparisonHarness:
         assert math.isnan(res.n_fock)
         assert "leakage" in res.note
 
+    def test_budget_past_every_state_gives_zero(self):
+        # A budget this wide drops every state, and N_fock clamps the empty trace norm to 0.
+        p = ScenarioParams(0.2, 1.0, 0.0, math.pi / 4)
+        rho1, weights = fock_squeezed_thermal(p.spec(), 24), _thermal_weights(p.nbar, 24)
+        diagonal = _output_diagonal(rho1, weights, _beam_splitter_sectors(p.theta, 24))
+        assert _box(diagonal, 1e3)[:2] == (0, 0)
+        for tol_compare in (1e4, 1e6):
+            res = compare_with_gaussian(p, OracleConfig(dim=24, tol_trace=1e-6, tol_compare=tol_compare))
+            assert (res.status, res.n_fock, res.dim_used) == ("pass", 0.0, 24)
+
     def test_verification_failure_reported(self):
         res = compare_with_gaussian(
             ScenarioParams(0.2, 1.0, 0.0, math.pi / 4),
@@ -355,12 +375,12 @@ class TestComparisonHarness:
     def test_output_trace_over_budget_escalates(self, monkeypatch):
         windows = []
 
-        def leaky_once(rho1, weights, theta):
+        def leaky_once(rho1, weights, sectors):
             windows.append(rho1.shape[0])
-            mats, leakage = _output_classes(rho1, weights, theta)
-            return mats, (1e-3 if len(windows) == 1 else leakage)
+            diagonal = _output_diagonal(rho1, weights, sectors)
+            return diagonal * (1.0 - 1e-3) if len(windows) == 1 else diagonal
 
-        monkeypatch.setattr(fock, "_output_classes", leaky_once)
+        monkeypatch.setattr(fock, "_output_diagonal", leaky_once)
         res = compare_with_gaussian(
             ScenarioParams(0.2, 0.8, 0.1, math.pi / 4), OracleConfig(dim=30, tol_trace=1e-6)
         )
@@ -378,10 +398,10 @@ class TestDtypeFollowsPhases:
     def test_two_mode_dtype(self, monkeypatch):
         seen = []
 
-        def recorded(rho1, weights, theta):
-            mats, leakage = _output_classes(rho1, weights, theta)
+        def recorded(rho1, *args):
+            mats = _output_classes(rho1, *args)
             seen.append((rho1.dtype, [mat.dtype for mat in mats]))
-            return mats, leakage
+            return mats
 
         monkeypatch.setattr(fock, "_output_classes", recorded)
         for phases in self.ROTATIONS:
@@ -395,11 +415,11 @@ class TestDtypeFollowsPhases:
         # Symmetric parity-masked rho1 and positive weights.
         rng = np.random.default_rng(7)
         for dim in (8, 9):
-            flats = [_quadrant_order(dim, c) for c in (0, 1)]
+            flats = [_quadrant_order(dim, dim, c) for c in (0, 1)]
             rho1, weights = _random_inputs(rng, dim)
             expected = dense_output(rho1, np.diag(weights), BeamSplitter(0.7))
             assert np.abs(expected[np.ix_(flats[0], flats[1])]).max() < 1e-12
-            mats, _ = _output_classes(rho1, weights, 0.7)
+            mats = _full_classes(rho1, weights, 0.7)
             for flat, got in zip(flats, mats):
                 assert got.dtype == expected.dtype == np.float64
                 assert np.abs(got - expected[np.ix_(flat, flat)]).max() < 1e-12
@@ -442,9 +462,9 @@ class TestUnrotatedOutput:
         expected = dense_pt_trace_norm(0.5 * (out + out.conj().T))
 
         twin = fock_squeezed_thermal(GaussianSpec(p.tau, p.u), dim)
-        mats, _ = _output_classes(twin, _thermal_weights(p.nbar, dim), p.theta)
+        mats = _full_classes(twin, _thermal_weights(p.nbar, dim), p.theta)
         assert [mat.dtype for mat in mats] == [np.float64, np.float64]
-        assert _pt_trace_norm(mats, dim, 0.0) == pytest.approx(expected, abs=1e-12)
+        assert _pt_trace_norm(mats, dim, dim, 0.0) == pytest.approx(expected, abs=1e-12)
 
 
 class TestParityClasses:
@@ -468,27 +488,64 @@ class TestParityClasses:
         dense = dense_output(_expm_squeezed_thermal(p.spec(), dim), np.diag(weights), p.splitter())
         expected = dense_pt_trace_norm(dense)
         twin = fock_squeezed_thermal(GaussianSpec(p.tau, p.u), dim)
-        mats, _ = _output_classes(twin, weights, p.theta)
+        mats = _full_classes(twin, weights, p.theta)
         assert len(mats) == 2
         assert mats[0].dtype == np.float64
-        assert _pt_trace_norm(mats, dim, 0.0) == pytest.approx(expected, abs=1e-12)
+        assert _pt_trace_norm(mats, dim, dim, 0.0) == pytest.approx(expected, abs=1e-12)
 
     @pytest.mark.parametrize("dim", [8, 9, 10, 11])
     def test_partial_transpose_blocks_match_dense(self, dim):
         # An odd dim gives quadrants of unequal size.
         rng = np.random.default_rng(dim)
-        flats = [_quadrant_order(dim, q) for q in (0, 1)]
+        flats = [_quadrant_order(dim, dim, q) for q in (0, 1)]
         rho1, weights = _random_inputs(rng, dim)
         pt = partial_transpose(dense_output(rho1, np.diag(weights), BeamSplitter(0.7)))
         assert np.abs(pt[np.ix_(flats[0], flats[1])]).max() < 1e-12
-        mats, _ = _output_classes(rho1, weights, 0.7)
-        _partial_transpose(mats, dim)
+        mats = _full_classes(rho1, weights, 0.7)
+        _partial_transpose(mats, dim, dim)
         for flat, got in zip(flats, mats):
             expected = pt[np.ix_(flat, flat)]
             assert got.dtype == expected.dtype == np.float64
             assert np.abs(got - expected).max() < 1e-12
             got_eigs, expected_eigs = np.linalg.eigvalsh(got), np.linalg.eigvalsh(expected)
             assert np.abs(got_eigs - expected_eigs).max() < 1e-12
+
+
+    @pytest.mark.parametrize("dim", [8, 9, 24])
+    def test_diagonal_matches_the_built_classes(self, dim):
+        """The O(W^3) diagonal is the built one, and its leakage the built classes' trace leakage."""
+        for point in ((0.2, 0.8, 0.3, math.pi / 5), (0.3, 0.5, 1.0, math.pi / 8), (0.0, 1.0, 0.0, 0.4)):
+            p = ScenarioParams(*point)
+            rho1, weights = fock_squeezed_thermal(p.spec(), dim), _thermal_weights(p.nbar, dim)
+            diagonal = _output_diagonal(rho1, weights, _beam_splitter_sectors(p.theta, dim))
+            mats = _full_classes(rho1, weights, p.theta)
+            built = np.zeros((dim, dim))
+            for c, mat in enumerate(mats):
+                built[_class_numbers(dim, dim, c)] = np.diag(mat)
+            assert np.abs(diagonal - built).max() <= 1e-15
+            traced = abs(1.0 - sum(np.trace(mat) for mat in mats))
+            assert _leakage(diagonal) == pytest.approx(traced, abs=1e-15)
+
+    @pytest.mark.parametrize("w1, w2", [(6, 9), (9, 6), (7, 5), (4, 8), (10, 7), (1, 4)])
+    def test_partial_transpose_of_a_box_matches_dense(self, w1, w2):
+        """The build and partial transpose of a w1 x w2 box are those of the compressed output."""
+        dim = 10
+        rho1, weights = _random_inputs(np.random.default_rng(w1 * w2), dim)
+        dense = dense_output(rho1, np.diag(weights), BeamSplitter(0.7))
+        n1, n2 = np.divmod(np.arange(dim * dim), dim)
+        box = np.flatnonzero((n1 < w1) & (n2 < w2))
+        compressed = dense[np.ix_(box, box)]
+        pt = partial_transpose(compressed, (w1, w2))
+        mats = _output_classes(rho1, weights, _beam_splitter_sectors(0.7, dim), w1, w2)
+        for c, mat in enumerate(mats):
+            flat = _quadrant_order(w1, w2, c)
+            assert np.abs(mat - compressed[np.ix_(flat, flat)]).max() < 1e-12
+        _partial_transpose(mats, w1, w2)
+        for q, got in enumerate(mats):
+            flat = _quadrant_order(w1, w2, q)
+            assert np.abs(got - pt[np.ix_(flat, flat)]).max() < 1e-12
+            others = np.setdiff1d(np.arange(w1 * w2), flat)
+            assert np.abs(pt[np.ix_(flat, others)]).max(initial=0.0) < 1e-12
 
 
 class TestDeflation:
@@ -500,7 +557,7 @@ class TestDeflation:
     def _dense_pt_norm(mats, dim):
         """Trace norm of the partial transpose of copies of the class matrices, no state dropped."""
         blocks = [mat.copy() for mat in mats]
-        _partial_transpose(blocks, dim)
+        _partial_transpose(blocks, dim, dim)
         return sum(float(np.abs(np.linalg.eigvalsh(block)).sum()) for block in blocks)
 
     @staticmethod
@@ -527,11 +584,14 @@ class TestDeflation:
     )
     def test_budget_zero_matches_the_dense_eigensolve(self, point, kept, monkeypatch):
         p = ScenarioParams(*point)
-        rho1 = fock_squeezed_thermal(p.spec(), 40)
-        mats, _ = _output_classes(rho1, _thermal_weights(p.nbar, 40), p.theta)
+        rho1, weights = fock_squeezed_thermal(p.spec(), 40), _thermal_weights(p.nbar, 40)
+        # At budget 0 the box is the whole window, even where a marginal is exactly 0.
+        diagonal = _output_diagonal(rho1, weights, _beam_splitter_sectors(p.theta, 40))
+        assert _box(diagonal, 0.0) == (40, 40, 0.0)
+        mats = _full_classes(rho1, weights, p.theta)
         dense = self._dense_pt_norm(mats, 40)
         seen = self._record_kept(monkeypatch)
-        assert _pt_trace_norm(mats, 40, 0.0) == pytest.approx(dense, abs=1e-12)
+        assert _pt_trace_norm(mats, 40, 40, 0.0) == pytest.approx(dense, abs=1e-12)
         assert seen == kept
 
     def test_budget_follows_tol_compare(self, monkeypatch):
@@ -543,16 +603,34 @@ class TestDeflation:
         p = ScenarioParams(0.3, 1.0, 0.0, math.pi / 4)
         dense = []
 
-        def built(rho1, weights, theta):
-            mats, leakage = _output_classes(rho1, weights, theta)
-            dense.append(math.log2(self._dense_pt_norm(mats, rho1.shape[0])))
-            return mats, leakage
+        def built(rho1, weights, sectors, w1, w2):
+            dim = rho1.shape[0]
+            full = _output_classes(rho1, weights, sectors, dim, dim)
+            dense.append(math.log2(self._dense_pt_norm(full, dim)))
+            return _output_classes(rho1, weights, sectors, w1, w2)
+
+        budgets = []
+
+        def boxed(diagonal, budget):
+            w1, w2, outside = _box(diagonal, budget)
+            budgets.append((budget, outside))
+            return w1, w2, outside
+
+        def split(mats, w1, w2, budget):
+            budgets.append(budget)
+            return _pt_trace_norm(mats, w1, w2, budget)
 
         monkeypatch.setattr(fock, "_output_classes", built)
+        monkeypatch.setattr(fock, "_box", boxed)
+        monkeypatch.setattr(fock, "_pt_trace_norm", split)
         kept = self._record_kept(monkeypatch)
         res = compare_with_gaussian(p, OracleConfig(dim=40, tol_trace=1e-4))
         assert (res.status, res.dim_used, res.note) == ("pass", 40, "")
-        assert all(k < total / 3 for k, total in kept), kept
+        # Of the 800 states of each class of the window.
+        assert all(k < 800 / 3 for k, _ in kept), kept
+        # The box gets the budget, and the eigensolve what the box left of it.
+        (budget, outside), rest = budgets
+        assert budget == self.TARGET and outside > 0.0 and rest == budget - outside
         assert abs(res.n_fock - dense[-1]) <= 1.45 * self.TARGET
         res = compare_with_gaussian(p, OracleConfig(dim=40, tol_trace=1e-4, tol_compare=1e-12))
         assert res.n_fock == pytest.approx(dense[-1], abs=1e-12)
@@ -608,18 +686,80 @@ class TestDeflation:
             assert 2.0 * math.sqrt((dropped.size + 1) * more) > budget * (1.0 - 1e-12)
 
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        point=st.tuples(
+            st.floats(0.0, 0.45), st.floats(0.05, 1.0), st.floats(0.0, 3.0), st.floats(0.0, math.pi / 2)
+        ),
+        dim=st.integers(8, 24),
+        mantissa=st.floats(0.0, 1.0),
+        exponent=st.integers(-9, -3),
+    )
+    def test_the_box_and_its_deflation_drop_within_the_budget(self, point, dim, mantissa, exponent):
+        """The product of the marginals bounds every row, and what the box and deflation drop.
+
+        Row (m1, m2) of the partial transpose of the whole window has squared
+        norm at most p1(m1) p2(m2); equality holds for a pure product state.
+        E, the full-window blocks less the states that the box and then the
+        eigensolve's deflation keep, has an exact trace norm within the budget.
+        """
+        budget = mantissa * 10.0**exponent
+        p = ScenarioParams(*point)
+        rho1, weights = fock_squeezed_thermal(p.spec(), dim), _thermal_weights(p.nbar, dim)
+        sectors = _beam_splitter_sectors(p.theta, dim)
+        diagonal = _output_diagonal(rho1, weights, sectors)
+        full = _output_classes(rho1, weights, sectors, dim, dim)
+        _partial_transpose(full, dim, dim)
+        p1, p2 = diagonal.sum(axis=1), diagonal.sum(axis=0)
+        w1, w2, outside = _box(diagonal, budget)
+        stated = 0.0
+        for q, block in enumerate(full):
+            m1, m2 = _class_numbers(dim, dim, q)
+            rows = np.einsum("ij,ij->i", block, block)
+            assert np.all(rows <= p1[m1] * p2[m2] * (1.0 + 1e-12) + 1e-30)
+            out = (m1 >= w1) | (m2 >= w2)
+            stated += 2.0 * math.sqrt(out.sum() * (p1[m1] * p2[m2])[out].sum())
+        assert outside == pytest.approx(stated, rel=1e-12, abs=0.0)
+        assert outside <= budget * (1.0 + 1e-12)
+        keeps, shares = [], []
+
+        def recorded(block, share):
+            front, keep, bound = _deflated(block, share)
+            keeps.append(keep)
+            shares.append(share)
+            return front, keep, bound
+
+        mats = _output_classes(rho1, weights, sectors, w1, w2)
+        with mock.patch.object(fock, "_deflated", recorded):
+            _pt_trace_norm(mats, w1, w2, budget - outside)
+        assert shares[0] == 0.5 * (budget - outside)
+        exact = 0.0
+        for q, (block, keep) in enumerate(zip(full, keeps)):
+            index = {state: i for i, state in enumerate(zip(*_class_numbers(dim, dim, q)))}
+            b1, b2 = _class_numbers(w1, w2, q)
+            kept = [index[b1[k], b2[k]] for k in keep]
+            e = block.copy()
+            e[np.ix_(kept, kept)] = 0.0
+            exact += float(np.abs(np.linalg.eigvalsh(e)).sum())
+        assert exact <= budget * (1.0 + 1e-9) + 1e-15
+
+
 class TestMemoryPrecheck:
     POINT = ScenarioParams(0.2, 0.8, 0.1, math.pi / 4)
 
     @staticmethod
-    def _stage_peak(rho1, weights, p, dim, monkeypatch):
+    def _stage_peak(rho1, weights, theta, monkeypatch):
         """Peak bytes traced over the two-mode stage, cold sector cache included.
 
-        The class matrices are allocated by numpy here, where tracemalloc
-        sees them, rather than in their own memory maps.  tracemalloc does not see LAPACK scratch, nor the copy of the kept
-        states that ``np.linalg.eigvalsh`` diagonalizes: the resident peak
-        of the stage is higher (see ``fock._LIVE_COPIES``).
-        Returns the peak and the (kept, total) states of each deflated block.
+        The stage runs as in ``compare_with_gaussian`` at the default
+        tol_compare: the output's diagonal, the box, its class matrices and
+        the partial-transpose eigensolve.  The class matrices are allocated
+        by numpy here, where tracemalloc sees them, rather than in their
+        own memory maps.  tracemalloc does not see LAPACK scratch, nor the
+        copy of the kept states that ``np.linalg.eigvalsh`` diagonalizes:
+        the resident peak of the stage is higher (see ``fock._LIVE_COPIES``).
+        Returns the peak, the box (w1, w2) and the (kept, total) states of
+        each deflated block.
         """
         deflations = []
 
@@ -630,13 +770,16 @@ class TestMemoryPrecheck:
 
         monkeypatch.setattr(fock, "_mapped_matrix", lambda n: np.empty((n, n)))
         monkeypatch.setattr(fock, "_deflated", recorded)
+        target = OracleConfig.tol_compare / fock._GUARD_SAFETY
         _beam_splitter_sectors.cache_clear()
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            mats, _ = _output_classes(rho1, weights, p.theta)
-            _pt_trace_norm(mats, dim, OracleConfig.tol_compare / fock._GUARD_SAFETY)
-            return tracemalloc.get_traced_memory()[1] - base, deflations
+            sectors = _beam_splitter_sectors(theta, rho1.shape[0])
+            w1, w2, outside = _box(_output_diagonal(rho1, weights, sectors), target)
+            mats = _output_classes(rho1, weights, sectors, w1, w2)
+            _pt_trace_norm(mats, w1, w2, target - outside)
+            return tracemalloc.get_traced_memory()[1] - base, (w1, w2), deflations
         finally:
             tracemalloc.stop()
 
@@ -645,17 +788,24 @@ class TestMemoryPrecheck:
         for dim, copies in ((24, fock._LIVE_COPIES), (40, 0.65)):
             rho1 = fock_squeezed_thermal(p.spec(), dim)
             weights = _thermal_weights(p.nbar, dim)
-            peak, deflations = self._stage_peak(rho1, weights, p, dim, monkeypatch)
+            peak, _, deflations = self._stage_peak(rho1, weights, p.theta, monkeypatch)
             assert peak <= copies * 8 * dim**4, dim
         # At W = 40 the traced peak covers the compaction of both class blocks.
         assert all(kept < total for kept, total in deflations), deflations
+        # The class matrices of a 27 x 26 box hold a fifth of the window's
+        # entries, and the stage peaks with them: 0.73 of a box matrix.
+        p = ScenarioParams(0.3, 1.0, 0.0, math.pi / 4)
+        rho1, weights = fock_squeezed_thermal(p.spec(), 40), _thermal_weights(p.nbar, 40)
+        peak, (w1, w2), _ = self._stage_peak(rho1, weights, p.theta, monkeypatch)
+        assert (w1 * w2) ** 2 < 0.2 * 40**4, (w1, w2)
+        assert peak <= 0.8 * 8 * (w1 * w2) ** 2, (w1, w2)
 
     def test_class_matrices_bypass_the_heap(self):
         p = ScenarioParams(0.2, 0.8, 0.3, math.pi / 5)
         rho1, weights = fock_squeezed_thermal(p.spec(), 24), _thermal_weights(p.nbar, 24)
         tracemalloc.start()
         try:
-            mats, _ = _output_classes(rho1, weights, p.theta)
+            mats = _full_classes(rho1, weights, p.theta)
             traced = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
