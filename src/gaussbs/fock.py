@@ -28,21 +28,23 @@ themselves, one slice at a time.  Each of its two class blocks is then
 deflated and diagonalized: the lightest states, as many as can go while
 the rows and columns they leave out provably move the trace norm by no
 more than a budget, are left out of the eigensolve (``_deflated``), and
-numpy diagonalizes a copy of the kept ones.  The comparison takes that
-budget from ``tol_compare`` (``compare_with_gaussian``).  Part of it is
-spent before the build: the product of the output's two photon-number
+numpy diagonalizes a copy of the kept ones.  A left-out state moves the
+trace norm by at most twice the norm of its row.  The comparison takes
+that budget from ``tol_compare`` (``compare_with_gaussian``).  Part of it
+is spent before the build: the product of the output's two photon-number
 marginals, read off its O(W^3) diagonal (``_output_diagonal``), bounds
-every row of the partial transpose, and the lightest states by it fix
-the W1 x W2 sub-box of Fock numbers that is built (``_box``).  At the
-default, a W = 40 to 60 window builds a seventh to all of its entries and
-keeps between a tenth and nine tenths of its states, depending on the
-point.  The stage peaks at about 0.6 to 0.8 of a matrix of (W1 W2)^2
-entries there, and at 0.78 of one of ``W^4`` when every state is kept
-(``_LIVE_COPIES``, rounded up).  The class matrices each live in an
-anonymous memory map of their own (``_mapped_matrix``), so that the
-resident peak of a point does not depend on the points run before it in
-the same process.  A point whose window would not fit in the memory still
-available is skipped with the note "memory" instead of being allocated.
+the squared norm of every row of the partial transpose, and the lightest
+states by it fix the W1 x W2 sub-box of Fock numbers that is built
+(``_box``).  At the default, a W = 40 to 60 window builds an eleventh to
+all of its entries and keeps between a tenth and three quarters of its
+states, depending on the point.  The stage peaks at about 0.55 to 0.76 of
+a matrix of (W1 W2)^2 entries there, and at 0.77 of one of ``W^4`` when
+every state is kept (``_LIVE_COPIES``, rounded up).  The class matrices
+each live in a private, prefaulted anonymous memory map of their own
+(``_mapped_matrix``), so that the resident peak of a point does not
+depend on the points run before it in the same process.  A point whose
+window would not fit in the memory still available is skipped with the
+note "memory" instead of being allocated.
 
 The engine needs numpy alone, so a process loads one BLAS library and
 runs one BLAS thread pool.
@@ -94,13 +96,14 @@ _GUARD_SAFETY = 300.0
 # (at most a quarter of one), and temporaries of about W^3 entries.  The
 # box is never wider than the window, so the bound holds for every box.
 # With the default tol_compare the resident peak over the stage measured,
-# in matrices of (W1 W2)^2 entries, 0.82 and 0.74 at W = 40 with boxes of
-# 19 x 31 and 27 x 26, 0.70 at W = 40 with the whole window, 0.59 at
-# W = 56 (56 x 50) and 0.66 at W = 60 (60 x 27): 0.11 to 0.70 of a W^4
+# in matrices of (W1 W2)^2 entries, 0.76 and 0.70 at W = 40 with boxes of
+# 17 x 28 and 24 x 24, 0.66 at W = 40 with the whole window, 0.57 at
+# W = 56 (56 x 48) and 0.62 at W = 60 (60 x 26): 0.07 to 0.66 of a W^4
 # matrix.  With every state kept, as a budget of 0 may keep them, it
-# measured 0.78 and 0.77 of W^4 at W = 56 and 60; tracemalloc, which does
-# not see the eigensolve's copy, 0.68 at W = 24 and 0.55 to 0.80 of a box
-# matrix at W = 40 to 60.
+# measured 0.77 of W^4 at W = 56 and 60; tracemalloc, which does not see
+# the eigensolve's copy, 0.68 at W = 24 and 0.56 to 0.93 of a box matrix
+# at W = 40 to 60, the most for the smallest box, where temporaries of
+# W^3 entries weigh most.
 _LIVE_COPIES = 1
 # Memory cgroup (limit, usage) files, v2 then v1 layout.
 _CGROUP_MEMORY_FILES = (
@@ -136,21 +139,25 @@ def _hermitize(a: np.ndarray) -> None:
 
     Works tile by tile, so no temporary of the full size is allocated.  The
     result is exactly Hermitian: mirrored entries are computed from the
-    same two operands.
+    same two operands.  The check is absolute: no two mirrored entries may
+    differ by more than ``_HERMITICITY_TOL``.  Every entry of a density
+    matrix is at most 1 in modulus, |rho_ij| <= sqrt(rho_ii rho_jj), so no
+    tolerance relative to the largest entry could be tighter.
     """
     n = a.shape[0]
-    defect = peak = 0.0
+    defect = 0.0
     for i in range(0, n, _TILE):
         for j in range(i, n, _TILE):
             upper = a[i : i + _TILE, j : j + _TILE]
             lower = a[j : j + _TILE, i : i + _TILE]
-            defect = max(defect, float(np.abs(upper - lower.T).max(initial=0.0)))
-            mean = upper + lower.T
-            mean *= 0.5
-            peak = max(peak, float(np.abs(mean).max(initial=0.0)))
-            upper[...] = mean
-            lower[...] = mean.T
-    if defect > _HERMITICITY_TOL * max(peak, 1.0):
+            # One temporary holds the difference, then the mean.
+            tile = upper - lower.T
+            defect = max(defect, float(np.abs(tile, out=tile).max(initial=0.0)))
+            np.add(upper, lower.T, out=tile)
+            tile *= 0.5
+            upper[...] = tile
+            lower[...] = tile.T
+    if defect > _HERMITICITY_TOL:
         raise DomainError("density matrix must be Hermitian")
 
 
@@ -244,16 +251,20 @@ def _beam_splitter_sectors(theta: float, dim: int) -> tuple:
 
 
 def _mapped_matrix(n: int) -> np.ndarray:
-    """A zero-filled float64 n x n array in an anonymous memory map of its own.
+    """A zero-filled float64 n x n array in a private anonymous memory map of its own.
 
     glibc's malloc serves a block below its mmap threshold from the heap,
     which keeps freed memory resident, and raises that threshold to the size
     of each mapped block it frees.  From malloc, where a class matrix lands,
     and so the process's resident peak, would depend on which window sizes
     ran before.  A map of its own is returned to the system as soon as the
-    array is released.  A map holds at least one byte, so n may be 0.
+    array is released.  The map is private and, where the platform has
+    ``MAP_POPULATE``, prefaulted: its pages are zeroed in one call instead
+    of faulting in one by one on first write.  A map holds at least one
+    byte, so n may be 0.
     """
-    return np.frombuffer(mmap.mmap(-1, max(8 * n * n, 1)), count=n * n).reshape(n, n)
+    flags = mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS | getattr(mmap, "MAP_POPULATE", 0)
+    return np.frombuffer(mmap.mmap(-1, max(8 * n * n, 1), flags=flags), count=n * n).reshape(n, n)
 
 
 def _quadrants(w1: int, w2: int) -> dict:
@@ -302,11 +313,11 @@ def _output_diagonal(rho1: np.ndarray, weights: np.ndarray, sectors) -> np.ndarr
 def _lightest(weight: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """States by ascending ``weight``, and the bound on the trace norm of dropping the lightest.
 
-    Entry s - 1 of the bound is 2 sqrt(s w), w the sum of the s lightest
-    weights (see ``_deflated``).
+    ``weight`` holds squared row norms, and entry s - 1 of the bound is
+    2 sum sqrt(w) over the s lightest weights w (see ``_deflated``).
     """
     lightest = np.argsort(weight, kind="stable")
-    return lightest, 2.0 * np.sqrt(np.arange(1, weight.size + 1) * np.cumsum(weight[lightest]))
+    return lightest, 2.0 * np.cumsum(np.sqrt(weight[lightest]))
 
 
 def _box(diagonal: np.ndarray, budget: float) -> tuple[int, int, float]:
@@ -318,10 +329,10 @@ def _box(diagonal: np.ndarray, budget: float) -> tuple[int, int, float]:
     product of the output's two photon-number marginals from ``diagonal``.
     In each class, with the budget split of ``_pt_trace_norm``, the
     lightest states by that product are dropped while the bound of
-    ``_deflated`` on them stays below the share; a budget of 0 drops none.
-    Returns the extents of the box around the states left, and the same
-    bound on the states outside the box, summed over the two classes: at
-    most ``budget``, since they were all dropped.
+    ``_deflated`` on them, 2 sum sqrt(p1 p2), stays below the share; a
+    budget of 0 drops none.  Returns the extents of the box around the
+    states left, and the same bound on the states outside the box, summed
+    over the two classes: at most ``budget``, since they were all dropped.
     """
     weight = np.outer(diagonal.sum(axis=1), diagonal.sum(axis=0))
     m1, m2 = np.indices(weight.shape)
@@ -334,11 +345,8 @@ def _box(diagonal: np.ndarray, budget: float) -> tuple[int, int, float]:
         keep = states[lightest[s:]]
         if keep.size:
             w1, w2 = max(w1, int(m1.flat[keep].max()) + 1), max(w2, int(m2.flat[keep].max()) + 1)
-    outside = 0.0
-    for states in classes:
-        dropped = weight.flat[states][(m1.flat[states] >= w1) | (m2.flat[states] >= w2)]
-        outside += 2.0 * math.sqrt(dropped.size * dropped.sum())
-    return w1, w2, outside
+    outside = (m1 >= w1) | (m2 >= w2)
+    return w1, w2, 2.0 * float(np.sqrt(weight[outside]).sum())
 
 
 def _output_class(rho1: np.ndarray, weights: np.ndarray, blocks, c: int, w1: int, w2: int) -> np.ndarray:
@@ -444,12 +452,16 @@ def _partial_transpose(mats: list, w1: int, w2: int) -> None:
 def _deflated(block: np.ndarray, budget: float) -> tuple[np.ndarray, np.ndarray, float]:
     """The states of Hermitian ``block`` worth diagonalizing, compacted over its front.
 
-    Dropping a set of s states perturbs the block by E, its rows and
-    columns of those states, of rank at most 2 s with ||E||_F^2 at most
-    2 sum ||row||^2 over the dropped rows, so its trace norm moves by at
-    most ||E||_1 <= sqrt(2 s) ||E||_F <= 2 sqrt(s sum ||row||^2).  The
-    squared row norms are summed ``_TILE`` rows at a time, and the
-    largest number s of the lightest rows whose bound stays within
+    Dropping a set D of states perturbs the block A by E, its rows and
+    columns of those states: E = P_D A + P_K A P_D, with P_D and P_K the
+    projections on the dropped and kept states.  Each dropped row r_i adds
+    e_i r_i^T to the first term and, A being Hermitian, a part of the
+    column r_i to the second, two rank-one terms of trace norm at most
+    ||r_i|| each, so the trace norm moves by at most
+    ||E||_1 <= 2 sum ||r_i|| over the dropped rows.  A row with a zero
+    diagonal entry attains it: x e_i^T + e_i x^T has eigenvalues +-||x||.
+    The squared row norms are summed ``_TILE`` rows at a time, and the
+    largest number of the lightest rows whose bound stays within
     ``budget`` is dropped; a budget of 0 drops only the rows that are zero.
     The kept k x k submatrix, states in ascending order, is written over
     the front of the block's own buffer, one row at a time: row j of the

@@ -30,6 +30,8 @@ from gaussbs.fock import (
     _deflated,
     _hermitize,
     _leakage,
+    _lightest,
+    _mapped_matrix,
     _output_classes,
     _output_diagonal,
     _partial_transpose,
@@ -299,6 +301,15 @@ class TestPartialTransposeAndNegativity:
         data = np.zeros((9, 9))
         data[0, 1] = 1.0
         with pytest.raises(DomainError):
+            _hermitize(data)
+
+    def test_asymmetry_rejected_whatever_the_peak(self):
+        # A tolerance relative to the peak, 5e-10 here, would let this through.
+        data = np.eye(9)
+        data[4, 4] = 5.0
+        data[2, 7] = data[7, 2] = 0.3
+        data[2, 7] += 2e-10
+        with pytest.raises(DomainError, match="Hermitian"):
             _hermitize(data)
 
     def test_non_hermitian_input_rejected_by_the_build(self):
@@ -648,9 +659,9 @@ class TestDeflation:
 
         The front is the kept submatrix, over the block's own buffer, kept
         states ascending.  E, the dropped rows and columns, has an exact
-        trace norm within the stated bound, which is 2 sqrt(s sum ||row||^2)
-        and within the budget, and one more of the lightest kept rows would
-        overrun the budget.
+        trace norm within the stated bound, which is 2 sum ||row|| over the
+        dropped rows, and within the budget, and one more of the lightest
+        kept rows would overrun the budget.
         """
         rng = np.random.default_rng(seed)
         a = rng.standard_normal((n, n))
@@ -659,7 +670,7 @@ class TestDeflation:
         a[light] *= scale
         a[:, light] *= scale
         weight = (np.abs(a) ** 2).sum(axis=1)
-        budget = level * 2.0 * math.sqrt(light.size * weight[light].sum())
+        budget = level * 2.0 * np.sqrt(weight[light]).sum()
 
         buffer = a.copy()
         front, keep, bound = _deflated(buffer, budget)
@@ -678,12 +689,46 @@ class TestDeflation:
         exact = float(np.abs(np.linalg.eigvalsh(e)).sum())
         assert exact <= bound * (1.0 + n * n * np.finfo(float).eps)
         assert bound <= budget
-        stated = 2.0 * math.sqrt(dropped.size * weight[dropped].sum())
+        stated = 2.0 * np.sqrt(weight[dropped]).sum()
         assert bound == pytest.approx(stated, rel=1e-12, abs=0.0)
         # The code and this test sum the weights in different orders.
         if keep.size:
-            more = weight[dropped].sum() + weight[keep].min()
-            assert 2.0 * math.sqrt((dropped.size + 1) * more) > budget * (1.0 - 1e-12)
+            assert stated + 2.0 * math.sqrt(weight[keep].min()) > budget * (1.0 - 1e-12)
+
+    @pytest.mark.parametrize("n, row", [(2, 0), (7, 3), (30, 29)])
+    def test_a_dropped_row_with_a_zero_diagonal_attains_the_bound(self, n, row):
+        """E = x e_i^T + e_i x^T has eigenvalues +-||x||: ||E||_1 = 2 ||x||, the bound for one row."""
+        rng = np.random.default_rng(n)
+        a = rng.standard_normal((n, n))
+        a = a + a.T
+        x = 1e-3 * rng.standard_normal(n)
+        x[row] = 0.0
+        a[row], a[:, row] = x, x
+        bound = 2.0 * np.linalg.norm(x)
+        _, keep, got = _deflated(a.copy(), bound)
+        assert np.array_equal(keep, np.delete(np.arange(n), row))
+        assert got == pytest.approx(bound, rel=1e-14, abs=0.0)
+        e = a.copy()
+        e[np.ix_(keep, keep)] = 0.0
+        exact = float(np.abs(np.linalg.eigvalsh(e)).sum())
+        assert exact == pytest.approx(bound, rel=n * np.finfo(float).eps, abs=0.0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n=st.integers(1, 60),
+        spread=st.integers(0, 30),
+        zeros=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_the_row_bound_is_within_the_frobenius_bound(self, n, spread, zeros, seed):
+        """2 sum sqrt(w) over the s lightest is at most 2 sqrt(s sum w), by Cauchy-Schwarz."""
+        rng = np.random.default_rng(seed)
+        weight = 10.0 ** rng.uniform(-spread, 0.0, n)
+        weight[rng.random(n) < zeros] = 0.0
+        lightest, bounds = _lightest(weight)
+        assert np.array_equal(weight[lightest], np.sort(weight))
+        frobenius = 2.0 * np.sqrt(np.arange(1, n + 1) * np.cumsum(np.sort(weight)))
+        assert np.all(bounds <= frobenius * (1.0 + 1e-12))
 
 
     @settings(max_examples=60, deadline=None)
@@ -718,7 +763,7 @@ class TestDeflation:
             rows = np.einsum("ij,ij->i", block, block)
             assert np.all(rows <= p1[m1] * p2[m2] * (1.0 + 1e-12) + 1e-30)
             out = (m1 >= w1) | (m2 >= w2)
-            stated += 2.0 * math.sqrt(out.sum() * (p1[m1] * p2[m2])[out].sum())
+            stated += 2.0 * np.sqrt((p1[m1] * p2[m2])[out]).sum()
         assert outside == pytest.approx(stated, rel=1e-12, abs=0.0)
         assert outside <= budget * (1.0 + 1e-12)
         keeps, shares = [], []
@@ -792,13 +837,16 @@ class TestMemoryPrecheck:
             assert peak <= copies * 8 * dim**4, dim
         # At W = 40 the traced peak covers the compaction of both class blocks.
         assert all(kept < total for kept, total in deflations), deflations
-        # The class matrices of a 27 x 26 box hold a fifth of the window's
-        # entries, and the stage peaks with them: 0.73 of a box matrix.
+        # The class matrices of the box hold at most a fifth of the window's
+        # entries, and the stage peaks with them.  The bound is 0.8 of a
+        # matrix of a 27 x 26 box, the box that 2 sqrt(s sum ||row||^2)
+        # leaves here: the per-row bound leaves a smaller one, of which
+        # temporaries of about W^3 entries are a larger share.
         p = ScenarioParams(0.3, 1.0, 0.0, math.pi / 4)
         rho1, weights = fock_squeezed_thermal(p.spec(), 40), _thermal_weights(p.nbar, 40)
         peak, (w1, w2), _ = self._stage_peak(rho1, weights, p.theta, monkeypatch)
         assert (w1 * w2) ** 2 < 0.2 * 40**4, (w1, w2)
-        assert peak <= 0.8 * 8 * (w1 * w2) ** 2, (w1, w2)
+        assert peak <= 0.8 * 8 * (27 * 26) ** 2, (peak, w1, w2)
 
     def test_class_matrices_bypass_the_heap(self):
         p = ScenarioParams(0.2, 0.8, 0.3, math.pi / 5)
@@ -811,6 +859,20 @@ class TestMemoryPrecheck:
             tracemalloc.stop()
         assert sum(mat.nbytes for mat in mats) == 8 * 24**4 // 2
         assert traced < 0.1 * 8 * 24**4
+
+    @pytest.mark.parametrize("populate", [True, False], ids=["populated", "no MAP_POPULATE"])
+    def test_mapped_matrices_are_private_and_zeroed(self, populate, monkeypatch):
+        if not populate:
+            monkeypatch.delattr(fock.mmap, "MAP_POPULATE", raising=False)
+        a, b = _mapped_matrix(50), _mapped_matrix(50)
+        assert a.shape == (50, 50) and a.dtype == np.float64 and a.flags.writeable
+        assert not a.any() and not b.any()
+        assert not np.shares_memory(a, b)
+        a[...] = 1.5
+        b[7, 3] = -2.0
+        assert np.all(a == 1.5) and b.sum() == -2.0
+        empty = _mapped_matrix(0)
+        assert empty.shape == (0, 0) and empty.flags.writeable
 
     def test_skip_before_allocating(self, monkeypatch):
         def no_allocation(*args):
