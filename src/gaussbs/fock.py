@@ -37,14 +37,11 @@ the squared norm of every row of the partial transpose, and the lightest
 states by it fix the W1 x W2 sub-box of Fock numbers that is built
 (``_box``).  At the default, a W = 40 to 60 window builds an eleventh to
 all of its entries and keeps between a tenth and three quarters of its
-states, depending on the point.  The stage peaks at about 0.55 to 0.76 of
-a matrix of (W1 W2)^2 entries there, and at 0.77 of one of ``W^4`` when
-every state is kept (``_LIVE_COPIES``, rounded up).  The class matrices
-each live in a private, prefaulted anonymous memory map of their own
-(``_mapped_matrix``), so that the resident peak of a point does not
-depend on the points run before it in the same process.  A point whose
-window would not fit in the memory still available is skipped with the
-note "memory" instead of being allocated.
+states, depending on the point.  The stage peaks at about 0.57 to 0.86 of
+a matrix of (W1 W2)^2 entries there, and at 0.77 to 0.80 of one of
+``W^4`` when every state is kept (``_LIVE_COPIES``, rounded up).  A point
+whose window would not fit in the memory still available is skipped with
+the note "memory" instead of being allocated.
 
 The engine needs numpy alone, so a process loads one BLAS library and
 runs one BLAS thread pool.
@@ -59,7 +56,6 @@ and records a skip if even that is not enough.
 from __future__ import annotations
 
 import math
-import mmap
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -95,15 +91,16 @@ _GUARD_SAFETY = 300.0
 # overwrites, the eigensolve's copy of the kept states of one class block
 # (at most a quarter of one), and temporaries of about W^3 entries.  The
 # box is never wider than the window, so the bound holds for every box.
-# With the default tol_compare the resident peak over the stage measured,
-# in matrices of (W1 W2)^2 entries, 0.76 and 0.70 at W = 40 with boxes of
-# 17 x 28 and 24 x 24, 0.66 at W = 40 with the whole window, 0.57 at
-# W = 56 (56 x 48) and 0.62 at W = 60 (60 x 26): 0.07 to 0.66 of a W^4
-# matrix.  With every state kept, as a budget of 0 may keep them, it
-# measured 0.77 of W^4 at W = 56 and 60; tracemalloc, which does not see
-# the eigensolve's copy, 0.68 at W = 24 and 0.56 to 0.93 of a box matrix
-# at W = 40 to 60, the most for the smallest box, where temporaries of
-# W^3 entries weigh most.
+# With the default tol_compare the resident peak over the stage, cold
+# sector cache included, measured in matrices of (W1 W2)^2 entries 0.86
+# and 0.77 at W = 40 with boxes of 17 x 28 and 24 x 24, 0.57 to 0.68 at
+# W = 40 with boxes of 37 x 32 to the whole window, 0.58 at W = 56
+# (56 x 48) and 0.62 at W = 60 (60 x 26): 0.07 to 0.68 of a W^4 matrix.
+# With every state kept, as a budget of 0 may keep them, it measured 0.80
+# of W^4 at W = 40 and 0.77 at W = 56 and 60; tracemalloc, which does not
+# see the eigensolve's copy, 0.68 at W = 24 and 0.56 to 0.93 of a box
+# matrix at W = 40 to 60, the most for the smallest box, where temporaries
+# of W^3 entries weigh most.
 _LIVE_COPIES = 1
 # Memory cgroup (limit, usage) files, v2 then v1 layout.
 _CGROUP_MEMORY_FILES = (
@@ -152,12 +149,13 @@ def _hermitize(a: np.ndarray) -> None:
             lower = a[j : j + _TILE, i : i + _TILE]
             # One temporary holds the difference, then the mean.
             tile = upper - lower.T
-            defect = max(defect, float(np.abs(tile, out=tile).max(initial=0.0)))
+            # np.maximum keeps a NaN, which max() would drop.
+            defect = np.maximum(defect, np.abs(tile, out=tile).max(initial=0.0))
             np.add(upper, lower.T, out=tile)
             tile *= 0.5
             upper[...] = tile
             lower[...] = tile.T
-    if defect > _HERMITICITY_TOL:
+    if not defect <= _HERMITICITY_TOL:
         raise DomainError("density matrix must be Hermitian")
 
 
@@ -248,23 +246,6 @@ def _beam_splitter_sectors(theta: float, dim: int) -> tuple:
         blocks.append(_sector_block(theta * np.sqrt((n1[:-1] + 1.0) * (total - n1[:-1]))))
         blocks[-1].setflags(write=False)
     return tuple(blocks)
-
-
-def _mapped_matrix(n: int) -> np.ndarray:
-    """A zero-filled float64 n x n array in a private anonymous memory map of its own.
-
-    glibc's malloc serves a block below its mmap threshold from the heap,
-    which keeps freed memory resident, and raises that threshold to the size
-    of each mapped block it frees.  From malloc, where a class matrix lands,
-    and so the process's resident peak, would depend on which window sizes
-    ran before.  A map of its own is returned to the system as soon as the
-    array is released.  The map is private and, where the platform has
-    ``MAP_POPULATE``, prefaulted: its pages are zeroed in one call instead
-    of faulting in one by one on first write.  A map holds at least one
-    byte, so n may be 0.
-    """
-    flags = mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS | getattr(mmap, "MAP_POPULATE", 0)
-    return np.frombuffer(mmap.mmap(-1, max(8 * n * n, 1), flags=flags), count=n * n).reshape(n, n)
 
 
 def _quadrants(w1: int, w2: int) -> dict:
@@ -383,7 +364,9 @@ def _output_class(rho1: np.ndarray, weights: np.ndarray, blocks, c: int, w1: int
         inside = (a >= 0) & (a < dim)
         np.multiply(flat.take(base + a, mode="clip"), inside * weights[b], out=factor[b])
     totals = np.arange(c, 2 * dim - 1, 2)
-    mat = _mapped_matrix(total.size)
+    # Every entry is written: each state of the box lies in exactly one sector,
+    # and every row of the box in that sector is computed.
+    mat = np.empty((total.size, total.size))
     for s, block in zip(totals, sectors):
         first, last = max(0, s - dim + 1), min(s, dim - 1)
         top, bottom = max(first, s - w2 + 1), min(last, w1 - 1)  # the box's n1
@@ -466,8 +449,8 @@ def _deflated(block: np.ndarray, budget: float) -> tuple[np.ndarray, np.ndarray,
     The kept k x k submatrix, states in ascending order, is written over
     the front of the block's own buffer, one row at a time: row j of the
     destination ends before source row keep[j + 1] starts, so no row is
-    overwritten before it is read.  Returns that C-ordered front view (the
-    block itself when every state is kept, empty when none is), the kept
+    overwritten before it is read.  Returns that C-ordered front view (of
+    the whole block when every state is kept, empty when none is), the kept
     states and the bound on ||E||_1.  The eigensolve copies what it is
     given, so compacting in place keeps that to one k x k copy where
     indexing the kept states out would make two.
@@ -482,8 +465,6 @@ def _deflated(block: np.ndarray, budget: float) -> tuple[np.ndarray, np.ndarray,
     keep = np.sort(lightest[s:])
     bound = float(bounds[s - 1]) if s else 0.0
     k = keep.size
-    if k == n:
-        return block, keep, bound
     front = block.reshape(-1)[: k * k].reshape(k, k)
     for j, row in enumerate(keep):
         front[j] = block[row, keep]
@@ -611,15 +592,16 @@ def compare_with_gaussian(params: ScenarioParams, cfg: OracleConfig) -> OracleCo
         guard = _pick_guard(wide, dim, target)
         window = dim + guard
         rho1 = wide[:window, :window]
+        window_leakage = _leakage(np.diag(rho1))
         need = _LIVE_COPIES * 8 * window**4
         free = _available_memory()
         if free is not None and need > free:
             note = f"memory: window {window} needs {need >> 20} MiB, {free >> 20} MiB available"
             return OracleComparison(
-                params, n_gaussian, math.nan, math.nan, _leakage(np.diag(rho1)), dim, "skip", note
+                params, n_gaussian, math.nan, math.nan, window_leakage, dim, "skip", note
             )
         weights = _thermal_weights(params.nbar, window)
-        leakages = [_leakage(np.diag(rho1)), _leakage(weights)]
+        leakages = [window_leakage, _leakage(weights)]
         if not any(leakage > cfg.tol_trace for leakage in leakages):
             sectors = _beam_splitter_sectors(params.theta, window)
             diagonal = _output_diagonal(rho1, weights, sectors)
