@@ -502,6 +502,45 @@ class TestParityClasses:
                 # scipy's complex expm: its real one is off by up to 4e-13 here.
                 assert np.abs(block - expm(generator + 0j)).max() < 1e-13
 
+    @pytest.mark.parametrize("theta", [math.pi / 8, math.pi / 4, 0.3, 1.2])
+    def test_complete_sectors_by_the_ladder_are_expm_of_the_generator(self, theta):
+        """Every complete sector of the largest window, dim 120 plus guard 24, from the recurrence."""
+        from scipy.linalg import expm
+
+        dim = fock._MAX_ESCALATION_DIM + fock._COMPARE_GUARDS[-1]
+        blocks = _beam_splitter_sectors(theta, dim, dim)
+        assert len(blocks) == dim
+        for total, block in enumerate(blocks):
+            n1 = np.arange(total + 1)
+            hop = theta * np.sqrt((n1[:-1] + 1.0) * (total - n1[:-1]))
+            generator = np.diag(hop, -1) - np.diag(hop, 1)
+            assert np.abs(block - expm(generator + 0j)).max() <= 1e-13, total
+            assert np.abs(block.T @ block - np.eye(total + 1)).max() <= 1e-13, total
+
+    @pytest.mark.parametrize("dim", [8, 12])
+    @pytest.mark.parametrize("nbar, live", [(0.0, 1), (1e-300, 2)])
+    def test_sectors_the_inputs_reach_build_the_same_bits(self, dim, nbar, live):
+        """Building only sectors t < dim + live - 1 changes no bit of the diagonal or of any box."""
+        p = ScenarioParams(0.2, 0.5, nbar, 0.7)
+        rho1, weights = fock_squeezed_thermal(p.spec(), dim), _thermal_weights(nbar, dim)
+        assert np.count_nonzero(weights) == live
+        full = _beam_splitter_sectors(p.theta, dim)
+        reached = _beam_splitter_sectors(p.theta, dim, dim + live - 1)
+        assert len(reached) == dim + live - 1 < len(full)
+        diagonal = _output_diagonal(rho1, weights, reached)
+        assert np.array_equal(diagonal, _output_diagonal(rho1, weights, full))
+        dense = dense_output(rho1, np.diag(weights), p.splitter())
+        assert np.abs(diagonal.ravel() - np.diag(dense)).max() < 1e-14
+        n1, n2 = np.divmod(np.arange(dim * dim), dim)
+        # Every box holds states of total w1 + w2 - 2 >= dim, past the complete sectors.
+        for w1, w2 in ((dim, dim), (dim, 3), (dim - 2, dim - 1), (5, dim)):
+            built = _output_classes(rho1, weights, reached, w1, w2)
+            for c, (mat, expected) in enumerate(zip(built, _output_classes(rho1, weights, full, w1, w2))):
+                assert np.array_equal(mat, expected), (w1, w2, c)
+                flat = _quadrant_order(w1, w2, c)
+                box = np.flatnonzero((n1 < w1) & (n2 < w2))[flat]
+                assert np.abs(mat - dense[np.ix_(box, box)]).max() < 1e-12, (w1, w2, c)
+
     @pytest.mark.parametrize("dim", [8, 9, 10, 11])
     @pytest.mark.parametrize("phases", [(0.0, 0.0), (0.7, 1.1)])
     def test_parity_blocks_match_dense_partial_transpose(self, dim, phases):
@@ -570,15 +609,33 @@ class TestParityClasses:
             assert np.abs(pt[np.ix_(flat, others)]).max(initial=0.0) < 1e-12
 
     def test_every_class_entry_is_written(self, monkeypatch):
-        """The class matrices are not zeroed: every box's build must write each of their entries."""
+        """The class matrices are not zeroed: every box's build must write each of their entries.
+
+        Also when only the sectors that inputs of nonzero weight reach are
+        built, and the box rows of the others are written as zeros.
+        """
         dim = 10
         rho1, weights = _random_inputs(np.random.default_rng(3), dim)
-        sectors = _beam_splitter_sectors(0.7, dim)
+        two_live = np.where(np.arange(dim) < 2, weights, 0.0)
+        builds = (
+            (weights, _beam_splitter_sectors(0.7, dim)),
+            (two_live, _beam_splitter_sectors(0.7, dim, dim + 1)),
+        )
         monkeypatch.setattr(np, "empty", lambda shape, dtype=float: np.full(shape, np.nan, dtype))
-        for w1 in range(dim + 1):
-            for w2 in range(dim + 1):
-                for c, mat in enumerate(_output_classes(rho1, weights, sectors, w1, w2)):
-                    assert not np.isnan(mat).any(), (w1, w2, c)
+        for inputs, sectors in builds:
+            for w1 in range(dim + 1):
+                for w2 in range(dim + 1):
+                    for c, mat in enumerate(_output_classes(rho1, inputs, sectors, w1, w2)):
+                        assert not np.isnan(mat).any(), (len(sectors), w1, w2, c)
+
+    def test_the_sector_cache_is_the_only_cache_and_starts_cold(self):
+        """A benchmark pass clears this cache to start cold; a second cache would stay warm."""
+        cached = [name for name, value in vars(fock).items() if hasattr(value, "cache_clear")]
+        assert cached == ["_beam_splitter_sectors"]
+        _beam_splitter_sectors(0.7, 6, 6)
+        assert _beam_splitter_sectors.cache_info().currsize > 0
+        _beam_splitter_sectors.cache_clear()
+        assert _beam_splitter_sectors.cache_info().currsize == 0
 
 
 class TestDeflation:
