@@ -25,16 +25,19 @@ on that twin (``compare_with_gaussian``): every stage runs in float64.
 The two-mode state is never held in the product basis.  The squeezed and
 thermal inputs couple only Fock numbers of equal parity, by construction,
 and the beam splitter conserves total photon number, so the output couples
-only states of equal total parity.  It is built as two class matrices,
-total number even and odd, straight from the squeezed state and the
-thermal weights.  Within a class the states run by parity quadrant
+only states of equal total parity: it splits into two classes, total
+number even and odd.  Within a class the states run by parity quadrant
 (n1 mod 2, n2 mod 2), then by (n1 // 2, n2 // 2) (``_quadrants``).  In that
 layout the partial transpose sends each block between two quadrants to
-exactly one such block, so it is written over the class matrices
-themselves, one slice at a time.  Each of its two class blocks is then
-deflated and diagonalized: the lightest states, as many as can go while
-the rows and columns they leave out provably move the trace norm by no
-more than a budget, are left out of the eigensolve (``_deflated``), and
+exactly one such block, so it splits into the same two classes: class q
+of it is made of the output's class q's diagonal blocks and its class
+1 - q's off-diagonal blocks.  One class at a time, the partial transpose
+is built straight from the squeezed state and the thermal weights
+(``_pt_class``), deflated and diagonalized, and freed before the other is
+built, so each class of the output is swept twice and one class matrix is
+alive at a time (``_pt_trace_norm``).  Deflation leaves out the lightest
+states, as many as can go while the rows and columns they leave out
+provably move the trace norm by no more than a budget (``_deflated``), and
 numpy diagonalizes a copy of the kept ones.  A left-out state moves the
 trace norm by at most twice the norm of its row.  The comparison takes
 that budget from ``tol_compare`` (``compare_with_gaussian``).  Part of it
@@ -44,8 +47,8 @@ the squared norm of every row of the partial transpose, and the lightest
 states by it fix the W1 x W2 sub-box of Fock numbers that is built
 (``_box``).  At the default, a W = 40 to 60 window builds an eleventh to
 all of its entries and keeps between a tenth and three quarters of its
-states, depending on the point.  The stage peaks at about 0.57 to 0.86 of
-a matrix of (W1 W2)^2 entries there, and at 0.77 to 0.80 of one of
+states, depending on the point.  The stage peaks at about 0.36 to 0.60 of
+a matrix of (W1 W2)^2 entries there, and at 0.57 to 0.65 of one of
 ``W^4`` when every state is kept (``_LIVE_COPIES``, rounded up).  A point
 whose window would not fit in the memory still available is skipped with
 the note "memory" instead of being allocated.
@@ -93,21 +96,22 @@ _COMPARE_GUARDS = (0, 8, 16, 24)
 # amplified tail error out of the reported negativity difference.
 _GUARD_SAFETY = 300.0
 # Peak of the two-mode stage of one oracle point, in float64 matrices of
-# W^4 entries, rounded up: the two parity class matrices of the W1 x W2 box
-# (half a matrix of (W1 W2)^2 entries), which the partial transpose
-# overwrites, the eigensolve's copy of the kept states of one class block
-# (at most a quarter of one), and temporaries of about W^3 entries.  The
-# box is never wider than the window, so the bound holds for every box.
-# With the default tol_compare the resident peak over the stage, cold
-# sector cache included, measured in matrices of (W1 W2)^2 entries 0.86
-# and 0.77 at W = 40 with boxes of 17 x 28 and 24 x 24, 0.57 to 0.68 at
-# W = 40 with boxes of 37 x 32 to the whole window, 0.58 at W = 56
-# (56 x 48) and 0.62 at W = 60 (60 x 26): 0.07 to 0.68 of a W^4 matrix.
-# With every state kept, as a budget of 0 may keep them, it measured 0.80
-# of W^4 at W = 40 and 0.77 at W = 56 and 60; tracemalloc, which does not
-# see the eigensolve's copy, 0.68 at W = 24 and 0.56 to 0.93 of a box
-# matrix at W = 40 to 60, the most for the smallest box, where temporaries
-# of W^3 entries weigh most.
+# W^4 entries, rounded up: one class matrix of the partial transpose of the
+# W1 x W2 box (a quarter of a matrix of (W1 W2)^2 entries), with either the
+# build's block temporary (at most a quarter of the class matrix) or the
+# eigensolve's copy of the class's kept states (at most the class matrix
+# again), and temporaries of about W^3 entries.  The box is never wider
+# than the window, so the bound holds for every box.  With the default
+# tol_compare the resident peak over the stage, cold sector cache
+# included, measured in matrices of (W1 W2)^2 entries 0.60 and 0.47 at
+# W = 40 with boxes of 17 x 28 and 24 x 24, 0.38 to 0.52 at W = 40 with
+# boxes of 37 x 32 to the whole window, 0.40 at W = 56 (56 x 48) and 0.36
+# at W = 60 (60 x 26): 0.05 to 0.52 of a W^4 matrix.  With every state
+# kept, as a budget of 0 may keep them, it measured 0.65 of W^4 at W = 40,
+# 0.57 at W = 56 and 60, and 0.85 at W = 24, where temporaries of W^3
+# entries weigh most, so the reckoning stays one matrix.  tracemalloc, which
+# does not see the eigensolve's copy, measured 0.47 at W = 24 and 0.34 to
+# 0.74 of a box matrix at W = 40 to 60, the most for the smallest box.
 _LIVE_COPIES = 1
 # Memory cgroup (limit, usage) files, v2 then v1 layout.
 _CGROUP_MEMORY_FILES = (
@@ -235,7 +239,17 @@ def _sector_block(hop: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=8)
-def _beam_splitter_sectors(theta: float, dim: int, count: int | None = None) -> tuple:
+def _beam_splitter_sectors(theta: float, dim: int) -> list:
+    """The sector blocks of the splitter at ``theta`` built so far for a window of ``dim``.
+
+    One growing list per (theta, dim), which ``_sectors`` extends to the
+    count a caller needs: a point whose inputs reach fewer sectors reuses
+    the front of a longer list, and one that reaches more extends it.
+    """
+    return []
+
+
+def _sectors(theta: float, dim: int, count: int | None = None) -> tuple:
     """Per-sector blocks of exp(theta (a1^ a2 - a1 a2^)), the splitter at phi = 0.
 
     The generator conserves total photon number, so it acts sector by
@@ -244,8 +258,9 @@ def _beam_splitter_sectors(theta: float, dim: int, count: int | None = None) -> 
     U^ a_i U = (M_B a)_i exactly within complete sectors (total number
     <= dim - 1).  Block ``t`` of the returned tuple acts on the states
     (n1, t - n1) of total ``t``, n1 ascending; only the first ``count``
-    sectors are built, all 2 dim - 1 by default.  The blocks are real,
-    shared by every caller and read-only.
+    sectors are returned, all 2 dim - 1 by default.  The blocks are real,
+    cached per (theta, dim) (``_beam_splitter_sectors``), shared by every
+    caller and read-only.
 
     A complete sector is the spin-t/2 rotation of its SU(2) (Campos, Saleh
     & Teich, PRA 40, 1371 (1989)) and is built from the one before it, with
@@ -262,9 +277,9 @@ def _beam_splitter_sectors(theta: float, dim: int, count: int | None = None) -> 
     ladder and is exponentiated through ``_sector_block``.
     """
     count = 2 * dim - 1 if count is None else count
+    blocks = _beam_splitter_sectors(theta, dim)
     c, s = math.cos(theta), math.sin(theta)
-    blocks = []
-    for total in range(count):
+    for total in range(len(blocks), count):
         if total == 0:
             block = np.ones((1, 1))
         elif total < dim:
@@ -283,7 +298,7 @@ def _beam_splitter_sectors(theta: float, dim: int, count: int | None = None) -> 
             block = _sector_block(theta * np.sqrt((n1[:-1] + 1.0) * (total - n1[:-1])))
         block.setflags(write=False)
         blocks.append(block)
-    return tuple(blocks)
+    return tuple(blocks[:count])
 
 
 def _live(weights: np.ndarray) -> int:
@@ -379,121 +394,160 @@ def _box(diagonal: np.ndarray, budget: float) -> tuple[int, int, float]:
     return w1, w2, 2.0 * float(np.sqrt(weight[outside]).sum())
 
 
-def _output_class(rho1: np.ndarray, weights: np.ndarray, blocks, c: int, w1: int, w2: int) -> np.ndarray:
-    """Class ``c`` of the w1 x w2 box of U (rho1 x diag(weights)) U^, in the quadrant layout.
+def _class_factor(rho1: np.ndarray, weights: np.ndarray, sectors, c: int, w1: int, w2: int) -> np.ndarray:
+    """weights[b] U[col, (t - b, b)] over the columns of class ``c`` of the w1 x w2 box, in row live - 1 - b.
 
-    U acts on the whole window of rho1, so the result is the principal
-    compression of the output to the box (see ``_quadrants``).  With
-    Y = (rho1 x diag(weights)) U^ on the box's columns, U conserves total
-    photon number, so Y[(a, b), (c1, c2)] = weights[b] rho1[a, t - b]
-    U[(c1, c2), (t - b, b)] with t = c1 + c2, and zero where t - b is not
-    a Fock number of the window.  One sector s at a time, the rows
-    (a, s - a) of Y are gathered from rho1 and the sector blocks, and the
-    box's rows of the sector, (n1, s - n1) with n1 < w1 and s - n1 < w2,
-    are U_s Y: one product per parity of n1, each written straight into
-    its evenly strided rows of the class matrix.  rho1 couples only Fock
-    numbers of equal parity, so Y, like the output, couples no two states
-    of different class.
-
-    The input states (a, b) past the last nonzero weight (``_live``) are
-    left out of Y, of its factor rows and of the products: every term they
-    add is an exact zero.  A sector s >= dim + live - 1 then has no input
-    left, and its box rows are written as zeros, so ``blocks`` need hold
-    only the sectors below it.
+    A column (c1, c2), in the class layout (``_quadrants``), lies in sector
+    t = c1 + c2, and its entry is 0 where t - b is not a Fock number of the
+    window of rho1.  The inputs b run up to the last nonzero weight
+    (``_live``), from the last down, so that the inputs (a, s - a) of a
+    sector, a ascending, take a contiguous run of rows.  A column of a
+    sector that ``sectors`` does not hold meets inputs outside the window
+    alone, and its factor is 0.
     """
     dim = rho1.shape[0]
-    live = _live(weights)
-    quads = _quadrants(w1, w2)
-    n1, n2 = _class_numbers(w1, w2, c)  # of the columns (c1, c2)
+    n1, n2 = _class_numbers(w1, w2, c)
     total = n1 + n2
-    sectors = blocks[c::2]
-    sizes = np.array([block.shape[0] for block in sectors])
+    blocks = sectors[c::2]
+    sizes = np.array([block.shape[0] for block in blocks])
     starts = np.cumsum(sizes**2) - sizes**2
     lo = np.maximum(0, total - dim + 1)
     # flat[base + a] is U[(c1, c2), (a, t - a)] for every column (c1, c2) of a built sector.
-    flat = np.concatenate([block.ravel() for block in sectors])
-    # A column of a sector past them meets inputs outside the window alone, and its factor is 0.
+    flat = np.concatenate([block.ravel() for block in blocks])
     sector = np.minimum(total // 2, sizes.size - 1)
     base = starts[sector] + (n1 - lo) * sizes[sector] - lo
-    # factor[b, col] is weights[b] U[col, (t - b, b)], or 0 where t - b is outside the window.
-    factor = np.empty((live, total.size))
-    for b in range(live):
-        a = total - b
-        inside = (a >= 0) & (a < dim)
-        np.multiply(flat.take(base + a, mode="clip"), inside * weights[b], out=factor[b])
-    totals = np.arange(c, 2 * dim - 1, 2)
-    # Every entry is written: each state of the box lies in exactly one sector,
-    # and every row of the box in that sector is computed or zeroed.
-    mat = np.empty((total.size, total.size))
-    for s in totals:
+    b = np.arange(_live(weights))[::-1, None]
+    a = total - b
+    inside = (a >= 0) & (a < dim)
+    return flat.take(base + a, mode="clip") * (inside * weights[b])
+
+
+def _output_rows(rho1: np.ndarray, factor: np.ndarray, sectors, c: int, w1: int, w2: int, out: dict) -> None:
+    """Write the rows of class ``c`` of the w1 x w2 box of U (rho1 x diag(weights)) U^.
+
+    ``factor`` is the class's ``_class_factor``.  ``out`` maps a parity p of
+    n1 to ``(dest, cols)``: the rows of quadrant (p, c ^ p), in the class
+    layout (``_quadrants``), cut to the slice ``cols`` of the class's
+    columns, are written over ``dest``.  U acts on the whole window of
+    rho1, so the rows are those of the principal compression of the output
+    to the box.  With Y = (rho1 x diag(weights)) U^ on the box's columns,
+    U conserves total photon number, so Y[(a, b), (c1, c2)] = weights[b]
+    rho1[a, t - b] U[(c1, c2), (t - b, b)] with t = c1 + c2, and zero where
+    t - b is not a Fock number of the window.  One sector s at a time, the
+    rows (a, s - a) of Y are made, and the box's rows of the sector,
+    (n1, s - n1) with n1 < w1 and s - n1 < w2, are U_s Y: one product per
+    parity of n1 over all of the class's columns, whatever ``cols`` keeps,
+    so that every entry has the same bits whichever block it is kept for.
+    The product goes to a buffer of its own, and its columns ``cols`` to
+    the evenly strided rows of ``dest``: a product written straight into
+    rows that far apart measured slower.  rho1 couples only Fock numbers of
+    equal parity, so Y, like the output, couples no two states of
+    different class.
+
+    rho1[a, t - s + a] depends on a column through its total t alone: the
+    diagonals of rho1, two apart, are laid out once in ``bands``, and a
+    quadrant's columns (i1, i2) read them through a Hankel view.  The input
+    states (a, b) past the last nonzero weight are left out of Y and of the
+    products: every term they add is an exact zero.  A sector
+    s >= dim + live - 1 then has no input left, and its box rows are
+    written as zeros, so ``sectors`` need hold only the sectors below it.
+    Every row of ``dest`` is written: each state of the box lies in exactly
+    one sector, and every row of the box in that sector is computed or
+    zeroed.
+    """
+    dim = rho1.shape[0]
+    live = factor.shape[0]
+    quads = _quadrants(w1, w2)
+    width = factor.shape[1]
+    # bands[a, m] is rho1[a, a + 2 (m - dim + 1)], clipped to the window: its
+    # entries that fall outside it meet a factor of 0.
+    a = np.arange(dim)[:, None]
+    bands = rho1[a, np.clip(a + 2 * (np.arange(2 * dim - 1) - dim + 1), 0, dim - 1)]
+    # Each column quadrant as (its columns, its extents, the first of its totals t // 2).
+    spans = []
+    for p1 in (0, 1):
+        col, k1, k2 = quads[p1, c ^ p1]
+        spans.append((slice(col, col + k1 * k2), k1, k2, (p1 + (c ^ p1)) // 2))
+    step_bytes = bands.strides[1]
+    # The rows of one parity of n1 in a sector, computed whole before they are cut.
+    spare = np.empty(((min(w1, w2) + 1) // 2, width))
+    for s in range(c, 2 * dim - 1, 2):
         first, last = max(0, s - dim + 1), min(s, dim - 1)
         top, bottom = max(first, s - w2 + 1), min(last, w1 - 1)  # the box's n1
         if top > bottom:
             continue
         start = max(first, s - live + 1)  # the first input (a, s - a) of nonzero weight
         if start <= last:
-            # Rows (a, s - a), a ascending: rho1[a, t - s + a] depends on the column through t alone.
-            a = np.arange(start, last + 1)[:, None]
-            y = rho1[a, np.clip(a + (totals - s), 0, dim - 1)].take(total // 2, axis=1)
-            y *= factor[s - last : s - start + 1][::-1]  # b = s - a
-            block = sectors[s // 2][:, start - first :]
-        for n1_first in (top, top + 1):
+            # y[a, col] = rho1[a, a + t - s] times the factor of b = s - a, inputs (a, s - a), a ascending.
+            y = np.empty((last + 1 - start, width))
+            for cols, k1, k2, delta in spans:
+                shape = (y.shape[0], k1, k2)
+                offset = start * bands.strides[0] + (delta + dim - 1 - (s - c) // 2) * step_bytes
+                strides = (bands.strides[0], step_bytes, step_bytes)
+                hankel = np.ndarray(shape, bands.dtype, bands, offset, strides)
+                np.copyto(y[:, cols].reshape(shape), hankel)
+            y *= factor[live - 1 - s + start : live - s + last]
+            block = sectors[s][:, start - first :]
+        for p, (dest, cols) in out.items():
+            n1_first = top + ((top ^ p) & 1)
             count = len(range(n1_first, bottom + 1, 2))
-            offset, _, h2 = quads[n1_first & 1, (s - n1_first) & 1]
-            row = offset + (n1_first // 2) * h2 + (s - n1_first) // 2
+            h2 = quads[p, c ^ p][2]
+            row = (n1_first // 2) * h2 + (s - n1_first) // 2
             step = max(h2 - 1, 1)  # n1 up by 2 and n2 down by 2
-            out = mat[row : row + step * count : step]
+            rows = dest[row : row + step * count : step]
             if start > last:
-                out[...] = 0.0
+                rows[...] = 0.0
             else:
-                np.matmul(block[n1_first - first : bottom - first + 1 : 2], y, out=out)
-    return mat
+                full = np.matmul(block[n1_first - first : bottom - first + 1 : 2], y, out=spare[:count])
+                rows[...] = full[:, cols]
 
 
-def _output_classes(rho1: np.ndarray, weights: np.ndarray, sectors, w1: int, w2: int) -> list:
-    """The two class matrices of the w1 x w2 box of U (rho1 x diag(weights)) U^, Hermitian averaged.
+def _pt_class(rho1: np.ndarray, factors, sectors, q: int, w1: int, w2: int) -> np.ndarray:
+    """Class ``q`` of the partial transpose of the w1 x w2 box of U (rho1 x diag(weights)) U^.
 
-    ``sectors`` are the splitter's blocks for the window of rho1
-    (``_beam_splitter_sectors``), and ``weights`` is the diagonal of the
-    second input.
-    """
-    mats = [_output_class(rho1, weights, sectors, c, w1, w2) for c in (0, 1)]
-    for mat in mats:
-        _hermitize(mat)
-    return mats
-
-
-def _partial_transpose(mats: list, w1: int, w2: int) -> None:
-    """Overwrite the class matrices of a w1 x w2 box with the class blocks of its partial transpose.
-
-    The partial transpose takes the block between quadrants (a1, a2) and
-    (b1, b2) from the state's block between (a1, b2) and (b1, a2), with the
-    axis swap (m1, n2, n1, m2) -> (m1, m2, n1, n2) of its 4-index view.  A
-    diagonal block is its own source and is transposed inside its buffer;
-    the off-diagonal blocks of the two classes are each other's source and
-    are swapped.  Either way one slice of fixed m1 moves at a time, so no
-    block-sized temporary exists.  Afterwards ``mats[q]`` holds class q of
-    the partial transpose, the states with m1 + m2 = q mod 2, in the same
-    layout.  The partial transpose of the box's compression is the box's
-    compression of the partial transpose.
+    The states (m1, m2) with m1 + m2 = q mod 2, in the layout of the
+    output's class q (``_quadrants``), before any Hermitian averaging;
+    ``factors`` are the two classes' ``_class_factor``.  The partial
+    transpose takes the block between quadrants (a1, a2) and (b1, b2) from
+    the output's block between (a1, b2) and (b1, a2), with the axis swap
+    (m1, n2, n1, m2) -> (m1, m2, n1, n2) of its 4-index view, one slice of
+    fixed m1 at a time.  Its off-diagonal blocks come from the output's
+    class 1 - q, in one sweep before anything else is written: one block
+    into a temporary, the other over the front of the class matrix, inside
+    its rows of quadrant 0, which is moved first, to the rows of quadrant
+    1.  Its diagonal blocks are the output's own, of class q: a second
+    sweep writes them in place, and each is transposed inside its buffer.
+    The class matrix and the temporary, a quarter of its size or less, are
+    the only arrays of their size.
     """
     quads = _quadrants(w1, w2)
-
-    def view(a, b):
-        (row, h1, h2), (col, k1, k2) = quads[a], quads[b]
-        block = mats[sum(a) % 2][row : row + h1 * h2, col : col + k1 * k2]
-        return block.reshape(h1, h2, k1, k2)  # a view: splitting axes never copies
-
-    for quad in quads:
-        block = view(quad, quad)
-        for i in range(block.shape[0]):
+    spans = [quads[p, q ^ p] for p in (0, 1)]  # (offset, h1, h2) of each quadrant of class q
+    other = [quads[p, 1 - q ^ p] for p in (0, 1)]  # and of class 1 - q
+    size = sum(h1 * h2 for _, h1, h2 in spans)
+    mat = np.empty((size, size))
+    (_, h1, h2), (_, k1, k2) = other
+    # The output's block between quadrants (p, 1 - q ^ p) and (1 - p, q ^ p).
+    sources = [np.empty(h1 * h2 * k1 * k2), mat.reshape(-1)[: h1 * h2 * k1 * k2]]
+    outs = {}
+    for p, (_, h1, h2) in enumerate(other):
+        col, k1, k2 = other[1 - p]
+        outs[p] = (sources[p].reshape(h1 * h2, k1 * k2), slice(col, col + k1 * k2))
+    _output_rows(rho1, factors[1 - q], sectors, 1 - q, w1, w2, outs)
+    for p in (1, 0):
+        (row, h1, h2), (col, k1, k2) = spans[p], spans[1 - p]
+        target = mat[row : row + h1 * h2, col : col + k1 * k2].reshape(h1, h2, k1, k2)  # a view
+        source = sources[p].reshape(h1, k2, k1, h2)
+        for i in range(h1):
+            target[i] = source[i].transpose(2, 1, 0)
+    diagonal = {}
+    for p, (row, h1, h2) in enumerate(spans):
+        diagonal[p] = (mat[row : row + h1 * h2, row : row + h1 * h2], slice(row, row + h1 * h2))
+    _output_rows(rho1, factors[q], sectors, q, w1, w2, diagonal)
+    for p, (_, h1, h2) in enumerate(spans):
+        block = diagonal[p][0].reshape(h1, h2, h1, h2)
+        for i in range(h1):
             block[i] = block[i].transpose(2, 1, 0).copy()
-    for p in (0, 1):
-        x, y = view((p, p), (1 - p, 1 - p)), view((p, 1 - p), (1 - p, p))
-        for i in range(x.shape[0]):
-            keep = x[i].copy()
-            x[i] = y[i].transpose(2, 1, 0)
-            y[i] = keep.transpose(2, 1, 0)
+    return mat
 
 
 def _deflated(block: np.ndarray, budget: float) -> tuple[np.ndarray, np.ndarray, float]:
@@ -511,9 +565,10 @@ def _deflated(block: np.ndarray, budget: float) -> tuple[np.ndarray, np.ndarray,
     largest number of the lightest rows whose bound stays within
     ``budget`` is dropped; a budget of 0 drops only the rows that are zero.
     The kept k x k submatrix, states in ascending order, is written over
-    the front of the block's own buffer, one row at a time: row j of the
-    destination ends before source row keep[j + 1] starts, so no row is
-    overwritten before it is read.  Returns that C-ordered front view (of
+    the front of the block's own buffer, ``_TILE`` rows at a time, each run
+    gathered whole before it is written: row j of the destination ends
+    before source row keep[j + 1] starts, so no row is overwritten before
+    it is read.  Returns that C-ordered front view (of
     the whole block when every state is kept, empty when none is), the kept
     states and the bound on ||E||_1.  The eigensolve copies what it is
     given, so compacting in place keeps that to one k x k copy where
@@ -530,28 +585,36 @@ def _deflated(block: np.ndarray, budget: float) -> tuple[np.ndarray, np.ndarray,
     bound = float(bounds[s - 1]) if s else 0.0
     k = keep.size
     front = block.reshape(-1)[: k * k].reshape(k, k)
-    for j, row in enumerate(keep):
-        front[j] = block[row, keep]
+    for j in range(0, k, _TILE):
+        front[j : j + _TILE] = block[keep[j : j + _TILE, None], keep]
     return front, keep, bound
 
 
-def _pt_trace_norm(mats: list, w1: int, w2: int, budget: float) -> float:
-    """Sum of |eigenvalues| of the partial transpose of a w1 x w2 box given as class matrices.
+def _pt_trace_norm(rho1: np.ndarray, weights: np.ndarray, sectors, w1: int, w2: int, budget: float) -> float:
+    """Sum of |eigenvalues| of the partial transpose of the w1 x w2 box of U (rho1 x diag(weights)) U^.
 
     The partial transpose couples (m1, m2) with (n1, n2) only where the
     state couples (m1, n2) with (n1, m2), so it splits into the same
-    classes by m1 + m2.  It is written over the class matrices, which are
-    consumed.  Each block is deflated (``_deflated``), the first with half
-    of ``budget`` and the second with what the first left, so the dropped
-    states move the trace norm by at most ``budget`` in all; then numpy's
-    ``eigvalsh`` diagonalizes a copy of the kept states.
+    classes by m1 + m2.  One class at a time, it is built (``_pt_class``),
+    checked and averaged to exactly Hermitian (``_hermitize``), deflated
+    (``_deflated``), and numpy's ``eigvalsh`` diagonalizes a copy of the
+    kept states; the class is freed before the next is built.  The
+    partial transpose sends each mirrored pair of entries of the output to
+    a mirrored pair, so the check and the averaging see the same pairs,
+    and give the same bits, as they would on the output.  The first class
+    is deflated with half of ``budget`` and the second with what the first
+    left, so the dropped states move the trace norm by at most ``budget``
+    in all.
     """
-    _partial_transpose(mats, w1, w2)
+    factors = [_class_factor(rho1, weights, sectors, c, w1, w2) for c in (0, 1)]
     norm = 0.0
-    for share, block in zip((0.5, 1.0), mats):
+    for q, share in ((0, 0.5), (1, 1.0)):
+        block = _pt_class(rho1, factors, sectors, q, w1, w2)
+        _hermitize(block)
         block, _, bound = _deflated(block, share * budget)
         budget -= bound
         norm += float(np.abs(np.linalg.eigvalsh(block)).sum())
+        del block  # class q is freed before class 1 - q is built
     return norm
 
 
@@ -669,7 +732,7 @@ def compare_with_gaussian(params: ScenarioParams, cfg: OracleConfig) -> OracleCo
         if not any(leakage > cfg.tol_trace for leakage in leakages):
             # Input (a, b) lies in sector a + b, so no input of nonzero weight reaches t >= window + live - 1.
             count = min(2 * window - 1, window + _live(weights) - 1)
-            sectors = _beam_splitter_sectors(params.theta, window, count)
+            sectors = _sectors(params.theta, window, count)
             diagonal = _output_diagonal(rho1, weights, sectors)
             leakages.append(_leakage(diagonal))
         over = [leakage for leakage in leakages if leakage > cfg.tol_trace]
@@ -677,8 +740,7 @@ def compare_with_gaussian(params: ScenarioParams, cfg: OracleConfig) -> OracleCo
             last_leakage = over[0]
             continue
         w1, w2, outside = _box(diagonal, target)
-        mats = _output_classes(rho1, weights, sectors, w1, w2)
-        n_fock = math.log2(max(_pt_trace_norm(mats, w1, w2, target - outside), 1.0))
+        n_fock = math.log2(max(_pt_trace_norm(rho1, weights, sectors, w1, w2, target - outside), 1.0))
         diff = abs(n_gaussian - n_fock)
         status = "pass" if diff <= cfg.tol_compare else "fail"
         note = f"guard={guard}" if guard else ""

@@ -12,7 +12,7 @@ from gaussbs.entanglement import (
     critical_noise,
     negativity_closed_form,
 )
-from gaussbs.fock import _beam_splitter_sectors, _thermal_weights
+from gaussbs.fock import _sectors, _thermal_weights
 from gaussbs.states import BeamSplitter, CovMat1
 
 
@@ -41,7 +41,7 @@ def _beam_splitter_unitary(theta: float, phi: float, dim: int) -> np.ndarray:
 
     The phase is the rotation R_1(phi) U(theta, 0) R_1(phi)^, R_1(phi) = e^{i phi n1}.
     """
-    blocks = _beam_splitter_sectors(theta, dim)
+    blocks = _sectors(theta, dim)
     n1, n2 = np.divmod(np.arange(dim * dim), dim)
     order = np.lexsort((n1, n1 + n2))  # flat indices in sector order
     u = np.zeros((dim * dim, dim * dim))

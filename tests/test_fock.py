@@ -17,6 +17,8 @@ from conftest import (
     partial_transpose,
     thermal,
 )
+import fock_reference
+from fock_reference import _output_classes, _partial_transpose
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -24,17 +26,19 @@ from gaussbs import fock
 from gaussbs.entanglement import ScenarioParams, critical_noise, negativity_closed_form
 from gaussbs.fock import OracleConfig, compare_with_gaussian, fock_squeezed_thermal
 from gaussbs.fock import (
+    _HERMITICITY_TOL,
     _beam_splitter_sectors,
     _box,
+    _class_factor,
     _class_numbers,
     _deflated,
     _hermitize,
     _leakage,
     _lightest,
-    _output_classes,
     _output_diagonal,
-    _partial_transpose,
+    _pt_class,
     _pt_trace_norm,
+    _sectors,
     _thermal_weights,
 )
 from gaussbs.states import (
@@ -48,15 +52,24 @@ CFG = OracleConfig(dim=30, tol_trace=1e-6)
 
 
 def _full_classes(rho1, weights, theta) -> list:
-    """The class matrices of U (rho1 x diag p) U^ over the whole window of rho1."""
+    """The reference's class matrices of U (rho1 x diag p) U^ over the whole window of rho1."""
     dim = rho1.shape[0]
-    return _output_classes(rho1, weights, _beam_splitter_sectors(theta, dim), dim, dim)
+    return _output_classes(rho1, weights, _sectors(theta, dim), dim, dim)
+
+
+def _pt_classes(rho1, weights, sectors, w1, w2) -> list:
+    """The engine's two classes of the partial transpose of the w1 x w2 box, Hermitian averaged."""
+    factors = [_class_factor(rho1, weights, sectors, c, w1, w2) for c in (0, 1)]
+    classes = [_pt_class(rho1, factors, sectors, q, w1, w2) for q in (0, 1)]
+    for block in classes:
+        _hermitize(block)
+    return classes
 
 
 def _oracle_log_negativity(rho1, weights, theta) -> float:
     """The oracle's unclamped log2 trace norm of the partial transpose of U (rho1 x diag p) U^."""
     dim = rho1.shape[0]
-    return math.log2(_pt_trace_norm(_full_classes(rho1, weights, theta), dim, dim, 0.0))
+    return math.log2(_pt_trace_norm(rho1, weights, _sectors(theta, dim), dim, dim, 0.0))
 
 
 def _quadrant_order(w1: int, w2: int, c: int) -> np.ndarray:
@@ -327,7 +340,7 @@ class TestPartialTransposeAndNegativity:
         rho1, weights = _random_inputs(np.random.default_rng(5), 8)
         rho1[0, 2] += 0.5
         with pytest.raises(DomainError, match="Hermitian"):
-            _full_classes(rho1, weights, 0.7)
+            _pt_trace_norm(rho1, weights, _sectors(0.7, 8), 8, 8, 0.0)
 
 
 class TestComparisonHarness:
@@ -369,7 +382,7 @@ class TestComparisonHarness:
         # A budget this wide drops every state, and N_fock clamps the empty trace norm to 0.
         p = ScenarioParams(0.2, 1.0, 0.0, math.pi / 4)
         rho1, weights = fock_squeezed_thermal(p.spec(), 24), _thermal_weights(p.nbar, 24)
-        diagonal = _output_diagonal(rho1, weights, _beam_splitter_sectors(p.theta, 24))
+        diagonal = _output_diagonal(rho1, weights, _sectors(p.theta, 24))
         assert _box(diagonal, 1e3)[:2] == (0, 0)
         for tol_compare in (1e4, 1e6):
             res = compare_with_gaussian(p, OracleConfig(dim=24, tol_trace=1e-6, tol_compare=tol_compare))
@@ -420,12 +433,14 @@ class TestDtypeFollowsPhases:
     def test_two_mode_dtype(self, monkeypatch):
         seen = []
 
-        def recorded(rho1, *args):
-            mats = _output_classes(rho1, *args)
-            seen.append((rho1.dtype, [mat.dtype for mat in mats]))
-            return mats
+        def recorded(rho1, factors, sectors, q, w1, w2):
+            mat = _pt_class(rho1, factors, sectors, q, w1, w2)
+            if q == 0:
+                seen.append((rho1.dtype, []))
+            seen[-1][1].append(mat.dtype)
+            return mat
 
-        monkeypatch.setattr(fock, "_output_classes", recorded)
+        monkeypatch.setattr(fock, "_pt_class", recorded)
         for phases in self.ROTATIONS:
             res = compare_with_gaussian(ScenarioParams(0.2, 0.9, 0.3, math.pi / 4, *phases), CFG)
             assert res.status == "pass" and res.params.phi == phases[0]
@@ -484,9 +499,10 @@ class TestUnrotatedOutput:
         expected = dense_pt_trace_norm(0.5 * (out + out.conj().T))
 
         twin = fock_squeezed_thermal(GaussianSpec(p.tau, p.u), dim)
-        mats = _full_classes(twin, _thermal_weights(p.nbar, dim), p.theta)
+        weights, sectors = _thermal_weights(p.nbar, dim), _sectors(p.theta, dim)
+        mats = _pt_classes(twin, weights, sectors, dim, dim)
         assert [mat.dtype for mat in mats] == [np.float64, np.float64]
-        assert _pt_trace_norm(mats, dim, dim, 0.0) == pytest.approx(expected, abs=1e-12)
+        assert _pt_trace_norm(twin, weights, sectors, dim, dim, 0.0) == pytest.approx(expected, abs=1e-12)
 
 
 class TestParityClasses:
@@ -495,7 +511,7 @@ class TestParityClasses:
         from scipy.linalg import expm
 
         for theta in (0.3, math.pi / 4, 1.2):
-            for total, block in enumerate(_beam_splitter_sectors(theta, dim)):
+            for total, block in enumerate(_sectors(theta, dim)):
                 n1 = np.arange(max(0, total - dim + 1), min(total, dim - 1) + 1)
                 hop = theta * np.sqrt((n1[:-1] + 1.0) * (total - n1[:-1]))
                 generator = np.diag(hop, -1) - np.diag(hop, 1)
@@ -508,7 +524,7 @@ class TestParityClasses:
         from scipy.linalg import expm
 
         dim = fock._MAX_ESCALATION_DIM + fock._COMPARE_GUARDS[-1]
-        blocks = _beam_splitter_sectors(theta, dim, dim)
+        blocks = _sectors(theta, dim, dim)
         assert len(blocks) == dim
         for total, block in enumerate(blocks):
             n1 = np.arange(total + 1)
@@ -524,8 +540,9 @@ class TestParityClasses:
         p = ScenarioParams(0.2, 0.5, nbar, 0.7)
         rho1, weights = fock_squeezed_thermal(p.spec(), dim), _thermal_weights(nbar, dim)
         assert np.count_nonzero(weights) == live
-        full = _beam_splitter_sectors(p.theta, dim)
-        reached = _beam_splitter_sectors(p.theta, dim, dim + live - 1)
+        _beam_splitter_sectors.cache_clear()
+        reached = _sectors(p.theta, dim, dim + live - 1)
+        full = _sectors(p.theta, dim)
         assert len(reached) == dim + live - 1 < len(full)
         diagonal = _output_diagonal(rho1, weights, reached)
         assert np.array_equal(diagonal, _output_diagonal(rho1, weights, full))
@@ -540,6 +557,10 @@ class TestParityClasses:
                 flat = _quadrant_order(w1, w2, c)
                 box = np.flatnonzero((n1 < w1) & (n2 < w2))[flat]
                 assert np.abs(mat - dense[np.ix_(box, box)]).max() < 1e-12, (w1, w2, c)
+            # The engine's classes of the partial transpose, from the same sectors.
+            built = _pt_classes(rho1, weights, reached, w1, w2)
+            for mat, expected in zip(built, _pt_classes(rho1, weights, full, w1, w2)):
+                assert np.array_equal(mat, expected), (w1, w2)
 
     @pytest.mark.parametrize("dim", [8, 9, 10, 11])
     @pytest.mark.parametrize("phases", [(0.0, 0.0), (0.7, 1.1)])
@@ -549,10 +570,11 @@ class TestParityClasses:
         dense = dense_output(_expm_squeezed_thermal(p.spec(), dim), np.diag(weights), p.splitter())
         expected = dense_pt_trace_norm(dense)
         twin = fock_squeezed_thermal(GaussianSpec(p.tau, p.u), dim)
-        mats = _full_classes(twin, weights, p.theta)
+        sectors = _sectors(p.theta, dim)
+        mats = _pt_classes(twin, weights, sectors, dim, dim)
         assert len(mats) == 2
         assert mats[0].dtype == np.float64
-        assert _pt_trace_norm(mats, dim, dim, 0.0) == pytest.approx(expected, abs=1e-12)
+        assert _pt_trace_norm(twin, weights, sectors, dim, dim, 0.0) == pytest.approx(expected, abs=1e-12)
 
     @pytest.mark.parametrize("dim", [8, 9, 10, 11])
     def test_partial_transpose_blocks_match_dense(self, dim):
@@ -562,8 +584,7 @@ class TestParityClasses:
         rho1, weights = _random_inputs(rng, dim)
         pt = partial_transpose(dense_output(rho1, np.diag(weights), BeamSplitter(0.7)))
         assert np.abs(pt[np.ix_(flats[0], flats[1])]).max() < 1e-12
-        mats = _full_classes(rho1, weights, 0.7)
-        _partial_transpose(mats, dim, dim)
+        mats = _pt_classes(rho1, weights, _sectors(0.7, dim), dim, dim)
         for flat, got in zip(flats, mats):
             expected = pt[np.ix_(flat, flat)]
             assert got.dtype == expected.dtype == np.float64
@@ -578,8 +599,10 @@ class TestParityClasses:
         for point in ((0.2, 0.8, 0.3, math.pi / 5), (0.3, 0.5, 1.0, math.pi / 8), (0.0, 1.0, 0.0, 0.4)):
             p = ScenarioParams(*point)
             rho1, weights = fock_squeezed_thermal(p.spec(), dim), _thermal_weights(p.nbar, dim)
-            diagonal = _output_diagonal(rho1, weights, _beam_splitter_sectors(p.theta, dim))
-            mats = _full_classes(rho1, weights, p.theta)
+            sectors = _sectors(p.theta, dim)
+            diagonal = _output_diagonal(rho1, weights, sectors)
+            # The partial transpose keeps the diagonal: entry (m, m) is the output's own.
+            mats = _pt_classes(rho1, weights, sectors, dim, dim)
             built = np.zeros((dim, dim))
             for c, mat in enumerate(mats):
                 built[_class_numbers(dim, dim, c)] = np.diag(mat)
@@ -597,11 +620,14 @@ class TestParityClasses:
         box = np.flatnonzero((n1 < w1) & (n2 < w2))
         compressed = dense[np.ix_(box, box)]
         pt = partial_transpose(compressed, (w1, w2))
-        mats = _output_classes(rho1, weights, _beam_splitter_sectors(0.7, dim), w1, w2)
+        sectors = _sectors(0.7, dim)
+        mats = _output_classes(rho1, weights, sectors, w1, w2)
         for c, mat in enumerate(mats):
             flat = _quadrant_order(w1, w2, c)
             assert np.abs(mat - compressed[np.ix_(flat, flat)]).max() < 1e-12
         _partial_transpose(mats, w1, w2)
+        for got, engine in zip(mats, _pt_classes(rho1, weights, sectors, w1, w2)):
+            assert np.array_equal(engine, got)
         for q, got in enumerate(mats):
             flat = _quadrant_order(w1, w2, q)
             assert np.abs(got - pt[np.ix_(flat, flat)]).max() < 1e-12
@@ -618,8 +644,8 @@ class TestParityClasses:
         rho1, weights = _random_inputs(np.random.default_rng(3), dim)
         two_live = np.where(np.arange(dim) < 2, weights, 0.0)
         builds = (
-            (weights, _beam_splitter_sectors(0.7, dim)),
-            (two_live, _beam_splitter_sectors(0.7, dim, dim + 1)),
+            (weights, _sectors(0.7, dim)),
+            (two_live, _sectors(0.7, dim, dim + 1)),
         )
         monkeypatch.setattr(np, "empty", lambda shape, dtype=float: np.full(shape, np.nan, dtype))
         for inputs, sectors in builds:
@@ -632,10 +658,115 @@ class TestParityClasses:
         """A benchmark pass clears this cache to start cold; a second cache would stay warm."""
         cached = [name for name, value in vars(fock).items() if hasattr(value, "cache_clear")]
         assert cached == ["_beam_splitter_sectors"]
-        _beam_splitter_sectors(0.7, 6, 6)
+        _sectors(0.7, 6, 6)
         assert _beam_splitter_sectors.cache_info().currsize > 0
         _beam_splitter_sectors.cache_clear()
         assert _beam_splitter_sectors.cache_info().currsize == 0
+
+
+class TestPerClassBuild:
+    """Each class of the partial transpose is built on its own, with the two-class route's bits."""
+
+    @staticmethod
+    def _inputs(kind: str, dim: int):
+        """rho1, weights and the sectors they reach: random, thermal or vacuum second input."""
+        if kind == "random":
+            rho1, weights = _random_inputs(np.random.default_rng(dim), dim)
+            return rho1, weights, _sectors(0.7, dim)
+        p = ScenarioParams(0.25, 0.6, 0.0 if kind == "vacuum" else 0.8, math.pi / 5)
+        rho1, weights = fock_squeezed_thermal(p.spec(), dim), _thermal_weights(p.nbar, dim)
+        count = min(2 * dim - 1, dim + np.count_nonzero(weights) - 1)
+        return rho1, weights, _sectors(p.theta, dim, count)
+
+    @pytest.mark.parametrize("kind", ["random", "thermal", "vacuum"])
+    @pytest.mark.parametrize("dim", [10, 11])
+    @pytest.mark.parametrize(
+        "w1, w2", [(None, None), (7, 7), (6, 9), (9, 4), (7, 5), (5, 8), (1, 6), (6, 1), (1, 1), (0, 3)]
+    )
+    def test_bit_for_bit_the_two_class_reference(self, kind, dim, w1, w2):
+        """Every entry of both classes, and the trace norm, equal the reference's to the bit."""
+        rho1, weights, sectors = self._inputs(kind, dim)
+        w1, w2 = (dim, dim) if w1 is None else (w1, w2)
+        expected = _output_classes(rho1, weights, sectors, w1, w2)
+        _partial_transpose(expected, w1, w2)
+        got = _pt_classes(rho1, weights, sectors, w1, w2)
+        for q in (0, 1):
+            assert got[q].shape == expected[q].shape
+            # Equal bits: a view as integers tells -0.0 from 0.0.
+            assert np.array_equal(got[q].view(np.int64), expected[q].view(np.int64)), (q, w1, w2)
+        budget = 1e-6 if kind == "random" else 1e-5
+        expected = _output_classes(rho1, weights, sectors, w1, w2)
+        norm = fock_reference._pt_trace_norm(expected, w1, w2, budget)
+        assert _pt_trace_norm(rho1, weights, sectors, w1, w2, budget) == norm
+
+    def test_every_class_entry_is_written(self, monkeypatch):
+        """The class matrix and its temporaries start as NaN: every box's build writes each entry.
+
+        Also when only the sectors that inputs of nonzero weight reach are
+        built, and the box rows of the others are written as zeros.
+        """
+        dim = 10
+        rho1, weights = _random_inputs(np.random.default_rng(3), dim)
+        two_live = np.where(np.arange(dim) < 2, weights, 0.0)
+        builds = ((weights, _sectors(0.7, dim)), (two_live, _sectors(0.7, dim, dim + 1)))
+        monkeypatch.setattr(np, "empty", lambda shape, dtype=float: np.full(shape, np.nan, dtype))
+        for inputs, sectors in builds:
+            for w1 in range(dim + 1):
+                for w2 in range(dim + 1):
+                    factors = [_class_factor(rho1, inputs, sectors, c, w1, w2) for c in (0, 1)]
+                    for q in (0, 1):
+                        mat = _pt_class(rho1, factors, sectors, q, w1, w2)
+                        assert not np.isnan(mat).any(), (len(sectors), w1, w2, q)
+
+    @pytest.mark.parametrize("w1, w2", [(5, 4), (4, 5), (5, 5)])
+    def test_an_asymmetry_in_any_block_is_rejected(self, w1, w2, monkeypatch):
+        """A defect planted in any entry of any block a class is made of fails the Hermitian check.
+
+        Class q is made of the output's class q's two diagonal blocks and
+        its class 1 - q's two off-diagonal blocks, each written by one call
+        of ``_output_rows`` for one parity of n1.  Each entry of each of
+        them, but those on the diagonal of the partial transpose, is moved
+        by 2 ``_HERMITICITY_TOL`` in turn: ``_pt_trace_norm`` must refuse
+        every one.  A move of half the tolerance passes.
+        """
+        rho1, weights = _random_inputs(np.random.default_rng(w1 * w2), 7)
+        sectors = _sectors(0.7, 7)
+        write = fock._output_rows
+        calls = []
+
+        def planted(rho1, factor, sectors, c, w1, w2, out):
+            write(rho1, factor, sectors, c, w1, w2, out)
+            calls.append((c, sorted(out)))
+            if len(calls) - 1 == target[0] and target[1] in out:
+                dest = out[target[1]][0]
+                dest.flat[target[2]] += target[3]
+
+        monkeypatch.setattr(fock, "_output_rows", planted)
+        target = [-1, 0, 0, 0.0]
+        _pt_trace_norm(rho1, weights, sectors, w1, w2, 0.0)
+        # Pass q sweeps class 1 - q for the off-diagonal blocks, then class q for the diagonal ones.
+        assert calls == [(1, [0, 1]), (0, [0, 1]), (0, [0, 1]), (1, [0, 1])]
+        kinds = 0
+        for call, (c, parities) in enumerate(calls):
+            for p in parities:
+                # The rows and columns of the block, in the output's class c.
+                quads = fock._quadrants(w1, w2)
+                _, h1, h2 = quads[p, c ^ p]
+                diagonal = call % 2 == 1
+                _, k1, k2 = quads[p, c ^ p] if diagonal else quads[1 - p, c ^ 1 ^ p]
+                rows, cols = h1 * h2, k1 * k2
+                kinds += 1
+                for entry in range(rows * cols):
+                    if diagonal and entry // cols == entry % cols:
+                        continue  # a diagonal entry of the partial transpose is its own mirror
+                    target[:] = call, p, entry, 2 * _HERMITICITY_TOL
+                    calls.clear()
+                    with pytest.raises(DomainError, match="Hermitian"):
+                        _pt_trace_norm(rho1, weights, sectors, w1, w2, 0.0)
+                target[:] = call, p, rows * cols // 2, 0.5 * _HERMITICITY_TOL
+                calls.clear()
+                _pt_trace_norm(rho1, weights, sectors, w1, w2, 0.0)
+        assert kinds == 8
 
 
 class TestDeflation:
@@ -676,12 +807,13 @@ class TestDeflation:
         p = ScenarioParams(*point)
         rho1, weights = fock_squeezed_thermal(p.spec(), 40), _thermal_weights(p.nbar, 40)
         # At budget 0 the box is the whole window, even where a marginal is exactly 0.
-        diagonal = _output_diagonal(rho1, weights, _beam_splitter_sectors(p.theta, 40))
+        sectors = _sectors(p.theta, 40)
+        diagonal = _output_diagonal(rho1, weights, sectors)
         assert _box(diagonal, 0.0) == (40, 40, 0.0)
         mats = _full_classes(rho1, weights, p.theta)
         dense = self._dense_pt_norm(mats, 40)
         seen = self._record_kept(monkeypatch)
-        assert _pt_trace_norm(mats, 40, 40, 0.0) == pytest.approx(dense, abs=1e-12)
+        assert _pt_trace_norm(rho1, weights, sectors, 40, 40, 0.0) == pytest.approx(dense, abs=1e-12)
         assert seen == kept
 
     def test_budget_follows_tol_compare(self, monkeypatch):
@@ -692,13 +824,6 @@ class TestDeflation:
         """
         p = ScenarioParams(0.3, 1.0, 0.0, math.pi / 4)
         dense = []
-
-        def built(rho1, weights, sectors, w1, w2):
-            dim = rho1.shape[0]
-            full = _output_classes(rho1, weights, sectors, dim, dim)
-            dense.append(math.log2(self._dense_pt_norm(full, dim)))
-            return _output_classes(rho1, weights, sectors, w1, w2)
-
         budgets = []
 
         def boxed(diagonal, budget):
@@ -706,11 +831,14 @@ class TestDeflation:
             budgets.append((budget, outside))
             return w1, w2, outside
 
-        def split(mats, w1, w2, budget):
+        def split(rho1, weights, sectors, w1, w2, budget):
+            dim = rho1.shape[0]
+            full = _output_classes(rho1, weights, sectors, dim, dim)
+            dense.append(math.log2(self._dense_pt_norm(full, dim)))
+            del full
             budgets.append(budget)
-            return _pt_trace_norm(mats, w1, w2, budget)
+            return _pt_trace_norm(rho1, weights, sectors, w1, w2, budget)
 
-        monkeypatch.setattr(fock, "_output_classes", built)
         monkeypatch.setattr(fock, "_box", boxed)
         monkeypatch.setattr(fock, "_pt_trace_norm", split)
         kept = self._record_kept(monkeypatch)
@@ -828,7 +956,7 @@ class TestDeflation:
         budget = mantissa * 10.0**exponent
         p = ScenarioParams(*point)
         rho1, weights = fock_squeezed_thermal(p.spec(), dim), _thermal_weights(p.nbar, dim)
-        sectors = _beam_splitter_sectors(p.theta, dim)
+        sectors = _sectors(p.theta, dim)
         diagonal = _output_diagonal(rho1, weights, sectors)
         full = _output_classes(rho1, weights, sectors, dim, dim)
         _partial_transpose(full, dim, dim)
@@ -851,9 +979,8 @@ class TestDeflation:
             shares.append(share)
             return front, keep, bound
 
-        mats = _output_classes(rho1, weights, sectors, w1, w2)
         with mock.patch.object(fock, "_deflated", recorded):
-            _pt_trace_norm(mats, w1, w2, budget - outside)
+            _pt_trace_norm(rho1, weights, sectors, w1, w2, budget - outside)
         assert shares[0] == 0.5 * (budget - outside)
         exact = 0.0
         for q, (block, keep) in enumerate(zip(full, keeps)):
@@ -874,11 +1001,11 @@ class TestMemoryPrecheck:
         """Peak bytes traced over the two-mode stage, cold sector cache included.
 
         The stage runs as in ``compare_with_gaussian`` at the default
-        tol_compare: the output's diagonal, the box, its class matrices and
-        the partial-transpose eigensolve.  tracemalloc does not see LAPACK
-        scratch, nor the copy of the kept states that ``np.linalg.eigvalsh``
-        diagonalizes: the resident peak of the stage is higher (see
-        ``fock._LIVE_COPIES``).
+        tol_compare: the output's diagonal, the box, and one class of the
+        partial transpose at a time, built and diagonalized.  tracemalloc
+        does not see LAPACK scratch, nor the copy of the kept states that
+        ``np.linalg.eigvalsh`` diagonalizes: the resident peak of the stage
+        is higher (see ``fock._LIVE_COPIES``).
         Returns the peak, the box (w1, w2) and the (kept, total) states of
         each deflated block.
         """
@@ -895,17 +1022,16 @@ class TestMemoryPrecheck:
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            sectors = _beam_splitter_sectors(theta, rho1.shape[0])
+            sectors = _sectors(theta, rho1.shape[0])
             w1, w2, outside = _box(_output_diagonal(rho1, weights, sectors), target)
-            mats = _output_classes(rho1, weights, sectors, w1, w2)
-            _pt_trace_norm(mats, w1, w2, target - outside)
+            _pt_trace_norm(rho1, weights, sectors, w1, w2, target - outside)
             return tracemalloc.get_traced_memory()[1] - base, (w1, w2), deflations
         finally:
             tracemalloc.stop()
 
     def test_two_mode_stage_peak(self, monkeypatch):
         p = ScenarioParams(0.2, 0.8, 0.3, math.pi / 5)
-        for dim, copies in ((24, fock._LIVE_COPIES), (40, 0.65)):
+        for dim, copies in ((24, 0.55), (40, 0.2)):
             rho1 = fock_squeezed_thermal(p.spec(), dim)
             weights = _thermal_weights(p.nbar, dim)
             peak, _, deflations = self._stage_peak(rho1, weights, p.theta, monkeypatch)
@@ -913,27 +1039,33 @@ class TestMemoryPrecheck:
         # At W = 40 the traced peak covers the compaction of both class blocks.
         assert all(kept < total for kept, total in deflations), deflations
         # The class matrices of the box hold at most a fifth of the window's
-        # entries, and the stage peaks with them.  The bound is 0.8 of a
-        # matrix of a 27 x 26 box, the box that 2 sqrt(s sum ||row||^2)
-        # leaves here: the per-row bound leaves a smaller one, of which
-        # temporaries of about W^3 entries are a larger share.
+        # entries, and the stage peaks with one of them, a quarter of a box
+        # matrix, and a block temporary of a quarter of that.  The bound is
+        # 0.42 of a matrix of a 27 x 26 box, the box that
+        # 2 sqrt(s sum ||row||^2) leaves here: the per-row bound leaves a
+        # smaller one, of which temporaries of about W^3 entries are a
+        # larger share.
         p = ScenarioParams(0.3, 1.0, 0.0, math.pi / 4)
         rho1, weights = fock_squeezed_thermal(p.spec(), 40), _thermal_weights(p.nbar, 40)
         peak, (w1, w2), _ = self._stage_peak(rho1, weights, p.theta, monkeypatch)
         assert (w1 * w2) ** 2 < 0.2 * 40**4, (w1, w2)
-        assert peak <= 0.8 * 8 * (27 * 26) ** 2, (peak, w1, w2)
+        assert peak <= 0.42 * 8 * (27 * 26) ** 2, (peak, w1, w2)
 
     def test_skip_before_allocating(self, monkeypatch):
         def no_allocation(*args):
             raise AssertionError("two-mode matrix allocated")
 
         monkeypatch.setattr(fock, "_available_memory", lambda: 1 << 20)
-        monkeypatch.setattr(fock, "_output_classes", no_allocation)
+        monkeypatch.setattr(fock, "_pt_class", no_allocation)
         res = compare_with_gaussian(self.POINT, OracleConfig(dim=30, tol_trace=1e-6))
         assert res.status == "skip"
         assert res.note.startswith("memory")
         assert res.dim_used == 30
         assert math.isnan(res.n_fock)
+        # With the memory there, the same point reaches the patched allocation.
+        monkeypatch.setattr(fock, "_available_memory", lambda: None)
+        with pytest.raises(AssertionError, match="two-mode matrix allocated"):
+            compare_with_gaussian(self.POINT, OracleConfig(dim=30, tol_trace=1e-6))
 
     def test_rotated_points_fit_their_twins_budget(self, monkeypatch):
         cfg = OracleConfig(dim=30, tol_trace=1e-6)
