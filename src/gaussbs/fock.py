@@ -240,12 +240,7 @@ def _sector_block(hop: np.ndarray) -> np.ndarray:
 
 @lru_cache(maxsize=8)
 def _beam_splitter_sectors(theta: float, dim: int) -> list:
-    """The sector blocks of the splitter at ``theta`` built so far for a window of ``dim``.
-
-    One growing list per (theta, dim), which ``_sectors`` extends to the
-    count a caller needs: a point whose inputs reach fewer sectors reuses
-    the front of a longer list, and one that reaches more extends it.
-    """
+    """The sector blocks built so far for (theta, dim): a list that ``_sectors`` extends."""
     return []
 
 
@@ -258,9 +253,9 @@ def _sectors(theta: float, dim: int, count: int | None = None) -> tuple:
     U^ a_i U = (M_B a)_i exactly within complete sectors (total number
     <= dim - 1).  Block ``t`` of the returned tuple acts on the states
     (n1, t - n1) of total ``t``, n1 ascending; only the first ``count``
-    sectors are returned, all 2 dim - 1 by default.  The blocks are real,
-    cached per (theta, dim) (``_beam_splitter_sectors``), shared by every
-    caller and read-only.
+    sectors are returned, all 2 dim - 1 by default, and a later call that
+    needs more extends the cached ones (``_beam_splitter_sectors``).  The
+    blocks are real, shared by every caller and read-only.
 
     A complete sector is the spin-t/2 rotation of its SU(2) (Campos, Saleh
     & Teich, PRA 40, 1371 (1989)) and is built from the one before it, with
@@ -433,27 +428,25 @@ def _output_rows(rho1: np.ndarray, factor: np.ndarray, sectors, c: int, w1: int,
     to the box.  With Y = (rho1 x diag(weights)) U^ on the box's columns,
     U conserves total photon number, so Y[(a, b), (c1, c2)] = weights[b]
     rho1[a, t - b] U[(c1, c2), (t - b, b)] with t = c1 + c2, and zero where
-    t - b is not a Fock number of the window.  One sector s at a time, the
-    rows (a, s - a) of Y are made, and the box's rows of the sector,
-    (n1, s - n1) with n1 < w1 and s - n1 < w2, are U_s Y: one product per
-    parity of n1 over all of the class's columns, whatever ``cols`` keeps,
-    so that every entry has the same bits whichever block it is kept for.
-    The product goes to a buffer of its own, and its columns ``cols`` to
-    the evenly strided rows of ``dest``: a product written straight into
-    rows that far apart measured slower.  rho1 couples only Fock numbers of
-    equal parity, so Y, like the output, couples no two states of
-    different class.
+    t - b is not a Fock number of the window; rho1 couples only Fock
+    numbers of equal parity, so Y couples no two states of different class.
+    One sector s at a time, the rows (a, s - a) of Y are made, and the
+    box's rows of the sector, (n1, s - n1) with n1 < w1 and s - n1 < w2, are
+    U_s Y: one product per parity of n1 over all of the class's columns,
+    whatever ``cols`` keeps, so that every entry has the same bits whichever
+    block it is kept for.  The product goes to a buffer of its own, and its
+    columns ``cols`` to the evenly strided rows of ``dest``: a product
+    written straight into rows that far apart measured slower.
 
     rho1[a, t - s + a] depends on a column through its total t alone: the
     diagonals of rho1, two apart, are laid out once in ``bands``, and a
     quadrant's columns (i1, i2) read them through a Hankel view.  The input
     states (a, b) past the last nonzero weight are left out of Y and of the
-    products: every term they add is an exact zero.  A sector
-    s >= dim + live - 1 then has no input left, and its box rows are
-    written as zeros, so ``sectors`` need hold only the sectors below it.
-    Every row of ``dest`` is written: each state of the box lies in exactly
-    one sector, and every row of the box in that sector is computed or
-    zeroed.
+    products, whose terms they make exact zeros.  A sector s >= dim + live - 1
+    then has no input left, and its box rows are written as zeros, so
+    ``sectors`` need hold only the sectors below it.  Every row of ``dest``
+    is written: each state of the box lies in exactly one sector, and every
+    row of the box in that sector is computed or zeroed.
     """
     dim = rho1.shape[0]
     live = factor.shape[0]
@@ -514,11 +507,12 @@ def _pt_class(rho1: np.ndarray, factors, sectors, q: int, w1: int, w2: int) -> n
     fixed m1 at a time.  Its off-diagonal blocks come from the output's
     class 1 - q, in one sweep before anything else is written: one block
     into a temporary, the other over the front of the class matrix, inside
-    its rows of quadrant 0, which is moved first, to the rows of quadrant
-    1.  Its diagonal blocks are the output's own, of class q: a second
-    sweep writes them in place, and each is transposed inside its buffer.
-    The class matrix and the temporary, a quarter of its size or less, are
-    the only arrays of their size.
+    its rows of quadrant 0.  That one moves first, to its place in the rows
+    of quadrant 1, and then the temporary's, to the rows of quadrant 0.
+    The diagonal blocks are the output's own, of class q: a second sweep
+    writes them in place, and each is transposed inside its buffer.  The
+    class matrix and the temporary, a quarter of its size or less, are the
+    only arrays of their size.
     """
     quads = _quadrants(w1, w2)
     spans = [quads[p, q ^ p] for p in (0, 1)]  # (offset, h1, h2) of each quadrant of class q
@@ -526,7 +520,7 @@ def _pt_class(rho1: np.ndarray, factors, sectors, q: int, w1: int, w2: int) -> n
     size = sum(h1 * h2 for _, h1, h2 in spans)
     mat = np.empty((size, size))
     (_, h1, h2), (_, k1, k2) = other
-    # The output's block between quadrants (p, 1 - q ^ p) and (1 - p, q ^ p).
+    # sources[p]: the output's block between quadrants (p, 1 - q ^ p) and (1 - p, q ^ p).
     sources = [np.empty(h1 * h2 * k1 * k2), mat.reshape(-1)[: h1 * h2 * k1 * k2]]
     outs = {}
     for p, (_, h1, h2) in enumerate(other):
