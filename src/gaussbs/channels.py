@@ -67,6 +67,8 @@ class GaussianChannel:
         y = np.array(self.y, dtype=float)
         if x.shape != (2, 2) or y.shape != (2, 2):
             raise DomainError("channel matrices must be 2x2")
+        if not (np.isfinite(x).all() and np.isfinite(y).all()):
+            raise DomainError("channel matrices must be finite")
         if np.abs(y - y.T).max() > BOUNDARY_TOL * max(float(np.abs(y).max()), 1.0):
             raise DomainError("channel noise matrix must be symmetric")
         y = 0.5 * (y + y.T)

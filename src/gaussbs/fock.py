@@ -32,9 +32,11 @@ layout the partial transpose sends each block between two quadrants to
 exactly one such block, so it splits into the same two classes: class q
 of it is made of the output's class q's diagonal blocks and its class
 1 - q's off-diagonal blocks.  One class at a time, the partial transpose
-is built straight from the squeezed state and the thermal weights
-(``_pt_class``), deflated and diagonalized, and freed before the other is
-built, so each class of the output is swept twice and one class matrix is
+is built straight from the squeezed state and the thermal weights, one
+block at a time: one sweep over the sectors makes a block of the output,
+one product per sector, and it is moved into place (``_pt_class``); the
+class is then deflated and diagonalized, and freed before the other is
+built, so each block of the output is made once and one class matrix is
 alive at a time (``_pt_trace_norm``).  Deflation leaves out the lightest
 states, as many as can go while the rows and columns they leave out
 provably move the trace norm by no more than a budget (``_deflated``), and
@@ -98,9 +100,10 @@ _GUARD_SAFETY = 300.0
 # Peak of the two-mode stage of one oracle point, in float64 matrices of
 # W^4 entries, rounded up: one class matrix of the partial transpose of the
 # W1 x W2 box (a quarter of a matrix of (W1 W2)^2 entries), with either the
-# build's block temporary (at most a quarter of the class matrix) or the
-# eigensolve's copy of the class's kept states (at most the class matrix
-# again), and temporaries of about W^3 entries.  The box is never wider
+# build's block temporary (at most the largest parity quadrant squared,
+# about a quarter of the class matrix) or the eigensolve's copy of the
+# class's kept states (at most the class matrix again), and temporaries
+# of about W^3 entries.  The box is never wider
 # than the window, so the bound holds for every box.  With the default
 # tol_compare the resident peak over the stage, cold sector cache
 # included, measured in matrices of (W1 W2)^2 entries 0.60 and 0.47 at
@@ -417,82 +420,69 @@ def _class_factor(rho1: np.ndarray, weights: np.ndarray, sectors, c: int, w1: in
     return flat.take(base + a, mode="clip") * (inside * weights[b])
 
 
-def _output_rows(rho1: np.ndarray, factor: np.ndarray, sectors, c: int, w1: int, w2: int, out: dict) -> None:
-    """Write the rows of class ``c`` of the w1 x w2 box of U (rho1 x diag(weights)) U^.
+def _output_block(
+    rho1: np.ndarray, factor: np.ndarray, sectors, c: int, p: int, j: int, w1: int, w2: int, out: np.ndarray
+) -> None:
+    """Write one block of class ``c`` of the w1 x w2 box of U (rho1 x diag(weights)) U^ over ``out``.
 
-    ``factor`` is the class's ``_class_factor``.  ``out`` maps a parity p of
-    n1 to ``(dest, cols)``: the rows of quadrant (p, c ^ p), in the class
-    layout (``_quadrants``), cut to the slice ``cols`` of the class's
-    columns, are written over ``dest``.  U acts on the whole window of
-    rho1, so the rows are those of the principal compression of the output
-    to the box.  With Y = (rho1 x diag(weights)) U^ on the box's columns,
-    U conserves total photon number, so Y[(a, b), (c1, c2)] = weights[b]
+    ``factor`` is the class's ``_class_factor``.  The block holds the rows
+    of quadrant (p, c ^ p) and the columns of quadrant (j, c ^ j), in the
+    class layout (``_quadrants``).  U acts on the whole window of rho1, so
+    the rows are those of the principal compression of the output to the
+    box.  With Y = (rho1 x diag(weights)) U^ on the block's columns, U
+    conserves total photon number, so Y[(a, b), (c1, c2)] = weights[b]
     rho1[a, t - b] U[(c1, c2), (t - b, b)] with t = c1 + c2, and zero where
     t - b is not a Fock number of the window; rho1 couples only Fock
     numbers of equal parity, so Y couples no two states of different class.
     One sector s at a time, the rows (a, s - a) of Y are made, and the
-    box's rows of the sector, (n1, s - n1) with n1 < w1 and s - n1 < w2, are
-    U_s Y: one product per parity of n1 over all of the class's columns,
-    whatever ``cols`` keeps, so that every entry has the same bits whichever
-    block it is kept for.  The product goes to a buffer of its own, and its
-    columns ``cols`` to the evenly strided rows of ``dest``: a product
-    written straight into rows that far apart measured slower.
+    block's rows of the sector, (n1, s - n1) with n1 of parity p, n1 < w1
+    and s - n1 < w2, are U_s Y: one product, written to its evenly strided
+    rows of ``out``.
 
     rho1[a, t - s + a] depends on a column through its total t alone: the
-    diagonals of rho1, two apart, are laid out once in ``bands``, and a
-    quadrant's columns (i1, i2) read them through a Hankel view.  The input
-    states (a, b) past the last nonzero weight are left out of Y and of the
-    products, whose terms they make exact zeros.  A sector s >= dim + live - 1
-    then has no input left, and its box rows are written as zeros, so
-    ``sectors`` need hold only the sectors below it.  Every row of ``dest``
+    diagonals of rho1, two apart, are laid out once in ``bands``, and the
+    columns (i1, i2) read them through a Hankel view.  The input states
+    (a, b) past the last nonzero weight are left out of Y and of the
+    product, whose terms they make exact zeros.  A sector s >= dim + live - 1
+    then has no input left, and its rows are written as zeros, so
+    ``sectors`` need hold only the sectors below it.  Every row of ``out``
     is written: each state of the box lies in exactly one sector, and every
-    row of the box in that sector is computed or zeroed.
+    row of the block in that sector is computed or zeroed.
     """
     dim = rho1.shape[0]
     live = factor.shape[0]
     quads = _quadrants(w1, w2)
-    width = factor.shape[1]
+    h2 = quads[p, c ^ p][2]
+    col, k1, k2 = quads[j, c ^ j]
+    factor = factor[:, col : col + k1 * k2]
     # bands[a, m] is rho1[a, a + 2 (m - dim + 1)], clipped to the window: its
     # entries that fall outside it meet a factor of 0.
     a = np.arange(dim)[:, None]
     bands = rho1[a, np.clip(a + 2 * (np.arange(2 * dim - 1) - dim + 1), 0, dim - 1)]
-    # Each column quadrant as (its columns, its extents, the first of its totals t // 2).
-    spans = []
-    for p1 in (0, 1):
-        col, k1, k2 = quads[p1, c ^ p1]
-        spans.append((slice(col, col + k1 * k2), k1, k2, (p1 + (c ^ p1)) // 2))
     step_bytes = bands.strides[1]
-    # The rows of one parity of n1 in a sector, computed whole before they are cut.
-    spare = np.empty(((min(w1, w2) + 1) // 2, width))
+    delta = (j + (c ^ j)) // 2  # the first of the columns' totals t // 2
     for s in range(c, 2 * dim - 1, 2):
         first, last = max(0, s - dim + 1), min(s, dim - 1)
         top, bottom = max(first, s - w2 + 1), min(last, w1 - 1)  # the box's n1
-        if top > bottom:
+        n1_first = top + ((top ^ p) & 1)
+        count = len(range(n1_first, bottom + 1, 2))
+        if not count:
             continue
+        row = (n1_first // 2) * h2 + (s - n1_first) // 2
+        step = max(h2 - 1, 1)  # n1 up by 2 and n2 down by 2
+        rows = out[row : row + step * count : step]
         start = max(first, s - live + 1)  # the first input (a, s - a) of nonzero weight
-        if start <= last:
-            # y[a, col] = rho1[a, a + t - s] times the factor of b = s - a, inputs (a, s - a), a ascending.
-            y = np.empty((last + 1 - start, width))
-            for cols, k1, k2, delta in spans:
-                shape = (y.shape[0], k1, k2)
-                offset = start * bands.strides[0] + (delta + dim - 1 - (s - c) // 2) * step_bytes
-                strides = (bands.strides[0], step_bytes, step_bytes)
-                hankel = np.ndarray(shape, bands.dtype, bands, offset, strides)
-                np.copyto(y[:, cols].reshape(shape), hankel)
-            y *= factor[live - 1 - s + start : live - s + last]
-            block = sectors[s][:, start - first :]
-        for p, (dest, cols) in out.items():
-            n1_first = top + ((top ^ p) & 1)
-            count = len(range(n1_first, bottom + 1, 2))
-            h2 = quads[p, c ^ p][2]
-            row = (n1_first // 2) * h2 + (s - n1_first) // 2
-            step = max(h2 - 1, 1)  # n1 up by 2 and n2 down by 2
-            rows = dest[row : row + step * count : step]
-            if start > last:
-                rows[...] = 0.0
-            else:
-                full = np.matmul(block[n1_first - first : bottom - first + 1 : 2], y, out=spare[:count])
-                rows[...] = full[:, cols]
+        if start > last:
+            rows[...] = 0.0
+            continue
+        # y[a, col] = rho1[a, a + t - s] times the factor of b = s - a, inputs (a, s - a), a ascending.
+        shape = (last + 1 - start, k1, k2)
+        offset = start * bands.strides[0] + (delta + dim - 1 - (s - c) // 2) * step_bytes
+        strides = (bands.strides[0], step_bytes, step_bytes)
+        hankel = np.ndarray(shape, bands.dtype, bands, offset, strides)
+        y = np.multiply(hankel, factor[live - 1 - s + start : live - s + last].reshape(shape))
+        block = sectors[s][n1_first - first : bottom - first + 1 : 2, start - first :]
+        rows[...] = block @ y.reshape(shape[0], k1 * k2)
 
 
 def _pt_class(rho1: np.ndarray, factors, sectors, q: int, w1: int, w2: int) -> np.ndarray:
@@ -501,46 +491,28 @@ def _pt_class(rho1: np.ndarray, factors, sectors, q: int, w1: int, w2: int) -> n
     The states (m1, m2) with m1 + m2 = q mod 2, in the layout of the
     output's class q (``_quadrants``), before any Hermitian averaging;
     ``factors`` are the two classes' ``_class_factor``.  The partial
-    transpose takes the block between quadrants (a1, a2) and (b1, b2) from
-    the output's block between (a1, b2) and (b1, a2), with the axis swap
-    (m1, n2, n1, m2) -> (m1, m2, n1, n2) of its 4-index view, one slice of
-    fixed m1 at a time.  Its off-diagonal blocks come from the output's
-    class 1 - q, in one sweep before anything else is written: one block
-    into a temporary, the other over the front of the class matrix, inside
-    its rows of quadrant 0.  That one moves first, to its place in the rows
-    of quadrant 1, and then the temporary's, to the rows of quadrant 0.
-    The diagonal blocks are the output's own, of class q: a second sweep
-    writes them in place, and each is transposed inside its buffer.  The
-    class matrix and the temporary, a quarter of its size or less, are the
-    only arrays of their size.
+    transpose takes its block between quadrants (p, q ^ p) and (j, q ^ j)
+    from the output's block between (p, q ^ j) and (j, q ^ p), of class
+    c = q ^ p ^ j, with the axis swap (m1, n2, n1, m2) -> (m1, m2, n1, n2)
+    of its 4-index view: the diagonal blocks come from the output's class
+    q, the off-diagonal ones from its class 1 - q.  Each block is built
+    into one temporary (``_output_block``) and moved to its place one slice
+    of fixed m1 at a time.  The class matrix and the temporary, no larger
+    than the largest quadrant squared, are the only arrays of their size.
     """
     quads = _quadrants(w1, w2)
     spans = [quads[p, q ^ p] for p in (0, 1)]  # (offset, h1, h2) of each quadrant of class q
-    other = [quads[p, 1 - q ^ p] for p in (0, 1)]  # and of class 1 - q
     size = sum(h1 * h2 for _, h1, h2 in spans)
     mat = np.empty((size, size))
-    (_, h1, h2), (_, k1, k2) = other
-    # sources[p]: the output's block between quadrants (p, 1 - q ^ p) and (1 - p, q ^ p).
-    sources = [np.empty(h1 * h2 * k1 * k2), mat.reshape(-1)[: h1 * h2 * k1 * k2]]
-    outs = {}
-    for p, (_, h1, h2) in enumerate(other):
-        col, k1, k2 = other[1 - p]
-        outs[p] = (sources[p].reshape(h1 * h2, k1 * k2), slice(col, col + k1 * k2))
-    _output_rows(rho1, factors[1 - q], sectors, 1 - q, w1, w2, outs)
-    for p in (1, 0):
-        (row, h1, h2), (col, k1, k2) = spans[p], spans[1 - p]
-        target = mat[row : row + h1 * h2, col : col + k1 * k2].reshape(h1, h2, k1, k2)  # a view
-        source = sources[p].reshape(h1, k2, k1, h2)
-        for i in range(h1):
-            target[i] = source[i].transpose(2, 1, 0)
-    diagonal = {}
+    temp = np.empty(max(h1 * h2 * k1 * k2 for _, h1, h2 in spans for _, k1, k2 in spans))
     for p, (row, h1, h2) in enumerate(spans):
-        diagonal[p] = (mat[row : row + h1 * h2, row : row + h1 * h2], slice(row, row + h1 * h2))
-    _output_rows(rho1, factors[q], sectors, q, w1, w2, diagonal)
-    for p, (_, h1, h2) in enumerate(spans):
-        block = diagonal[p][0].reshape(h1, h2, h1, h2)
-        for i in range(h1):
-            block[i] = block[i].transpose(2, 1, 0).copy()
+        for j, (col, k1, k2) in enumerate(spans):
+            block = temp[: h1 * k2 * k1 * h2].reshape(h1 * k2, k1 * h2)
+            _output_block(rho1, factors[q ^ p ^ j], sectors, q ^ p ^ j, p, j, w1, w2, block)
+            target = mat[row : row + h1 * h2, col : col + k1 * k2].reshape(h1, h2, k1, k2)  # a view
+            source = block.reshape(h1, k2, k1, h2)
+            for i in range(h1):
+                target[i] = source[i].transpose(2, 1, 0)
     return mat
 
 
@@ -594,8 +566,10 @@ def _pt_trace_norm(rho1: np.ndarray, weights: np.ndarray, sectors, w1: int, w2: 
     (``_deflated``), and numpy's ``eigvalsh`` diagonalizes a copy of the
     kept states; the class is freed before the next is built.  The
     partial transpose sends each mirrored pair of entries of the output to
-    a mirrored pair, so the check and the averaging see the same pairs,
-    and give the same bits, as they would on the output.  The first class
+    a mirrored pair, so the check and the averaging see the same pairs as
+    they would on the output.  The blocks' products run over one quadrant's
+    columns, not the whole class's, so the entries match a build of the
+    whole output to rounding, not bit for bit.  The first class
     is deflated with half of ``budget`` and the second with what the first
     left, so the dropped states move the trace norm by at most ``budget``
     in all.

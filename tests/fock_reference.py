@@ -4,8 +4,9 @@ Before the engine built the partial transpose one class at a time
 (``gaussbs.fock._pt_class``), it built both parity classes of the output
 (``_output_classes``), Hermitian averaged them, and overwrote them with the
 two classes of the partial transpose (``_partial_transpose``).  That route
-is kept here as the reference that the per-class build must match bit for
-bit.
+is kept here as the reference that the per-class build must match to
+rounding: its products run over a whole class's columns, the engine's over
+one quadrant's, so BLAS may round an entry the other way.
 """
 
 import numpy as np

@@ -195,6 +195,15 @@ class TestGaussianChannelValidation:
         with pytest.raises(DomainError):
             GaussianChannel(np.eye(2), np.array([[0.0, 1.0], [0.0, 0.0]]))
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("which", ["x", "y"])
+    def test_rejects_non_finite_entries(self, value, which):
+        bad = np.eye(2)
+        bad[0, 0] = value
+        matrices = {"x": np.eye(2), "y": np.eye(2), which: bad}
+        with pytest.raises(DomainError, match="finite"):
+            GaussianChannel(matrices["x"], matrices["y"])
+
     def test_non_cp_detected(self):
         # pure squeezer with no added noise and an extra noise *deficit*
         x = np.diag([0.5, 2.0])

@@ -49,6 +49,9 @@ from gaussbs.states import (
 )
 
 CFG = OracleConfig(dim=30, tol_trace=1e-6)
+# Entries of the per-class build and of the two-class reference may differ by
+# this much: BLAS may round a product over fewer columns the other way.
+ROUNDING = 4 * np.finfo(float).eps
 
 
 def _full_classes(rho1, weights, theta) -> list:
@@ -627,7 +630,7 @@ class TestParityClasses:
             assert np.abs(mat - compressed[np.ix_(flat, flat)]).max() < 1e-12
         _partial_transpose(mats, w1, w2)
         for got, engine in zip(mats, _pt_classes(rho1, weights, sectors, w1, w2)):
-            assert np.array_equal(engine, got)
+            assert np.abs(engine - got).max(initial=0.0) <= ROUNDING, (w1, w2)
         for q, got in enumerate(mats):
             flat = _quadrant_order(w1, w2, q)
             assert np.abs(got - pt[np.ix_(flat, flat)]).max() < 1e-12
@@ -665,7 +668,7 @@ class TestParityClasses:
 
 
 class TestPerClassBuild:
-    """Each class of the partial transpose is built on its own, with the two-class route's bits."""
+    """Each class of the partial transpose is built on its own, block by block, as the two-class route builds it."""
 
     @staticmethod
     def _inputs(kind: str, dim: int):
@@ -683,8 +686,13 @@ class TestPerClassBuild:
     @pytest.mark.parametrize(
         "w1, w2", [(None, None), (7, 7), (6, 9), (9, 4), (7, 5), (5, 8), (1, 6), (6, 1), (1, 1), (0, 3)]
     )
-    def test_bit_for_bit_the_two_class_reference(self, kind, dim, w1, w2):
-        """Every entry of both classes, and the trace norm, equal the reference's to the bit."""
+    def test_the_two_class_reference_to_rounding(self, kind, dim, w1, w2):
+        """Every entry of both classes, and the trace norm, equal the reference's to rounding.
+
+        The reference's products run over a whole class's columns and the
+        engine's over one quadrant's, so BLAS may round a few entries the
+        other way (measured 1.1e-16, trace norms 7.1e-15).
+        """
         rho1, weights, sectors = self._inputs(kind, dim)
         w1, w2 = (dim, dim) if w1 is None else (w1, w2)
         expected = _output_classes(rho1, weights, sectors, w1, w2)
@@ -692,15 +700,14 @@ class TestPerClassBuild:
         got = _pt_classes(rho1, weights, sectors, w1, w2)
         for q in (0, 1):
             assert got[q].shape == expected[q].shape
-            # Equal bits: a view as integers tells -0.0 from 0.0.
-            assert np.array_equal(got[q].view(np.int64), expected[q].view(np.int64)), (q, w1, w2)
+            assert np.abs(got[q] - expected[q]).max(initial=0.0) <= ROUNDING, (q, w1, w2)
         budget = 1e-6 if kind == "random" else 1e-5
         expected = _output_classes(rho1, weights, sectors, w1, w2)
         norm = fock_reference._pt_trace_norm(expected, w1, w2, budget)
-        assert _pt_trace_norm(rho1, weights, sectors, w1, w2, budget) == norm
+        assert _pt_trace_norm(rho1, weights, sectors, w1, w2, budget) == pytest.approx(norm, rel=0, abs=1e-13)
 
     def test_every_class_entry_is_written(self, monkeypatch):
-        """The class matrix and its temporaries start as NaN: every box's build writes each entry.
+        """The class matrix and its block temporary start as NaN: every box's build writes each entry.
 
         Also when only the sectors that inputs of nonzero weight reach are
         built, and the box rows of the others are written as zeros.
@@ -718,54 +725,68 @@ class TestPerClassBuild:
                         mat = _pt_class(rho1, factors, sectors, q, w1, w2)
                         assert not np.isnan(mat).any(), (len(sectors), w1, w2, q)
 
+    @pytest.mark.parametrize("w1, w2", [(10, 10), (6, 9), (9, 4), (7, 5), (11, 11), (1, 6), (6, 1)])
+    def test_one_class_matrix_and_one_block_temporary(self, w1, w2, monkeypatch):
+        """A class allocates its matrix and one temporary no larger than the largest quadrant squared."""
+        rho1, weights, sectors = self._inputs("thermal", 11)
+        factors = [_class_factor(rho1, weights, sectors, c, w1, w2) for c in (0, 1)]
+        empty, shapes = np.empty, []
+
+        def recorded(shape, dtype=float):
+            shapes.append(tuple(np.atleast_1d(shape)))
+            return empty(shape, dtype)
+
+        monkeypatch.setattr(np, "empty", recorded)
+        largest = max(h1 * h2 for _, h1, h2 in fock._quadrants(w1, w2).values())
+        for q in (0, 1):
+            shapes.clear()
+            mat = _pt_class(rho1, factors, sectors, q, w1, w2)
+            assert len(shapes) == 2 and shapes[0] == mat.shape, shapes
+            assert math.prod(shapes[1]) <= largest**2, (shapes, largest)
+
     @pytest.mark.parametrize("w1, w2", [(5, 4), (4, 5), (5, 5)])
     def test_an_asymmetry_in_any_block_is_rejected(self, w1, w2, monkeypatch):
         """A defect planted in any entry of any block a class is made of fails the Hermitian check.
 
         Class q is made of the output's class q's two diagonal blocks and
         its class 1 - q's two off-diagonal blocks, each written by one call
-        of ``_output_rows`` for one parity of n1.  Each entry of each of
-        them, but those on the diagonal of the partial transpose, is moved
-        by 2 ``_HERMITICITY_TOL`` in turn: ``_pt_trace_norm`` must refuse
-        every one.  A move of half the tolerance passes.
+        of ``_output_block``.  Each entry of each of them, but those on the
+        diagonal of the partial transpose, is moved by 2 ``_HERMITICITY_TOL``
+        in turn: ``_pt_trace_norm`` must refuse every one.  A move of half
+        the tolerance passes.
         """
         rho1, weights = _random_inputs(np.random.default_rng(w1 * w2), 7)
         sectors = _sectors(0.7, 7)
-        write = fock._output_rows
+        write = fock._output_block
         calls = []
 
-        def planted(rho1, factor, sectors, c, w1, w2, out):
-            write(rho1, factor, sectors, c, w1, w2, out)
-            calls.append((c, sorted(out)))
-            if len(calls) - 1 == target[0] and target[1] in out:
-                dest = out[target[1]][0]
-                dest.flat[target[2]] += target[3]
+        def planted(rho1, factor, sectors, c, p, j, w1, w2, out):
+            write(rho1, factor, sectors, c, p, j, w1, w2, out)
+            calls.append((c, p, j))
+            if len(calls) - 1 == target[0]:
+                out.flat[target[1]] += target[2]
 
-        monkeypatch.setattr(fock, "_output_rows", planted)
-        target = [-1, 0, 0, 0.0]
+        monkeypatch.setattr(fock, "_output_block", planted)
+        target = [-1, 0, 0.0]
         _pt_trace_norm(rho1, weights, sectors, w1, w2, 0.0)
-        # Pass q sweeps class 1 - q for the off-diagonal blocks, then class q for the diagonal ones.
-        assert calls == [(1, [0, 1]), (0, [0, 1]), (0, [0, 1]), (1, [0, 1])]
+        # Class q takes its block (p, j) from the output's class q ^ p ^ j, p and j ascending.
+        assert calls == [(q ^ p ^ j, p, j) for q in (0, 1) for p in (0, 1) for j in (0, 1)]
         kinds = 0
-        for call, (c, parities) in enumerate(calls):
-            for p in parities:
-                # The rows and columns of the block, in the output's class c.
-                quads = fock._quadrants(w1, w2)
-                _, h1, h2 = quads[p, c ^ p]
-                diagonal = call % 2 == 1
-                _, k1, k2 = quads[p, c ^ p] if diagonal else quads[1 - p, c ^ 1 ^ p]
-                rows, cols = h1 * h2, k1 * k2
-                kinds += 1
-                for entry in range(rows * cols):
-                    if diagonal and entry // cols == entry % cols:
-                        continue  # a diagonal entry of the partial transpose is its own mirror
-                    target[:] = call, p, entry, 2 * _HERMITICITY_TOL
-                    calls.clear()
-                    with pytest.raises(DomainError, match="Hermitian"):
-                        _pt_trace_norm(rho1, weights, sectors, w1, w2, 0.0)
-                target[:] = call, p, rows * cols // 2, 0.5 * _HERMITICITY_TOL
+        quads = fock._quadrants(w1, w2)
+        for call, (c, p, j) in enumerate(list(calls)):
+            # The block holds the rows of quadrant (p, c ^ p) and the columns of (j, c ^ j).
+            rows, cols = (math.prod(quads[r, c ^ r][1:]) for r in (p, j))
+            kinds += 1
+            for entry in range(rows * cols):
+                if p == j and entry // cols == entry % cols:
+                    continue  # a diagonal entry of the partial transpose is its own mirror
+                target[:] = call, entry, 2 * _HERMITICITY_TOL
                 calls.clear()
-                _pt_trace_norm(rho1, weights, sectors, w1, w2, 0.0)
+                with pytest.raises(DomainError, match="Hermitian"):
+                    _pt_trace_norm(rho1, weights, sectors, w1, w2, 0.0)
+            target[:] = call, rows * cols // 2, 0.5 * _HERMITICITY_TOL
+            calls.clear()
+            _pt_trace_norm(rho1, weights, sectors, w1, w2, 0.0)
         assert kinds == 8
 
 
