@@ -12,10 +12,10 @@ and SU(2)).  The squeezer blocks and the splitter's truncated sectors are
 exponentiated through the eigendecomposition of a symmetric tridiagonal
 matrix (``_sector_block``); a complete sector, a spin-t/2 rotation, follows
 from the one before it by a ladder recurrence, with no eigensolve
-(``_beam_splitter_sectors``).  Only the sectors that an input of nonzero
-thermal weight reaches are built, and the inputs of zero weight are left
-out of every product: in the vacuum (nbar = 0) that is the complete
-sectors alone.
+(``_sectors``, which keeps them in ``_beam_splitter_sectors``).  Only the
+sectors that an input of nonzero thermal weight reaches are built, and the
+inputs of zero weight are left out of every product: in the vacuum
+(nbar = 0) that is the complete sectors alone.
 
 The phases act on the two-mode output as a local unitary, which leaves the
 trace norm of its partial transpose unchanged, so the engine builds only
@@ -34,13 +34,14 @@ of it is made of the output's class q's diagonal blocks and its class
 1 - q's off-diagonal blocks.  One class at a time, the partial transpose
 is built straight from the squeezed state and the thermal weights, one
 block at a time: one sweep over the sectors makes a block of the output,
-one product per sector, and it is moved into place (``_pt_class``); the
-class is then deflated and diagonalized, and freed before the other is
-built, so each block of the output is made once and one class matrix is
-alive at a time (``_pt_trace_norm``).  Deflation leaves out the lightest
-states, as many as can go while the rows and columns they leave out
-provably move the trace norm by no more than a budget (``_deflated``), and
-numpy diagonalizes a copy of the kept ones.  A left-out state moves the
+one product per sector, each written straight into its place in the
+class matrix (``_pt_class``); the class is then deflated and diagonalized,
+and freed before the other is built, so each block of the output is made
+once and one class matrix is alive at a time (``_pt_trace_norm``).
+Deflation leaves out the lightest states, as many as can go while the
+rows and columns they leave out provably move the trace norm by no more
+than a budget (``_deflated``), and numpy diagonalizes a copy of the kept
+ones.  A left-out state moves the
 trace norm by at most twice the norm of its row.  The comparison takes
 that budget from ``tol_compare`` (``compare_with_gaussian``).  Part of it
 is spent before the build: the product of the output's two photon-number
@@ -49,8 +50,8 @@ the squared norm of every row of the partial transpose, and the lightest
 states by it fix the W1 x W2 sub-box of Fock numbers that is built
 (``_box``).  At the default, a W = 40 to 60 window builds an eleventh to
 all of its entries and keeps between a tenth and three quarters of its
-states, depending on the point.  The stage peaks at about 0.36 to 0.60 of
-a matrix of (W1 W2)^2 entries there, and at 0.57 to 0.65 of one of
+states, depending on the point.  The stage peaks at about 0.34 to 0.50 of
+a matrix of (W1 W2)^2 entries there, and at 0.56 to 0.66 of one of
 ``W^4`` when every state is kept (``_LIVE_COPIES``, rounded up).  A point
 whose window would not fit in the memory still available is skipped with
 the note "memory" instead of being allocated.
@@ -99,22 +100,20 @@ _COMPARE_GUARDS = (0, 8, 16, 24)
 _GUARD_SAFETY = 300.0
 # Peak of the two-mode stage of one oracle point, in float64 matrices of
 # W^4 entries, rounded up: one class matrix of the partial transpose of the
-# W1 x W2 box (a quarter of a matrix of (W1 W2)^2 entries), with either the
-# build's block temporary (at most the largest parity quadrant squared,
-# about a quarter of the class matrix) or the eigensolve's copy of the
-# class's kept states (at most the class matrix again), and temporaries
-# of about W^3 entries.  The box is never wider
+# W1 x W2 box (a quarter of a matrix of (W1 W2)^2 entries), the
+# eigensolve's copy of the class's kept states (at most the class matrix
+# again), and temporaries of about W^3 entries.  The box is never wider
 # than the window, so the bound holds for every box.  With the default
-# tol_compare the resident peak over the stage, cold sector cache
-# included, measured in matrices of (W1 W2)^2 entries 0.60 and 0.47 at
-# W = 40 with boxes of 17 x 28 and 24 x 24, 0.38 to 0.52 at W = 40 with
-# boxes of 37 x 32 to the whole window, 0.40 at W = 56 (56 x 48) and 0.36
-# at W = 60 (60 x 26): 0.05 to 0.52 of a W^4 matrix.  With every state
-# kept, as a budget of 0 may keep them, it measured 0.65 of W^4 at W = 40,
-# 0.57 at W = 56 and 60, and 0.85 at W = 24, where temporaries of W^3
+# tol_compare the resident peak over the stage (RSS before it, ru_maxrss
+# after it, in a fresh process) measured in matrices of (W1 W2)^2 entries
+# 0.34 to 0.50 at W = 40 with boxes of 17 x 28 to the whole window, 0.38
+# at W = 56 (56 x 48), 0.35 at W = 60 (60 x 26) and 0.30 at W = 100
+# (95 x 100): 0.04 to 0.50 of a W^4 matrix.  With every state kept, as a
+# budget of 0 may keep them, it measured 0.66 of W^4 at W = 40, 0.57 at
+# W = 56, 0.56 at W = 60, and 0.83 at W = 24, where temporaries of W^3
 # entries weigh most, so the reckoning stays one matrix.  tracemalloc, which
-# does not see the eigensolve's copy, measured 0.47 at W = 24 and 0.34 to
-# 0.74 of a box matrix at W = 40 to 60, the most for the smallest box.
+# does not see the eigensolve's copy, measured 0.47 at W = 24 and 0.28 to
+# 0.54 of a box matrix at W = 40 to 60, the most for the smallest box.
 _LIVE_COPIES = 1
 # Memory cgroup (limit, usage) files, v2 then v1 layout.
 _CGROUP_MEMORY_FILES = (
@@ -193,9 +192,9 @@ def fock_squeezed_thermal(spec: GaussianSpec, dim: int) -> np.ndarray:
     Exactly Hermitian and float64, built at phi_b = 0 only: S(r e^{i phi_b})
     = R S(r) R^ with R = diag(e^{i n phi_b / 2}), which commutes with the
     seed, so the state at phi_b is R rho R^.  A nonzero ``spec.phi_b``, or a
-    ``dim`` that is not an integer >= 1, raises ``DomainError``.
+    ``dim`` that is not an integer >= 1 (a bool is not), raises ``DomainError``.
     """
-    if not isinstance(dim, (int, np.integer)) or dim < 1:
+    if isinstance(dim, bool) or not isinstance(dim, (int, np.integer)) or dim < 1:
         raise DomainError(f"cutoff dimension must be an integer >= 1, got {dim!r}")
     if spec.phi_b != 0.0:
         raise DomainError(
@@ -420,99 +419,82 @@ def _class_factor(rho1: np.ndarray, weights: np.ndarray, sectors, c: int, w1: in
     return flat.take(base + a, mode="clip") * (inside * weights[b])
 
 
-def _output_block(
-    rho1: np.ndarray, factor: np.ndarray, sectors, c: int, p: int, j: int, w1: int, w2: int, out: np.ndarray
-) -> None:
-    """Write one block of class ``c`` of the w1 x w2 box of U (rho1 x diag(weights)) U^ over ``out``.
-
-    ``factor`` is the class's ``_class_factor``.  The block holds the rows
-    of quadrant (p, c ^ p) and the columns of quadrant (j, c ^ j), in the
-    class layout (``_quadrants``).  U acts on the whole window of rho1, so
-    the rows are those of the principal compression of the output to the
-    box.  With Y = (rho1 x diag(weights)) U^ on the block's columns, U
-    conserves total photon number, so Y[(a, b), (c1, c2)] = weights[b]
-    rho1[a, t - b] U[(c1, c2), (t - b, b)] with t = c1 + c2, and zero where
-    t - b is not a Fock number of the window; rho1 couples only Fock
-    numbers of equal parity, so Y couples no two states of different class.
-    One sector s at a time, the rows (a, s - a) of Y are made, and the
-    block's rows of the sector, (n1, s - n1) with n1 of parity p, n1 < w1
-    and s - n1 < w2, are U_s Y: one product, written to its evenly strided
-    rows of ``out``.
-
-    rho1[a, t - s + a] depends on a column through its total t alone: the
-    diagonals of rho1, two apart, are laid out once in ``bands``, and the
-    columns (i1, i2) read them through a Hankel view.  The input states
-    (a, b) past the last nonzero weight are left out of Y and of the
-    product, whose terms they make exact zeros.  A sector s >= dim + live - 1
-    then has no input left, and its rows are written as zeros, so
-    ``sectors`` need hold only the sectors below it.  Every row of ``out``
-    is written: each state of the box lies in exactly one sector, and every
-    row of the block in that sector is computed or zeroed.
-    """
-    dim = rho1.shape[0]
-    live = factor.shape[0]
-    quads = _quadrants(w1, w2)
-    h2 = quads[p, c ^ p][2]
-    col, k1, k2 = quads[j, c ^ j]
-    factor = factor[:, col : col + k1 * k2]
-    # bands[a, m] is rho1[a, a + 2 (m - dim + 1)], clipped to the window: its
-    # entries that fall outside it meet a factor of 0.
-    a = np.arange(dim)[:, None]
-    bands = rho1[a, np.clip(a + 2 * (np.arange(2 * dim - 1) - dim + 1), 0, dim - 1)]
-    step_bytes = bands.strides[1]
-    delta = (j + (c ^ j)) // 2  # the first of the columns' totals t // 2
-    for s in range(c, 2 * dim - 1, 2):
-        first, last = max(0, s - dim + 1), min(s, dim - 1)
-        top, bottom = max(first, s - w2 + 1), min(last, w1 - 1)  # the box's n1
-        n1_first = top + ((top ^ p) & 1)
-        count = len(range(n1_first, bottom + 1, 2))
-        if not count:
-            continue
-        row = (n1_first // 2) * h2 + (s - n1_first) // 2
-        step = max(h2 - 1, 1)  # n1 up by 2 and n2 down by 2
-        rows = out[row : row + step * count : step]
-        start = max(first, s - live + 1)  # the first input (a, s - a) of nonzero weight
-        if start > last:
-            rows[...] = 0.0
-            continue
-        # y[a, col] = rho1[a, a + t - s] times the factor of b = s - a, inputs (a, s - a), a ascending.
-        shape = (last + 1 - start, k1, k2)
-        offset = start * bands.strides[0] + (delta + dim - 1 - (s - c) // 2) * step_bytes
-        strides = (bands.strides[0], step_bytes, step_bytes)
-        hankel = np.ndarray(shape, bands.dtype, bands, offset, strides)
-        y = np.multiply(hankel, factor[live - 1 - s + start : live - s + last].reshape(shape))
-        block = sectors[s][n1_first - first : bottom - first + 1 : 2, start - first :]
-        rows[...] = block @ y.reshape(shape[0], k1 * k2)
-
-
 def _pt_class(rho1: np.ndarray, factors, sectors, q: int, w1: int, w2: int) -> np.ndarray:
     """Class ``q`` of the partial transpose of the w1 x w2 box of U (rho1 x diag(weights)) U^.
 
     The states (m1, m2) with m1 + m2 = q mod 2, in the layout of the
     output's class q (``_quadrants``), before any Hermitian averaging;
-    ``factors`` are the two classes' ``_class_factor``.  The partial
-    transpose takes its block between quadrants (p, q ^ p) and (j, q ^ j)
-    from the output's block between (p, q ^ j) and (j, q ^ p), of class
-    c = q ^ p ^ j, with the axis swap (m1, n2, n1, m2) -> (m1, m2, n1, n2)
-    of its 4-index view: the diagonal blocks come from the output's class
-    q, the off-diagonal ones from its class 1 - q.  Each block is built
-    into one temporary (``_output_block``) and moved to its place one slice
-    of fixed m1 at a time.  The class matrix and the temporary, no larger
-    than the largest quadrant squared, are the only arrays of their size.
+    ``factors`` are the two classes' ``_class_factor``.  U acts on the whole
+    window of rho1, so the entries are those of the output compressed to
+    the box.  The block between quadrants (p, q ^ p) and (j, q ^ j), entries
+    ((m1, m2), (n1, n2)), is the output's block of rows (n1, m2) and columns
+    (m1, n2), of class c = q ^ p ^ j: the output is symmetric, so that entry
+    equals rho[(m1, n2), (n1, m2)], the partial transpose's.  The diagonal
+    blocks come from the output's class q, the off-diagonal ones from its
+    class 1 - q.
+
+    With Y = (rho1 x diag(weights)) U^ on the block's columns, U conserves
+    total photon number, so Y[(a, b), (c1, c2)] = weights[b] rho1[a, t - b]
+    U[(c1, c2), (t - b, b)] with t = c1 + c2, and zero where t - b is not a
+    Fock number of the window.  One sector s at a time, the rows (a, s - a)
+    of Y are made, and the block's rows of the sector, (n1, s - n1) with n1
+    of parity j inside the box, are U_s Y: one product.  Its row (n1, m2) is
+    the plane of fixed (n1, m2) of the block's (m1, m2, n1, n2) view, and
+    the next row, n1 up by 2 and m2 down by 2, lies a constant stride on,
+    so the product is written in one assignment through a strided view of
+    the class matrix, the only array of its size.  rho1[a, t - s + a]
+    depends on a column through its total t alone: the diagonals of rho1,
+    two apart, are laid out once in ``bands`` and read through a Hankel
+    view.  The inputs past the last nonzero weight, whose terms are exact
+    zeros, are left out; a sector s >= dim + live - 1 has none left and its
+    rows are written as zeros, so ``sectors`` need hold only the sectors
+    below it.  Each state of the box lies in exactly one sector, so every
+    entry is written.
     """
+    dim = rho1.shape[0]
+    live = factors[0].shape[0]
     quads = _quadrants(w1, w2)
     spans = [quads[p, q ^ p] for p in (0, 1)]  # (offset, h1, h2) of each quadrant of class q
     size = sum(h1 * h2 for _, h1, h2 in spans)
     mat = np.empty((size, size))
-    temp = np.empty(max(h1 * h2 * k1 * k2 for _, h1, h2 in spans for _, k1, k2 in spans))
+    # bands[a, m] is rho1[a, a + 2 (m - dim + 1)], clipped to the window: its
+    # entries that fall outside it meet a factor of 0.
+    a = np.arange(dim)[:, None]
+    bands = rho1[a, np.clip(a + 2 * (np.arange(2 * dim - 1) - dim + 1), 0, dim - 1)]
+    step_bytes = bands.strides[1]
+    item = mat.itemsize
     for p, (row, h1, h2) in enumerate(spans):
         for j, (col, k1, k2) in enumerate(spans):
-            block = temp[: h1 * k2 * k1 * h2].reshape(h1 * k2, k1 * h2)
-            _output_block(rho1, factors[q ^ p ^ j], sectors, q ^ p ^ j, p, j, w1, w2, block)
-            target = mat[row : row + h1 * h2, col : col + k1 * k2].reshape(h1, h2, k1, k2)  # a view
-            source = block.reshape(h1, k2, k1, h2)
-            for i in range(h1):
-                target[i] = source[i].transpose(2, 1, 0)
+            if not h1 * h2 * k1 * k2:
+                continue  # an empty quadrant: numpy refuses a strided view into no entries
+            c = q ^ p ^ j
+            first_col = quads[p, q ^ j][0]
+            factor = factors[c][:, first_col : first_col + h1 * k2]
+            delta = (p + (q ^ j)) // 2  # the first of the columns' totals t // 2
+            for s in range(c, 2 * dim - 1, 2):
+                first, last = max(0, s - dim + 1), min(s, dim - 1)
+                top, bottom = max(first, s - w2 + 1), min(last, w1 - 1)  # the box's n1
+                n1_first = top + ((top ^ j) & 1)
+                count = len(range(n1_first, bottom + 1, 2))
+                if not count:
+                    continue
+                # Entry (m1, n2) of product row (n1, m2) goes to
+                # mat[row + (m1 // 2) h2 + m2 // 2, col + (n1 // 2) k2 + n2 // 2].
+                offset = (row + (s - n1_first) // 2) * size + col + (n1_first // 2) * k2
+                strides = ((k2 - size) * item, h2 * size * item, item)
+                rows = np.ndarray((count, h1, k2), mat.dtype, mat, offset * item, strides)
+                start = max(first, s - live + 1)  # the first input (a, s - a) of nonzero weight
+                if start > last:
+                    rows[...] = 0.0
+                    continue
+                # y[a, col] = rho1[a, a + t - s] times the factor of b = s - a, inputs (a, s - a), a ascending.
+                shape = (last + 1 - start, h1, k2)
+                offset = start * bands.strides[0] + (delta + dim - 1 - (s - c) // 2) * step_bytes
+                strides = (bands.strides[0], step_bytes, step_bytes)
+                hankel = np.ndarray(shape, bands.dtype, bands, offset, strides)
+                y = np.multiply(hankel, factor[live - 1 - s + start : live - s + last].reshape(shape))
+                block = sectors[s][n1_first - first : bottom - first + 1 : 2, start - first :]
+                rows[...] = (block @ y.reshape(shape[0], h1 * k2)).reshape(count, h1, k2)
     return mat
 
 
