@@ -43,15 +43,18 @@ rows and columns they leave out provably move the trace norm by no more
 than a budget (``_deflated``), and numpy diagonalizes a copy of the kept
 ones.  A left-out state moves the
 trace norm by at most twice the norm of its row.  The comparison takes
-that budget from ``tol_compare`` (``compare_with_gaussian``).  Part of it
-is spent before the build: the product of the output's two photon-number
-marginals, read off its O(W^3) diagonal (``_output_diagonal``), bounds
-the squared norm of every row of the partial transpose, and the lightest
-states by it fix the W1 x W2 sub-box of Fock numbers that is built
-(``_box``).  At the default, a W = 40 to 60 window builds an eleventh to
-all of its entries and keeps between a tenth and three quarters of its
-states, depending on the point.  The stage peaks at about 0.34 to 0.50 of
-a matrix of (W1 W2)^2 entries there, and at 0.56 to 0.66 of one of
+that budget from ``tol_compare`` (``compare_with_gaussian``).  Up to half
+of it is spent before the build.  The diagonals of the output rho and of
+rho^2, read off in O(W^3) (``_output_diagonal``), bound the squared norm
+of every row of the partial transpose: by the product of the output's two
+photon-number marginals, and by the sum of diag(rho^2) over the rows of
+rho that the row's entries come from.  The lightest states by the least
+of these fix the W1 x W2 sub-box of Fock numbers that is built (``_box``).
+At the default, a W = 40 to 60 window builds 2 to 95 % of
+its entries and keeps between a tenth and three quarters of its states,
+depending on the point.  The stage peaks at about 0.46 to 0.59 of
+a matrix of (W1 W2)^2 entries there, more for the smallest boxes, where
+temporaries of W^3 entries weigh most, and at 0.56 to 0.66 of one of
 ``W^4`` when every state is kept (``_LIVE_COPIES``, rounded up).  A point
 whose window would not fit in the memory still available is skipped with
 the note "memory" instead of being allocated.
@@ -106,14 +109,15 @@ _GUARD_SAFETY = 300.0
 # than the window, so the bound holds for every box.  With the default
 # tol_compare the resident peak over the stage (RSS before it, ru_maxrss
 # after it, in a fresh process) measured in matrices of (W1 W2)^2 entries
-# 0.34 to 0.50 at W = 40 with boxes of 17 x 28 to the whole window, 0.38
-# at W = 56 (56 x 48), 0.35 at W = 60 (60 x 26) and 0.30 at W = 100
-# (95 x 100): 0.04 to 0.50 of a W^4 matrix.  With every state kept, as a
-# budget of 0 may keep them, it measured 0.66 of W^4 at W = 40, 0.57 at
-# W = 56, 0.56 at W = 60, and 0.83 at W = 24, where temporaries of W^3
-# entries weigh most, so the reckoning stays one matrix.  tracemalloc, which
-# does not see the eigensolve's copy, measured 0.47 at W = 24 and 0.28 to
-# 0.54 of a box matrix at W = 40 to 60, the most for the smallest box.
+# 0.48 to 0.59 at W = 40 with boxes of 24 x 25 to 39 x 40, 0.56 at W = 56
+# (56 x 30), 0.46 at W = 60 (57 x 21) and 0.43 at W = 100 (69 x 69), and
+# 1.8 of the smallest box, 15 x 15 at W = 40, where temporaries of W^3
+# entries weigh most: 0.04 to 0.50 of a W^4 matrix.  With every state
+# kept, as a budget of 0 may keep them, it measured 0.66 of W^4 at W = 40,
+# 0.57 at W = 56, 0.56 at W = 60, and 0.83 at W = 24, so the reckoning
+# stays one matrix.  tracemalloc, which does not see the eigensolve's copy,
+# measured 0.33 to 0.59 of a box matrix at W = 40 to 60, and 1.9 of the
+# 15 x 15 box.
 _LIVE_COPIES = 1
 # Memory cgroup (limit, usage) files, v2 then v1 layout.
 _CGROUP_MEMORY_FILES = (
@@ -330,26 +334,32 @@ def _class_numbers(w1: int, w2: int, c: int) -> tuple:
     return np.concatenate(n1), np.concatenate(n2)
 
 
-def _output_diagonal(rho1: np.ndarray, weights: np.ndarray, sectors) -> np.ndarray:
-    """p[n1, n2], the diagonal of U (rho1 x diag(weights)) U^, in O(W^3).
+def _output_diagonal(rho1: np.ndarray, weights: np.ndarray, sectors) -> tuple[np.ndarray, np.ndarray]:
+    """The diagonals of rho = U (rho1 x diag(weights)) U^ and of rho^2, each as [n1, n2], in O(W^3).
 
     Within sector t the input couples (a, t - a) with (a', t - a') only
     through weights[t - a] when a = a', so it is diagonal there, and
     p(n1, t - n1) = sum_a U_t[n1, a]^2 rho1[a, a] weights[t - a]: one
     mat-vec per sector block, over the inputs a of nonzero weight alone
-    (``_live``).  A sector that no such input reaches is zero, and
-    ``sectors`` need not hold it.
+    (``_live``).  The sectors are exactly orthogonal on the window, so
+    rho^2 = U (rho1^2 x diag(weights)^2) U^: its diagonal is the same sweep
+    with (rho1^2)[a, a] weights[t - a]^2, (rho1^2)[a, a] being the squared
+    norm of row a of the symmetric rho1.  A sector that no input of nonzero
+    weight reaches is zero, and ``sectors`` need not hold it.
     """
     dim = rho1.shape[0]
     occupation = np.diag(rho1)
+    row_squares = np.einsum("ij,ij->i", rho1, rho1)
     live = _live(weights)
-    p = np.zeros((dim, dim))
+    p, q = np.zeros((dim, dim)), np.zeros((dim, dim))
     for t in range(min(2 * dim - 1, dim + live - 1)):
         first, last = max(0, t - dim + 1), min(t, dim - 1)
         start = max(first, t - live + 1)  # the first input (a, t - a) of nonzero weight
         n1, a = np.arange(first, last + 1), np.arange(start, last + 1)
-        p[n1, t - n1] = np.square(sectors[t][:, start - first :]) @ (occupation[a] * weights[t - a])
-    return p
+        squared, weight = np.square(sectors[t][:, start - first :]), weights[t - a]
+        p[n1, t - n1] = squared @ (occupation[a] * weight)
+        q[n1, t - n1] = squared @ (row_squares[a] * weight**2)
+    return p, q
 
 
 def _lightest(weight: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -362,21 +372,25 @@ def _lightest(weight: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return lightest, 2.0 * np.cumsum(np.sqrt(weight[lightest]))
 
 
-def _box(diagonal: np.ndarray, budget: float) -> tuple[int, int, float]:
+def _box(diagonal: np.ndarray, squares: np.ndarray, budget: float) -> tuple[int, int, float]:
     """The w1 x w2 sub-box of the output that holds every partial-transpose state worth keeping.
 
-    The output rho is positive semidefinite, so |rho_ij|^2 <= rho_ii rho_jj,
-    and row (m1, m2) of its partial transpose, the entries
-    rho[(m1, n2), (n1, m2)], has squared norm at most p1(m1) p2(m2), the
-    product of the output's two photon-number marginals from ``diagonal``.
-    In each class, with the budget split of ``_pt_trace_norm``, the
-    lightest states by that product are dropped while the bound of
-    ``_deflated`` on them, 2 sum sqrt(p1 p2), stays below the share; a
-    budget of 0 drops none.  Returns the extents of the box around the
-    states left, and the same bound on the states outside the box, summed
-    over the two classes: at most ``budget``, since they were all dropped.
+    Row (m1, m2) of the partial transpose of the output rho holds the
+    entries rho[(m1, n2), (n1, m2)].  Its squared norm is at most p1(m1)
+    p2(m2), the product of the marginals from ``diagonal``, since
+    |rho_ij|^2 <= rho_ii rho_jj for a positive semidefinite rho; at most
+    the sum over n2 of the squared norms of the rows (m1, n2) of rho,
+    which are the entries of ``squares``, diag(rho^2); and, rho being
+    symmetric, at most the sum of ``squares`` over (n1, m2).  In each
+    class, with the budget split of ``_pt_trace_norm``, the lightest states
+    by the least of the three are dropped while the bound of ``_deflated``
+    on them, 2 sum sqrt(bound), stays below the share; a budget of 0 drops
+    none.  Returns the extents of the box around the states left, and the
+    same bound on the states outside the box, summed over the two classes:
+    at most ``budget``, since they were all dropped.
     """
     weight = np.outer(diagonal.sum(axis=1), diagonal.sum(axis=0))
+    weight = np.minimum(np.minimum(weight, squares.sum(axis=1)[:, None]), squares.sum(axis=0))
     m1, m2 = np.indices(weight.shape)
     classes = [np.flatnonzero((m1 + m2) % 2 == c) for c in (0, 1)]
     w1 = w2 = 0
@@ -649,11 +663,11 @@ def compare_with_gaussian(params: ScenarioParams, cfg: OracleConfig) -> OracleCo
     R_1(phi_b / 2) R_2(phi - phi_b / 2), so its trace norm, like every
     leakage, is the twin's.  The truncated blocks obey the same relations.
 
-    The states left out, first by the box that is built (``_box``) and
-    then by the eigensolve (``_pt_trace_norm``) within what the box left of
-    the budget, move the trace norm T by at most
-    ``target = cfg.tol_compare / _GUARD_SAFETY`` in all, the guard band's
-    target.  T is at least the output's trace, about 1, so N_fock = log2 T
+    The states left out, first by the box that is built (``_box``), with at
+    most half of the budget, and then by the eigensolve
+    (``_pt_trace_norm``) within what the box left of it, move the trace
+    norm T by at most ``target = cfg.tol_compare / _GUARD_SAFETY`` in all,
+    the guard band's target.  T is at least the output's trace, about 1, so N_fock = log2 T
     moves by at most target / ln 2, about 1.45 target: 4.8e-6 at the
     default tol_compare of 1e-3.
     """
@@ -683,13 +697,13 @@ def compare_with_gaussian(params: ScenarioParams, cfg: OracleConfig) -> OracleCo
             # Input (a, b) lies in sector a + b, so no input of nonzero weight reaches t >= window + live - 1.
             count = min(2 * window - 1, window + _live(weights) - 1)
             sectors = _sectors(params.theta, window, count)
-            diagonal = _output_diagonal(rho1, weights, sectors)
+            diagonal, squares = _output_diagonal(rho1, weights, sectors)
             leakages.append(_leakage(diagonal))
         over = [leakage for leakage in leakages if leakage > cfg.tol_trace]
         if over:
             last_leakage = over[0]
             continue
-        w1, w2, outside = _box(diagonal, target)
+        w1, w2, outside = _box(diagonal, squares, 0.5 * target)
         n_fock = math.log2(max(_pt_trace_norm(rho1, weights, sectors, w1, w2, target - outside), 1.0))
         diff = abs(n_gaussian - n_fock)
         status = "pass" if diff <= cfg.tol_compare else "fail"
