@@ -6,16 +6,16 @@ negativity as the log trace norm of the partially transposed output.  No
 covariance-level shortcut is used anywhere, so agreement with the Gaussian
 formulas is a genuine cross-check.
 
-In a fixed Fock parity the squeezer generator, and in a fixed total photon
-number the beam-splitter generator, is a real tridiagonal matrix (SU(1,1)
-and SU(2)).  The squeezer blocks and the splitter's truncated sectors are
-exponentiated through the eigendecomposition of a symmetric tridiagonal
-matrix (``_sector_block``); a complete sector, a spin-t/2 rotation, follows
-from the one before it by a ladder recurrence, with no eigensolve
-(``_sectors``, which keeps them in ``_beam_splitter_sectors``).  Only the
-sectors that an input of nonzero thermal weight reaches are built, and the
-inputs of zero weight are left out of every product: in the vacuum
-(nbar = 0) that is the complete sectors alone.
+The squeezed input is filled from its own Fock-space recurrence, exact to
+rounding on the window itself (``fock_squeezed_thermal``).  In a fixed total
+photon number the beam-splitter generator is a real tridiagonal matrix
+(SU(2)): a complete sector, a spin-t/2 rotation, follows from the one
+before it by a ladder recurrence, and a truncated one is exponentiated
+through an eigendecomposition (``_sector_block``); ``_sectors`` keeps them
+in ``_beam_splitter_sectors``.  Only the sectors that an input of nonzero
+thermal weight reaches are built, and the inputs of zero weight are left
+out of every product: in the vacuum (nbar = 0) that is the complete
+sectors alone.
 
 The phases act on the two-mode output as a local unitary, which leaves the
 trace norm of its partial transpose unchanged, so the engine builds only
@@ -87,12 +87,6 @@ _HERMITICITY_TOL = 1e-10
 _TILE = 128
 _MAX_ESCALATION_DIM = 120
 _ESCALATION_STEP = 20
-# Single-mode states are synthesized on an enlarged working space before
-# being compressed to the requested cutoff: exponentiating the generator
-# truncated at the cutoff itself reflects amplitude off the boundary and
-# corrupts the delivered window, while compressing a wider build leaves
-# only the honestly reported tail loss.
-_WORK_MARGIN = 64
 # The trace norm of a partial transpose amplifies input tail loss by up to
 # two orders of magnitude, so the comparison harness pads the two-mode
 # stage with a guard band sized from the measured window leakage instead
@@ -182,17 +176,32 @@ def _thermal_weights(nbar: float, dim: int) -> np.ndarray:
 
 
 def fock_squeezed_thermal(spec: GaussianSpec, dim: int) -> np.ndarray:
-    """S rho_th S^ with the thermal seed and squeezing matched to (tau, u).
+    """S rho_th S^ on the Fock states 0 .. dim - 1, with seed and squeezing matched to (tau, u).
 
-    The seed occupation is (1 - u) / (2 u) (the symplectic eigenvalue
+    The seed occupation is n_s = (1 - u) / (2 u) (the symplectic eigenvalue
     1/(2u) minus the vacuum half) and the squeezing obeys
     e^{-2r} = u (1 - 2 tau), so the first and second moments of the result
     reproduce ``covariance_from_spec`` exactly in the untruncated limit.
-    The generator r (a a - a^ a^) / 2 couples n with n + 2 only, so the
-    squeezer is one real tridiagonal block per Fock parity, exponentiated
-    on a working space ``dim + _WORK_MARGIN`` wide and then compressed; the
-    returned matrix agrees with the exact state up to its tail leakage, and
-    its entries between Fock numbers of opposite parity are exactly zero.
+
+    The entries come from the state's own recurrence (Marian & Marian, PRA
+    47, 4474 (1993); Miatto & Quesada, Quantum 4, 366 (2020)).  A zero-mean
+    Gaussian state at phi_b = 0 has the generating function
+    <alpha|rho|beta> e^{(|alpha|^2 + |beta|^2) / 2} = rho00 exp(A (alpha*^2
+    + beta^2) / 2 + B alpha* beta), whose derivative in alpha* gives
+
+        sqrt(m + 1) rho[m + 1, n] = A sqrt(m) rho[m - 1, n] + B sqrt(n) rho[m, n - 1],
+
+    and row 0 follows from sqrt(n) rho[0, n] = A sqrt(n - 1) rho[0, n - 2].
+    The Q function's quadrature variances, sigma_x = e^{-2r} (n_s + 1/2) +
+    1/2 and sigma_p = e^{2r} (n_s + 1/2) + 1/2 (the vacuum's are 1), give
+    rho00 = 1 / sqrt(sigma_x sigma_p), A = -(1/sigma_x - 1/sigma_p) / 2 and
+    B = 1 - (1/sigma_x + 1/sigma_p) / 2; a thermal state has A = 0 and
+    B = nbar / (nbar + 1).  No entry depends on ``dim``: the result is exact
+    to rounding on any window, its trace falls short of 1 by the mass past
+    the window, and window D of a wider build is the build at D bit for
+    bit.  The recurrence keeps Fock parity, so the entries between Fock
+    numbers of opposite parity are exactly zero.
+
     Exactly Hermitian and float64, built at phi_b = 0 only: S(r e^{i phi_b})
     = R S(r) R^ with R = diag(e^{i n phi_b / 2}), which commutes with the
     seed, so the state at phi_b is R rho R^.  A nonzero ``spec.phi_b``, or a
@@ -206,16 +215,16 @@ def fock_squeezed_thermal(spec: GaussianSpec, dim: int) -> np.ndarray:
             "is the local rotation R rho R^dagger of it, with R = diag(exp(i n phi_b / 2))"
         )
     nbar_seed = (1.0 - spec.u) / (2.0 * spec.u)
-    r = -0.5 * math.log(spec.u * (1.0 - 2.0 * spec.tau))
-    work = dim + _WORK_MARGIN
-    seed = _thermal_weights(nbar_seed, work)
+    squeeze = spec.u * (1.0 - 2.0 * spec.tau)  # e^{-2r}
+    sigma_x, sigma_p = (w * (nbar_seed + 0.5) + 0.5 for w in (squeeze, 1.0 / squeeze))
+    a, b = -0.5 * (1.0 / sigma_x - 1.0 / sigma_p), 1.0 - 0.5 * (1.0 / sigma_x + 1.0 / sigma_p)
+    root = np.sqrt(np.arange(dim))
     rho = np.zeros((dim, dim))
-    for parity in (0, 1):
-        # a^2 sends n + 2 -> n with amplitude sqrt((n + 1)(n + 2)).
-        n = np.arange(parity, work - 2, 2)
-        block = _sector_block(-0.5 * r * np.sqrt((n + 1.0) * (n + 2.0)))
-        rows = block[: len(range(parity, dim, 2))]
-        rho[parity::2, parity::2] = (rows * seed[parity::2]) @ rows.T
+    rho[0, ::2] = np.cumprod(np.r_[1.0 / math.sqrt(sigma_x * sigma_p), a * root[1:-1:2] / root[2::2]])
+    for m in range(1, dim):
+        rho[m, 1:] = b * root[1:] * rho[m - 1, :-1]
+        # At m = 1 the A term's weight sqrt(m - 1) is 0, and row 0 stands in for row -1.
+        rho[m] = (rho[m] + a * root[m - 1] * rho[max(m - 2, 0)]) / root[m]
     _hermitize(rho)
     return rho
 
@@ -228,6 +237,7 @@ def _leakage(p: np.ndarray) -> float:
 def _sector_block(hop: np.ndarray) -> np.ndarray:
     """exp(G) for the real tridiagonal G with G[j + 1, j] = -G[j, j + 1] = hop[j].
 
+    Only the splitter's truncated sectors (``_sectors``) are built by it.
     With S = diag(i^j), G = S (-i T) S^ for the real symmetric tridiagonal
     T with off-diagonal ``hop``, so exp(G)[j, k] = i^(j - k) (C - i D)[j, k]
     with C = cos T and D = sin T.  T is bipartite, so C couples only even
@@ -625,8 +635,9 @@ def _pick_guard(wide: np.ndarray, base_dim: int, target: float) -> int:
     """Smallest guard whose window keeps the tail loss below ``target``.
 
     ``wide`` is the single-mode state built at ``base_dim`` plus the
-    largest guard; smaller windows are exact compressions of it, so their
-    leakage is read off the diagonal instead of rebuilding.
+    largest guard; a smaller window is its top-left block, bit for bit
+    (``fock_squeezed_thermal``), so its leakage is read off the diagonal
+    instead of rebuilding.
     """
     occupations = np.cumsum(np.diag(wide))
     for guard in _COMPARE_GUARDS:

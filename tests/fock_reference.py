@@ -1,17 +1,88 @@
-"""The two-class build of the Fock oracle's output and its partial transpose.
+"""Earlier routes of the Fock oracle, kept as the references its builds must match.
+
+The squeezed input was the squeezer exponentiated on a working space wider
+than the window and compressed to it (``operator_squeezed_thermal``); the
+engine now fills the window from the state's own recurrence, which is also
+evaluated here in decimal arithmetic (``decimal_squeezed_thermal``).
 
 Before the engine built the partial transpose one class at a time
 (``gaussbs.fock._pt_class``), it built both parity classes of the output
 (``_output_classes``), Hermitian averaged them, and overwrote them with the
 two classes of the partial transpose (``_partial_transpose``).  That route
-is kept here as the reference that the per-class build must match to
-rounding: its products run over a whole class's columns, the engine's over
-one quadrant's, so BLAS may round an entry the other way.
+must match the per-class build to rounding: its products run over a whole
+class's columns, the engine's over one quadrant's, so BLAS may round an
+entry the other way.
 """
+
+import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 
-from gaussbs.fock import _class_numbers, _deflated, _hermitize, _live, _quadrants
+from gaussbs.fock import (
+    _class_numbers,
+    _deflated,
+    _hermitize,
+    _live,
+    _quadrants,
+    _sector_block,
+    _thermal_weights,
+)
+from gaussbs.states import GaussianSpec
+
+
+def operator_squeezed_thermal(spec: GaussianSpec, dim: int, margin: int) -> np.ndarray:
+    """S rho_th S^ built on ``dim + margin`` Fock states, then compressed to ``dim``.
+
+    In a fixed Fock parity the squeezer generator r (a a - a^ a^) / 2 is a
+    real tridiagonal matrix (SU(1,1)), exponentiated by ``_sector_block``,
+    and the thermal seed is cut at the working width.  Exponentiating the
+    truncated generator reflects amplitude off the boundary, so the window
+    is off by what the margin does not absorb: 1.1e-2 at (tau, u) =
+    (0.3, 0.05) with W = 40 and a margin of 64, and within 1e-15 with a
+    margin of 1,500.  Built at phi_b = 0, Hermitian averaged.
+    """
+    nbar_seed = (1.0 - spec.u) / (2.0 * spec.u)
+    r = -0.5 * math.log(spec.u * (1.0 - 2.0 * spec.tau))
+    work = dim + margin
+    seed = _thermal_weights(nbar_seed, work)
+    rho = np.zeros((dim, dim))
+    for parity in (0, 1):
+        # a^2 sends n + 2 -> n with amplitude sqrt((n + 1)(n + 2)).
+        n = np.arange(parity, work - 2, 2)
+        block = _sector_block(-0.5 * r * np.sqrt((n + 1.0) * (n + 2.0)))
+        rows = block[: len(range(parity, dim, 2))]
+        rho[parity::2, parity::2] = (rows * seed[parity::2]) @ rows.T
+    _hermitize(rho)
+    return rho
+
+
+def decimal_squeezed_thermal(tau: float, u: float, dim: int) -> np.ndarray:
+    """The recurrence of ``gaussbs.fock.fock_squeezed_thermal`` in 40-digit decimals.
+
+    The coefficients are taken from the float inputs exactly, with
+    e^{-2r} = u (1 - 2 tau) and n_s + 1/2 = (1 - u) / (2 u) + 1/2, and every
+    entry is rounded to float64 once, at the end.  Entries between opposite
+    parities are never computed: they are zero.
+    """
+    with localcontext() as ctx:
+        ctx.prec = 40
+        tau, u, half = Decimal(tau), Decimal(u), Decimal("0.5")
+        squeeze, seed = u * (1 - 2 * tau), (1 - u) / (2 * u) + half
+        sigma_x, sigma_p = squeeze * seed + half, seed / squeeze + half
+        a, b = -(1 / sigma_x - 1 / sigma_p) / 2, 1 - (1 / sigma_x + 1 / sigma_p) / 2
+        root = [Decimal(k).sqrt() for k in range(dim)]
+        rho = [[Decimal(0)] * dim for _ in range(dim)]
+        rho[0][0] = 1 / (sigma_x * sigma_p).sqrt()
+        for n in range(2, dim, 2):
+            rho[0][n] = a * root[n - 1] * rho[0][n - 2] / root[n]
+        for m in range(1, dim):
+            for n in range(m % 2, dim, 2):
+                value = b * root[n] * rho[m - 1][n - 1] if n else Decimal(0)
+                if m > 1:
+                    value += a * root[m - 1] * rho[m - 2][n]
+                rho[m][n] = value / root[m]
+        return np.array([[float(x) for x in row] for row in rho])
 
 
 def _output_class(rho1: np.ndarray, weights: np.ndarray, blocks, c: int, w1: int, w2: int) -> np.ndarray:

@@ -18,7 +18,12 @@ from conftest import (
     thermal,
 )
 import fock_reference
-from fock_reference import _output_classes, _partial_transpose
+from fock_reference import (
+    _output_classes,
+    _partial_transpose,
+    decimal_squeezed_thermal,
+    operator_squeezed_thermal,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -52,6 +57,8 @@ CFG = OracleConfig(dim=30, tol_trace=1e-6)
 # Entries of the per-class build and of the two-class reference may differ by
 # this much: BLAS may round a product over fewer columns the other way.
 ROUNDING = 4 * np.finfo(float).eps
+# The squeezer references are built on this many Fock states past the window.
+_EXPM_MARGIN = 64
 
 
 def _full_classes(rho1, weights, theta) -> list:
@@ -85,12 +92,12 @@ def _quadrant_order(w1: int, w2: int, c: int) -> np.ndarray:
 def _expm_squeezed_thermal(spec: GaussianSpec, dim: int) -> np.ndarray:
     """The squeezed-thermal window from scipy's expm of the complex squeezer generator.
 
-    Built on the oracle's working width ``dim + _WORK_MARGIN``, then cut to
-    ``dim``; no rotation identity is used.
+    Built on ``dim + _EXPM_MARGIN`` states, then cut to ``dim``; no
+    rotation identity is used.
     """
     from scipy.linalg import expm
 
-    work = dim + fock._WORK_MARGIN
+    work = dim + _EXPM_MARGIN
     a = annihilation(work)
     r = -0.5 * math.log(spec.u * (1.0 - 2.0 * spec.tau))
     xi = r * cmath.exp(1j * spec.phi_b)
@@ -193,6 +200,54 @@ class TestStateBuilders:
         cross = rho[(n[:, None] - n) % 2 == 1]
         assert np.all(cross == 0.0)
         assert np.abs(rho[0, 2]) > 0.1
+
+
+# From weakly squeezed and strongly mixed, through strongly mixed, to pure and strongly squeezed.
+RECURRENCE_POINTS = [(0.01, 0.05), (0.3, 0.05), (0.45, 1.0), (0.49, 1.0)]
+
+
+class TestSqueezerRecurrence:
+    @pytest.mark.parametrize("tau, u", RECURRENCE_POINTS)
+    def test_matches_a_40_digit_evaluation(self, tau, u):
+        # Measured within 9.7e-17 at every window here.
+        exact = decimal_squeezed_thermal(tau, u, 160)
+        for dim in (40, 64, 100, 144, 160):
+            rho = fock_squeezed_thermal(GaussianSpec(tau, u), dim)
+            assert np.abs(rho - exact[:dim, :dim]).max() <= 1e-15, dim
+
+    @pytest.mark.parametrize("tau, u", RECURRENCE_POINTS)
+    def test_matches_the_operator_build_with_a_wide_margin(self, tau, u):
+        # The squeezer exponentiated on 1,500 states past the window: measured within 4.4e-16.
+        spec = GaussianSpec(tau, u)
+        expected = operator_squeezed_thermal(spec, 40, 1500)
+        assert np.abs(fock_squeezed_thermal(spec, 40) - expected).max() <= 1e-14
+
+    def test_strongly_mixed_window_is_exact_where_a_narrow_margin_is_not(self):
+        # Here a margin of 64 states leaves the window 1.1e-2 off, so a build that passed
+        # with such a margin, or with a wrong coefficient, would fail the first bound.
+        spec = GaussianSpec(0.3, 0.05)
+        exact = decimal_squeezed_thermal(0.3, 0.05, 40)
+        assert np.abs(fock_squeezed_thermal(spec, 40) - exact).max() <= 1e-15
+        assert np.abs(operator_squeezed_thermal(spec, 40, _EXPM_MARGIN) - exact).max() >= 1e-3
+
+    @pytest.mark.parametrize("tau, u", [(0.0, 1.0), (0.3, 0.05), (0.3, 0.3), (0.49, 1.0)])
+    def test_a_window_is_the_top_left_block_of_a_wider_build(self, tau, u):
+        # What _pick_guard reads: the guard's smaller windows are the wide build's blocks.
+        spec = GaussianSpec(tau, u)
+        for dim in (1, 2, 3, 40):
+            narrow = fock_squeezed_thermal(spec, dim)
+            for extra in (1, 2, 24):
+                wide = fock_squeezed_thermal(spec, dim + extra)
+                assert wide[:dim, :dim].tobytes() == narrow.tobytes(), (dim, extra)
+
+    @pytest.mark.parametrize("tau, u", [(0.3, 0.3), (0.3, 0.5)])
+    def test_trace_and_mean_number_of_a_wide_window(self, tau, u):
+        # The Q-function variances from (tau, u) alone: e^{-2r} (n_s + 1/2) = (1 - 2 tau) / 2.
+        sigma_x = 1.0 - tau
+        sigma_p = 0.5 / (u * u * (1.0 - 2.0 * tau)) + 0.5
+        p = np.diag(fock_squeezed_thermal(GaussianSpec(tau, u), 1000))
+        assert abs(p.sum() - 1.0) <= 1e-14  # measured 5.6e-16
+        assert p @ np.arange(1000) == pytest.approx(0.5 * (sigma_x + sigma_p) - 1.0, rel=1e-13)
 
 
 class TestBeamSplitterUnitary:
